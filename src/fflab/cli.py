@@ -47,16 +47,25 @@ def _load_config(path, overrides):
             raise ConfigError("config must be a JSON object")
         cfg.update(data)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
-    q = cfg["q"]
-    if q not in (2, 3, 4, 5, 7, 8, 9):
+    for key in ("q", "n", "precision", "window", "seed"):
+        if type(cfg[key]) is not int:
+            raise ConfigError(f"{key} must be an integer")
+    for key in ("e1", "e2", "hecke"):
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a string")
+    if cfg["suite"] is not None and not isinstance(cfg["suite"], str):
+        raise ConfigError("suite must be a string")
+    if cfg["q"] not in (2, 3, 4, 5, 7, 8, 9):
         raise ConfigError("q must be a prime power <= 9")
-    if not (1 <= int(cfg["n"]) <= 3):
+    if not (1 <= cfg["n"] <= 3):
         raise ConfigError("n must be between 1 and 3")
-    if int(cfg["precision"]) < 1:
+    if cfg["precision"] < 1:
         raise ConfigError("precision must be positive")
     for key in ("e1", "e2"):
         if cfg[key] not in _KINDS:
             raise ConfigError(f"{key} must be one of {sorted(_KINDS)}")
+    if cfg["e2"] == "split" and cfg["e1"] != "split":
+        raise ConfigError("e2 may be split only when e1 is split")
     return cfg
 
 
@@ -122,17 +131,18 @@ def cmd_orbital(cfg):
     n = cfg["n"]
     pair, inv, _ = random_pair(e1, e2, n, seed=cfg["seed"])
     f = _parse_hecke(cfg["hecke"], 2 * n, field)
-    slack = max(1, int(cfg["window"]) // 4)
+    slack = max(1, cfg["window"] // 4)
     ob, wb = orbital_beta(pair, f, slack=slack)
     e0 = build_quadratic(SPLIT, field)
     alpha, _ = match_alpha(inv.delta, e0, inv.target)
     oa, wa = orbital_alpha(alpha, f, slack=slack)
+    alpha_at_zero = value_at_zero(oa)
     rec = {
         "id": f"orbital/seed{cfg['seed']}/{cfg['hecke']}",
-        "ok": True,
+        "ok": alpha_at_zero == ob,
         "beta": str(ob),
         "alpha": oa.to_json(),
-        "alpha_at_zero": str(value_at_zero(oa)),
+        "alpha_at_zero": str(alpha_at_zero),
         "windows": [wb, wa],
         "precision": cfg["precision"],
     }
@@ -153,13 +163,8 @@ def cmd_satake(cfg):
     return [rec]
 
 
-def _run_suite_records(name, precision, threads=1):
-    if threads <= 1 or name not in SUITES:
-        records = run_suite(name, precision=precision)
-    else:
-        # partition-and-merge: identical output regardless of pool size
-        records = run_suite(name, precision=precision)
-    return sorted(records, key=lambda r: r["id"])
+def _run_suite_records(name, precision):
+    return sorted(run_suite(name, precision=precision), key=lambda r: r["id"])
 
 
 def _strip_precision(records):

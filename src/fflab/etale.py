@@ -83,11 +83,6 @@ class QuadraticEtale:
         """|z - z^sigma| = |Disc|^(1/2), returned as the exponent Fraction of q."""
         return Fraction(-self.disc_valuation, 2)
 
-    def residue_degree(self):
-        if self.kind == UNRAMIFIED:
-            return 2
-        return 1
-
     def __eq__(self, other):
         return (isinstance(other, QuadraticEtale) and self.kind == other.kind
                 and self.tr == other.tr and self.nm == other.nm
@@ -469,12 +464,3 @@ def eta_gl(h):
     if h.nrows % 2:
         d = -d
     return eta(d)
-
-
-def eta_f_matrix(mat):
-    """eta computed through the F-determinant of a module automorphism.
-
-    For h acting E3-linearly on F^(2n), v(det_F h) = v(Nm(det_E3 h)).
-    """
-    from .linalg import mat_det
-    return -1 if mat_det(mat).valuation() % 2 else 1

@@ -262,10 +262,6 @@ def sqrt_in_F(x):
     return F.element(v // 2, out, (v // 2) + rel)
 
 
-def is_square_in_F(x):
-    return sqrt_in_F(x) is not None
-
-
 # -- Newton polygon ----------------------------------------------------------------
 
 

@@ -466,11 +466,6 @@ def _unipotent_sum(f, mu, levi, offsets, v_min, field):
     return total
 
 
-def tensor_of_functions(pairs_to_coeff, ranks):
-    """Normalize a tensor expression into {(type0, type1): ULaurent}."""
-    return {k: v for k, v in pairs_to_coeff.items() if not v.is_zero()}
-
-
 def partial_satake_closed(field, k_twist, m, split):
     """Closed form of the partial transform of [pi]^k * f(m) for a two-block Levi.
 

@@ -7,12 +7,19 @@ zeros below the diagonal.  Two Lattice values are equal iff they are equal
 as O_F-modules.  Enumeration covers sublattices and superlattices of given
 index, chains with prescribed step indices, and module-stable lattices for
 a matrix satisfying an integral quadratic minimal polynomial.
+
+The field's precision N is a ceiling for the two elimination kernels,
+canonicalize and smith_exponents_rectangular: they run at a certified
+working precision below it (entries truncated a few digits above their
+least valuation) and escalate on PrecisionExhausted, so each returns what
+the untruncated entries give or raises.
 """
 
 import itertools
 
 from .errors import NonFreeAction, PrecisionExhausted, SingularBasis, UnstableBase
 from .linalg import Matrix, mat_det, row_echelon
+from .localfield import INF
 
 
 class Lattice:
@@ -64,39 +71,91 @@ def _basis_key(basis):
     return tuple(tuple(e.key() for e in row) for row in basis.rows)
 
 
+# -- certified elimination on a working-precision ladder -----------------------
+
+# digits above the least valuation kept by the first rung of the ladder
+_FIRST_RUNG = 8
+
+
+def _on_ladder(kernel, field, lines):
+    """kernel(lines) at the least working precision that certifies it.
+
+    A rung of w digits truncates every entry at pi^(lo+w), lo the least
+    certified valuation among the entries; exact zeros stay exact.  w starts
+    at _FIRST_RUNG and doubles on PrecisionExhausted while it is below the
+    field's precision N; the top rung passes the entries untouched.  The
+    kernel certifies each pivot from the digits it is given, so a truncated
+    rung returns the untruncated answer or raises.
+    """
+    vals = [x.val for line in lines for x in line if x.coeffs]
+    w = _FIRST_RUNG
+    while vals and w < field.precision:
+        cut = min(vals) + w
+        try:
+            return kernel([[x if x.is_exact_zero else x.truncate(cut)
+                            for x in line] for line in lines])
+        except PrecisionExhausted:
+            w *= 2
+    return kernel([list(line) for line in lines])
+
+
+def _pivot(lines, start):
+    """Certified least-valuation entry of the block line[start:], line in lines.
+
+    Returns ((line, pos), hidden): the first entry of least valuation, or
+    None when no entry has a certified digit, and the least k of an
+    undetermined O(pi^k) in the block (inf if there is none).  Raises
+    PrecisionExhausted when such an O(pi^k) with k <= the pivot's valuation
+    could hide a smaller pivot.
+    """
+    best = None
+    bval = hidden = INF
+    for li, line in enumerate(lines):
+        for pos in range(start, len(line)):
+            x = line[pos]
+            if x.coeffs:
+                if x.val < bval:
+                    best, bval = (li, pos), x.val
+            elif x.known_to < hidden:
+                hidden = x.known_to
+    if best is not None and hidden <= bval:
+        raise PrecisionExhausted("pivot hidden behind an undetermined entry")
+    return best, hidden
+
+
 def canonicalize(field, basis):
     """Unique Hermite representative of the lattice spanned by the columns.
 
     Accepts an m x s generating matrix with s >= m; raises SingularBasis
-    when the columns do not span a full-rank lattice.
+    when the columns do not span a full-rank lattice.  Runs on the
+    working-precision ladder; raises PrecisionExhausted when even the
+    untruncated entries do not certify the form.
     """
-    m = basis.nrows
-    cols = [list(basis.column(j)) for j in range(basis.ncols)]
+    cols = [basis.column(j) for j in range(basis.ncols)]
+    return _on_ladder(lambda c: _hermite(field, basis.nrows, c), field, cols)
+
+
+def _hermite(field, m, cols):
     placed = [None] * m
-    # triangularize from the bottom row up
+    live = list(range(len(cols)))
+    # Triangularize from the bottom row up.  Every live column whose entry
+    # is not an exact zero is swept, an undetermined one with an O(pi^k)
+    # multiplier; rows at and below the pivot are never read again.
     for i in range(m - 1, -1, -1):
-        live = [c for c in cols if c is not None]
-        best = None
-        undetermined = False
-        for c in live:
-            x = c[i]
-            if x.coeffs:
-                if best is None or x.val < best[i].val:
-                    best = c
-            elif not x.is_exact_zero:
-                undetermined = True
+        best, hidden = _pivot([[cols[k][i] for k in live]], 0)
         if best is None:
-            if undetermined:
+            if hidden < INF:
                 raise PrecisionExhausted("lattice pivot not certified")
             raise SingularBasis("generators do not span a full-rank lattice")
-        piv = best[i]
-        piv_inv = piv.inv()
-        for idx, c in enumerate(cols):
-            if c is not None and c is not best and c[i].coeffs:
+        pcol = cols[live.pop(best[1])]
+        piv_inv = pcol[i].inv()
+        for k in live:
+            c = cols[k]
+            if not c[i].is_exact_zero:
                 f = c[i] * piv_inv
-                cols[idx] = [a - f * b for a, b in zip(c, best)]
-        placed[i] = best
-        cols[cols.index(best)] = None
+                for r in range(i):
+                    c[r] = c[r] - f * pcol[r]
+        placed[i] = pcol
     # normalize pivots to exact powers of pi and clear sub-pivot noise
     zero = field.zero
     for i in range(m):
@@ -109,22 +168,17 @@ def canonicalize(field, basis):
         newcol.extend([zero] * (m - i - 1))
         placed[i] = newcol
     diag = tuple(placed[i][i].val for i in range(m))
-    # reduce entries above each pivot modulo the row pivot
+    # reduce entries above each pivot modulo the row pivot; high_part and
+    # reduce_mod raise unless the entry is certified modulo pi^(a_i)
     for j in range(m):
         col = placed[j]
         for i in range(j - 1, -1, -1):
-            e = col[i]
-            if not e.coeffs:
-                col[i] = zero
-                continue
             ai = diag[i]
-            high = e.high_part(ai)
-            if high.coeffs:
+            high = col[i].high_part(ai)
+            if not high.is_exact_zero:
                 f = high.shift(-ai)
                 col = [x - f * y for x, y in zip(col, placed[i])]
             col[i] = col[i].reduce_mod(ai)
-        for i in range(j):
-            col[i] = col[i].reduce_mod(diag[i])
         placed[j] = col
     rows = [[placed[j][i] for j in range(m)] for i in range(m)]
     b = Matrix(field, rows)
@@ -248,42 +302,43 @@ def smith_exponents(mat):
     return tuple(sorted(out, reverse=True))
 
 
-def smith_exponents_rectangular(mat):
+def smith_exponents_rectangular(mat, rank=None):
     """Elementary divisor exponents of a (possibly non-square, non-full-rank)
-    integral matrix over O_F; returns the finite exponents only."""
-    rows = [list(r) for r in mat.rows]
+    integral matrix over O_F; returns the finite exponents only.
+
+    An undetermined remainder O(pi^k) counts as zero only once `rank`
+    pivots are placed; without a rank it raises PrecisionExhausted unless
+    the matrix has full rank.  Runs on the working-precision ladder.
+    """
+    return _on_ladder(lambda rows: _smith(rows, rank), mat.ring, mat.rows)
+
+
+def _smith(rows, rank):
+    # Row sweeps alone give the exponents: once every entry below the pivot
+    # that is not an exact zero is cleared (undetermined ones with an
+    # O(pi^k) multiplier), the pivot's row is cleared by column operations
+    # that change no other row, so the rest is the lower right block.
     n, m = len(rows), len(rows[0])
     out = []
-    top = 0
-    while top < min(n, m):
-        best = None
-        for i in range(top, n):
-            for j in range(top, m):
-                x = rows[i][j]
-                if x.coeffs:
-                    if best is None or x.val < rows[best[0]][best[1]].val:
-                        best = (i, j)
+    for top in range(min(n, m)):
+        best, hidden = _pivot(rows[top:], top)
         if best is None:
-            break
-        bi, bj = best
+            if hidden == INF or (rank is not None and top >= rank):
+                break
+            raise PrecisionExhausted("elementary divisor not certified")
+        bi, bj = best[0] + top, best[1]
         rows[top], rows[bi] = rows[bi], rows[top]
         for r in rows:
             r[top], r[bj] = r[bj], r[top]
-        piv = rows[top][top]
-        out.append(piv.val)
-        piv_inv = piv.inv()
-        for i in range(top + 1, n):
-            x = rows[i][top]
-            if x.coeffs:
+        prow = rows[top]
+        out.append(prow[top].val)
+        piv_inv = prow[top].inv()
+        for r in rows[top + 1:]:
+            x = r[top]
+            if not x.is_exact_zero:
                 f = x * piv_inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
-        for j in range(top + 1, m):
-            x = rows[top][j]
-            if x.coeffs:
-                f = x * piv_inv
-                for i in range(top, n):
-                    rows[i][j] = rows[i][j] - f * rows[i][top]
-        top += 1
+                for j in range(top + 1, m):
+                    r[j] = r[j] - f * prow[j]
     return out
 
 
@@ -799,24 +854,6 @@ def _solve_coords(field, W, vectors):
     return [linear_solve(W, v, zeroish_ok=True) for v in vectors]
 
 
-def _plain_ball(center, radius):
-    """Ball of O_F-lattices around center: one neighbor move is an index-one
-    sub- or superlattice."""
-    seen = {center.key(): center}
-    frontier = [center]
-    for _ in range(radius):
-        new = []
-        for lat in frontier:
-            moves = list(sublattices_of_index(lat, 1))
-            moves += list(superlattices_of_index(lat, 1))
-            for nb in moves:
-                if nb.key() not in seen:
-                    seen[nb.key()] = nb
-                    new.append(nb)
-        frontier = new
-    return list(seen.values())
-
-
 def stable_lattices(field, J, algebra, window, base):
     """All lattices stable under J within `window` module moves of base.
 
@@ -877,7 +914,7 @@ class GammaGroup:
         shifts exactly by v(det gen | V_j) under the generator.
         """
         proj = gen.idempotent * lat.basis
-        return sum(smith_exponents_rectangular(proj))
+        return sum(smith_exponents_rectangular(proj, rank=gen.Wj.ncols))
 
     def reduce_exponents(self, lat):
         """Exponent vector e placing the lattice in the fundamental box."""
@@ -889,7 +926,8 @@ class GammaGroup:
 
     def raw_functional(self, gen, stack):
         """The factor functional evaluated on a raw generator stack."""
-        return sum(smith_exponents_rectangular(gen.idempotent * stack))
+        return sum(smith_exponents_rectangular(gen.idempotent * stack,
+                                               rank=gen.Wj.ncols))
 
     def reduce_stack(self, stack):
         """Canonical box representative of the lattice spanned by a raw stack."""

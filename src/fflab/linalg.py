@@ -365,24 +365,6 @@ def det_berkowitz(mat):
 
 # -- Gaussian elimination over F (valuation pivoting) --------------------------
 
-def _pivot_search(rows, r0, c0, nrows, ncols):
-    """Entry with smallest certified valuation in the trailing block; None if all exact zero."""
-    best = None
-    undetermined = False
-    for i in range(r0, nrows):
-        for j in range(c0, ncols):
-            x = rows[i][j]
-            if x.coeffs:
-                v = x.val
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-            elif not x.is_exact_zero:
-                undetermined = True
-    if best is None and undetermined:
-        raise PrecisionExhausted("pivot valuations cannot be certified")
-    return best
-
-
 def row_echelon(mat, augment=None, zeroish_ok=False):
     """Row echelon form over F with full pivoting bookkeeping.
 

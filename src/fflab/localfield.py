@@ -248,7 +248,7 @@ class FieldElement:
                 f"inverse of O(pi^{self.known_to}): nonzero not detectable")
         f, g = self.field, self.field.gf
         v = self.val
-        if len(self.coeffs) == 1:
+        if len(self.coeffs) == 1 and self.known_to == INF:
             return FieldElement(f, -v, (g.inv(self.coeffs[0]),), INF)
         # relative precision available for the unit part
         rel = self.known_to - v if self.known_to != INF else f.precision
@@ -264,8 +264,7 @@ class FieldElement:
                 if i < len(u) and u[i]:
                     s = add[s][mul[u[i]][out[k - i]]]
             out[k] = mul[g.neg(s)][inv0]
-        know = self.known_to - 2 * v if self.known_to != INF else -v + rel
-        return FieldElement(f, -v, out, know)
+        return FieldElement(f, -v, out, rel - v)
 
     def __truediv__(self, other):
         return self * other.inv()

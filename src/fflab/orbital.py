@@ -255,7 +255,7 @@ class OrbitalProblem:
         """Index of the first order's span over the lattice (cheap)."""
         from .lattices import smith_exponents_rectangular
         stack = lb.basis.hstack(self.pair.A * lb.basis)
-        span_det = sum(smith_exponents_rectangular(stack))
+        span_det = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
         return lb.det_valuation - span_det
 
     def gap(self, lb):
@@ -311,9 +311,9 @@ class OrbitalProblem:
     def gap_of_stack(self, stack):
         """Gamma-invariant span gap computed on a raw generator stack."""
         from .lattices import smith_exponents_rectangular
-        d_lat = sum(smith_exponents_rectangular(stack))
+        d_lat = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
         span = stack.hstack(self.pair.A * stack)
-        d_span = sum(smith_exponents_rectangular(span))
+        d_span = sum(smith_exponents_rectangular(span, rank=span.nrows))
         return d_lat - d_span
 
     def evaluate(self, slack=1, budget=200000, bridge_gap=2):

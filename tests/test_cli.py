@@ -59,3 +59,36 @@ def test_verify_small_suite(tmp_path):
 
 def test_unknown_suite(tmp_path):
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"n": "x"},
+    {"precision": 2.5},
+    {"n": True},
+    {"seed": "1"},
+    {"window": None},
+    {"hecke": 5},
+    {"e1": "unramified", "e2": "split"},
+    {"e1": "ramified", "e2": "split"},
+])
+def test_bad_config_values_exit_2(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["orbital", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--e1", "unramified", "--e2", "split"],
+    ["--e1", "ramified", "--e2", "split"],
+])
+def test_split_second_algebra_flags_exit_2(flags):
+    assert main(["invariant"] + flags) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orbital_ok_is_the_matching_identity(tmp_path, seed):
+    out = tmp_path / "o.jsonl"
+    rc = main(["orbital", "--seed", str(seed), "--hecke", "T_1", "--out", str(out)])
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec["ok"] == (rec["beta"] == rec["alpha_at_zero"])
+    assert rc == (0 if rec["ok"] else 1)
