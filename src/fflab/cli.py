@@ -66,24 +66,35 @@ def _load_config(path, overrides):
             raise ConfigError(f"{key} must be one of {sorted(_KINDS)}")
     if cfg["e2"] == "split" and cfg["e1"] != "split":
         raise ConfigError("e2 may be split only when e1 is split")
+    if cfg["e1"] == cfg["e2"] == "ramified":
+        raise ConfigError("e1 and e2 may not both be ramified")
     return cfg
 
 
 def _parse_hecke(spec, rank, field):
     """Parse 'unit' | 'S_k' | 'T_m' | 'f(m1,m2,...)' | 'pi^k*...'."""
     spec = spec.strip()
+
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"cannot parse Hecke function spec {spec!r}") from None
+
     if "*" in spec and spec.startswith("pi^"):
         head, rest = spec.split("*", 1)
-        k = int(head[3:])
-        return pi_twist(_parse_hecke(rest, rank, field), k)
+        return pi_twist(_parse_hecke(rest, rank, field), integer(head[3:]))
     if spec == "unit":
         return unit(rank)
     if spec.startswith("S_"):
-        return s_k(rank, int(spec[2:]))
+        k = integer(spec[2:])
+        if abs(k) > rank:
+            raise ConfigError(f"S_k needs |k| <= {rank}, got {spec!r}")
+        return s_k(rank, k)
     if spec.startswith("T_"):
-        return t_m(rank, int(spec[2:]))
+        return t_m(rank, integer(spec[2:]))
     if spec.startswith("f(") and spec.endswith(")"):
-        m = tuple(int(x) for x in spec[2:-1].split(",") if x.strip())
+        m = tuple(integer(x) for x in spec[2:-1].split(",") if x.strip())
         return f_of_m(rank, m, field)
     raise ConfigError(f"cannot parse Hecke function spec {spec!r}")
 
@@ -129,8 +140,8 @@ def cmd_orbital(cfg):
     e1 = build_quadratic(_KINDS[cfg["e1"]], field)
     e2 = build_quadratic(_KINDS[cfg["e2"]], field)
     n = cfg["n"]
-    pair, inv, _ = random_pair(e1, e2, n, seed=cfg["seed"])
     f = _parse_hecke(cfg["hecke"], 2 * n, field)
+    pair, inv, _ = random_pair(e1, e2, n, seed=cfg["seed"])
     slack = max(1, cfg["window"] // 4)
     ob, wb = orbital_beta(pair, f, slack=slack)
     e0 = build_quadratic(SPLIT, field)

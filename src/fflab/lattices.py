@@ -8,11 +8,11 @@ as O_F-modules.  Enumeration covers sublattices and superlattices of given
 index, chains with prescribed step indices, and module-stable lattices for
 a matrix satisfying an integral quadratic minimal polynomial.
 
-The field's precision N is a ceiling for the two elimination kernels,
-canonicalize and smith_exponents_rectangular: they run at a certified
-working precision below it (entries truncated a few digits above their
-least valuation) and escalate on PrecisionExhausted, so each returns what
-the untruncated entries give or raises.
+The field's precision N is a ceiling for the elimination kernels
+canonicalize, smith_exponents and smith_exponents_rectangular: they run at
+a certified working precision below it (entries truncated a few digits
+above their least valuation) and escalate on PrecisionExhausted, so each
+returns what the untruncated entries give or raises.
 """
 
 import itertools
@@ -260,45 +260,14 @@ def relative_position(l1, l2):
 
 
 def smith_exponents(mat):
-    """Valuations of the elementary divisors over O_F, decreasing."""
-    rows = [list(r) for r in mat.rows]
-    n, m = len(rows), len(rows[0])
-    out = []
-    top = 0
-    while top < min(n, m):
-        best = None
-        undet = False
-        for i in range(top, n):
-            for j in range(top, m):
-                x = rows[i][j]
-                if x.coeffs:
-                    if best is None or x.val < rows[best[0]][best[1]].val:
-                        best = (i, j)
-                elif not x.is_exact_zero:
-                    undet = True
-        if best is None:
-            if undet:
-                raise PrecisionExhausted("elementary divisor not certified")
-            raise SingularBasis("matrix not invertible over F")
-        bi, bj = best
-        rows[top], rows[bi] = rows[bi], rows[top]
-        for r in rows:
-            r[top], r[bj] = r[bj], r[top]
-        piv = rows[top][top]
-        out.append(piv.val)
-        piv_inv = piv.inv()
-        for i in range(top + 1, n):
-            x = rows[i][top]
-            if x.coeffs:
-                f = x * piv_inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
-        for j in range(top + 1, m):
-            x = rows[top][j]
-            if x.coeffs:
-                f = x * piv_inv
-                for i in range(top, n):
-                    rows[i][j] = rows[i][j] - f * rows[i][top]
-        top += 1
+    """Valuations of the elementary divisors over O_F, decreasing.
+
+    Raises SingularBasis when fewer than min(n, m) are finite.  Runs on the
+    working-precision ladder.
+    """
+    out = _on_ladder(lambda rows: _smith(rows, None), mat.ring, mat.rows)
+    if len(out) < min(mat.nrows, mat.ncols):
+        raise SingularBasis("matrix not invertible over F")
     return tuple(sorted(out, reverse=True))
 
 

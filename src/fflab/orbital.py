@@ -5,7 +5,13 @@ The plain integral weights each counted pair of stable lattices by the
 Hecke function at their relative position; the twisted integral adds the
 transfer factor, a signed power of Q built from two lattice indices.
 Enumerations run over a fundamental box for the centralizer's discrete
-subgroup and grow their window until the value stabilizes twice.
+subgroup: one traversal per integral, expanding the support of the Hecke
+function and bridging at most `slack` steps beyond it; the value is that
+of this single traversal.  What the traversal learns without reference to
+f (the centralizer, the stable families, neighbour gaps, reduced
+representatives, superlattice positions, transfer factors) is kept on the
+pair, one state per seed, and reused by every later integral of the same
+pair until the pair is freed.
 """
 
 from fractions import Fraction
@@ -148,7 +154,6 @@ class TransferContext:
     def __init__(self, pair):
         if pair.Ea.split_roots is None:
             raise ValueError("first algebra of the pair must be split")
-        self.pair = pair
         self.field = pair.field
         self.n = pair.n
         ident = Matrix.identity(self.field, 2 * pair.n)
@@ -221,31 +226,84 @@ def _stable_base(field, mat, size):
     return from_generators(field, cols)
 
 
+class _PairState:
+    """The part of a pair's orbital integrals that does not depend on f.
+
+    One instance per (pair, seed), stored in the pair's `_orbital` dict on
+    first use and freed with the pair.  Besides the centralizer's
+    Gamma-group, the two stable families and (on the twisted side) the
+    transfer context, it records what traversals have learned about the
+    quotient, so that a later Hecke function repeats none of it:
+
+    - start: the descent start (lattice, span gap) and whether it lies in
+      the fundamental box;
+    - moves: per expanded vertex key, one [gap, rep key] per neighbour
+      stack in neighbor_stacks order; either slot stays None until a
+      traversal needs it, and the vertex's stacks are rebuilt to fill it;
+    - reps: the Gamma-reduced lattice of every rep key in moves;
+    - gaps: the span gap of each support rep;
+    - positions: per (rep key, extra index), one [mu, la, omega] per stable
+      superlattice la of the rep's span, in stable_superlattices order;
+      omega, the transfer factor Omega(la, rep), is computed only once a
+      Hecke function has mu in its support.
+
+    Every entry is a function of its key alone, so two threads filling the
+    state of one pair at worst repeat work.
+    """
+
+    __slots__ = ("gamma", "fam_a", "fam_b", "ctx", "start", "start_in_box",
+                 "moves", "reps", "gaps", "positions")
+
+    def __init__(self, pair, seed):
+        field = pair.field
+        size = 2 * pair.n
+        self.gamma = centralizer(pair, seed=seed).gamma_group()
+        self.fam_a = stable_family(field, pair.A, pair.Ea,
+                                   _stable_base(field, pair.A, size))
+        self.fam_b = stable_family(field, pair.B, pair.Eb,
+                                   _stable_base(field, pair.B, size))
+        self.ctx = None
+        self.start = self.start_in_box = None
+        self.moves = {}
+        self.reps = {}
+        self.gaps = {}
+        self.positions = {}
+
+
 class OrbitalProblem:
-    """Shared state for one orbital integral evaluation.
+    """One orbital integral: a pair, a Hecke function f and a side.
 
     The bottom lattice of each pair is enumerated over the centralizer
     quotient of its stable family: every discovered lattice is reduced to
     its fundamental-box representative before deduplication.  A vertex is
     expanded only while its span gap (the index of the other order's span
-    over it) stays within the Hecke support's reach plus a slack window;
-    the traversal terminates when the frontier empties, and growing the
-    slack must leave the value unchanged.
+    over it) stays within the Hecke support's reach; vertices just outside
+    it are bridged for at most `slack` steps.  The traversal ends when the
+    frontier empties; its value is that of this one traversal, taken at
+    the given slack.
+
+    What does not depend on f lives in the pair's _PairState for this
+    seed, shared by every problem on the same pair; the problem itself
+    holds only f's support data, and evaluate its own seen set, frontier,
+    budget and radius.
     """
 
     def __init__(self, pair, f, twisted, seed=0):
         self.pair = pair
         self.f = f
         self.twisted = twisted
+        self.seed = seed
         self.field = pair.field
-        self.cent = centralizer(pair, seed=seed)
-        self.gamma = self.cent.gamma_group()
-        size = 2 * pair.n
-        self.base_a = _stable_base(self.field, pair.A, size)
-        self.base_b = _stable_base(self.field, pair.B, size)
-        self.fam_a = stable_family(self.field, pair.A, pair.Ea, self.base_a)
-        self.fam_b = stable_family(self.field, pair.B, pair.Eb, self.base_b)
-        self.ctx = TransferContext(pair) if twisted else None
+        st = pair._orbital.get(seed)
+        if st is None:
+            st = pair._orbital[seed] = _PairState(pair, seed)
+        if twisted and st.ctx is None:
+            st.ctx = TransferContext(pair)
+        self.state = st
+        self.gamma = st.gamma
+        self.fam_a = st.fam_a
+        self.fam_b = st.fam_b
+        self.ctx = st.ctx if twisted else None
         supp = f.support()
         self.totals = sorted({sum(mu) for mu in supp})
         self.supp = {tuple(mu): f.c[tuple(mu)] for mu in supp}
@@ -259,9 +317,13 @@ class OrbitalProblem:
         return lb.det_valuation - span_det
 
     def gap(self, lb):
-        """Index of the first order's span over the lattice, with the span."""
-        span = _order_span_of(self.field, self.pair.A, lb)
-        return index(span, lb), span
+        """Index of the first order's span over the lattice (remembered)."""
+        gaps = self.state.gaps
+        k = lb.key()
+        g = gaps.get(k)
+        if g is None:
+            g = gaps[k] = index(_order_span_of(self.field, self.pair.A, lb), lb)
+        return g
 
     def reduce_rep(self, lb):
         e = self.gamma.reduce_exponents(lb)
@@ -269,26 +331,39 @@ class OrbitalProblem:
             return self.gamma.apply(e, lb)
         return lb
 
-    def contribution(self, lb, span, gap):
+    def contribution(self, lb, gap):
         total = OrbitalValue() if self.twisted else Fraction(0)
+        positions = self.state.positions
+        span = None
         for t in self.totals:
             extra = t - gap
             if extra < 0:
                 continue
-            for la in self.fam_a.stable_superlattices(span, extra):
-                mu = relative_position(la, lb)
-                coeff = self.supp.get(mu)
+            at = (lb.key(), extra)
+            found = positions.get(at)
+            if found is None:
+                if span is None:
+                    span = _order_span_of(self.field, self.pair.A, lb)
+                found = positions[at] = [
+                    [relative_position(la, lb), la, None]
+                    for la in self.fam_a.stable_superlattices(span, extra)]
+            for pos in found:
+                coeff = self.supp.get(pos[0])
                 if not coeff:
                     continue
                 if self.twisted:
-                    omega = transfer_factor(self.ctx, la, lb)
-                    total = total + omega * coeff
+                    if pos[2] is None:
+                        pos[2] = transfer_factor(self.ctx, pos[1], lb)
+                    total = total + pos[2] * coeff
                 else:
                     total = total + coeff
         return total
 
     def _descend_start(self, budget=24):
-        """Greedy walk from the base toward smaller span gap."""
+        """Greedy walk from the base toward smaller span gap (remembered)."""
+        st = self.state
+        if st.start is not None:
+            return st.start
         cur = self.reduce_rep(self.fam_b.base)
         g = self.gap_only(cur)
         for _ in range(budget):
@@ -303,7 +378,8 @@ class OrbitalProblem:
             if best is None or best[0] >= g:
                 break
             g, cur = best[0], best[1]
-        return cur, g
+        st.start = (cur, g)
+        return st.start
 
     def _neighbors(self, lb):
         return self.fam_b.neighbors_down(lb) + self.fam_b.neighbors_up(lb)
@@ -323,7 +399,9 @@ class OrbitalProblem:
         vertices just outside bridge for at most `slack` steps while their
         gap stays within bridge_gap of the reach.  Off-support neighbors
         are rejected by a cheap invariant gap test on the raw generator
-        stack, without ever being reduced or canonicalized.
+        stack, without ever being reduced or canonicalized.  Gaps, reps
+        and superlattice positions already in the pair's state are reused;
+        the traversal itself is the same for every f.
         """
         if not self.supp:
             return (OrbitalValue() if self.twisted else Fraction(0)), 0
@@ -332,16 +410,19 @@ class OrbitalProblem:
             shift = min(x for mu in self.supp for x in mu)
             from .hecke import pi_twist
             prob = OrbitalProblem(self.pair, pi_twist(self.f, -shift),
-                                  self.twisted)
+                                  self.twisted, seed=self.seed)
             return prob.evaluate(slack=slack, budget=budget,
                                  bridge_gap=bridge_gap)
+        st = self.state
         max_total = max(self.totals)
         start, g0 = self._descend_start()
         total = OrbitalValue() if self.twisted else Fraction(0)
         seen = {start.key()}
-        if g0 <= max_total and self.gamma.in_fundamental_box(start):
-            gg, span = self.gap(start)
-            total = total + self.contribution(start, span, gg)
+        if g0 <= max_total:
+            if st.start_in_box is None:
+                st.start_in_box = self.gamma.in_fundamental_box(start)
+            if st.start_in_box:
+                total = total + self.contribution(start, self.gap(start))
         frontier = [(start, g0, 0)]
         visited = 1
         radius = 0
@@ -355,14 +436,28 @@ class OrbitalProblem:
                     next_depth = depth + 1
                 else:
                     continue
-                for stack in self.fam_b.neighbor_stacks(lb):
-                    gg = self.gap_of_stack(stack)
+                moves = st.moves.get(lb.key())
+                stacks = None
+                if moves is None:
+                    stacks = self.fam_b.neighbor_stacks(lb)
+                    moves = st.moves[lb.key()] = [[None, None] for _ in stacks]
+                for i, move in enumerate(moves):
+                    if move[0] is None:
+                        if stacks is None:
+                            stacks = self.fam_b.neighbor_stacks(lb)
+                        move[0] = self.gap_of_stack(stacks[i])
+                    gg = move[0]
                     is_support = gg <= max_total
                     if not is_support and (next_depth > slack
                                            or gg > max_total + bridge_gap):
                         continue
-                    rep = self.gamma.reduce_stack(stack)
-                    k = rep.key()
+                    if move[1] is None:
+                        if stacks is None:
+                            stacks = self.fam_b.neighbor_stacks(lb)
+                        rep = self.gamma.reduce_stack(stacks[i])
+                        # one Lattice and one key object per rep
+                        move[1] = st.reps.setdefault(rep.key(), rep).key()
+                    k = move[1]
                     if k in seen:
                         continue
                     seen.add(k)
@@ -370,9 +465,9 @@ class OrbitalProblem:
                     if visited > budget:
                         raise WindowOverflow(
                             "orbital enumeration budget exceeded")
+                    rep = st.reps[k]
                     if is_support:
-                        g2, span = self.gap(rep)
-                        total = total + self.contribution(rep, span, g2)
+                        total = total + self.contribution(rep, self.gap(rep))
                         new.append((rep, gg, 0))
                     else:
                         new.append((rep, gg, next_depth))

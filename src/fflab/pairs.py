@@ -25,7 +25,7 @@ from .lattices import GammaGenerator, GammaGroup
 class EmbeddingPair:
     """Images A, B of the two algebra generators inside M_2n(F)."""
 
-    __slots__ = ("Ea", "Eb", "A", "B", "n", "field")
+    __slots__ = ("Ea", "Eb", "A", "B", "n", "field", "_orbital")
 
     def __init__(self, Ea, Eb, A, B, check=True):
         self.Ea = Ea
@@ -36,6 +36,9 @@ class EmbeddingPair:
         if A.nrows % 2:
             raise ValueError("ambient rank must be even")
         self.n = A.nrows // 2
+        # seed -> the f-independent state of this pair's orbital integrals,
+        # filled by fflab.orbital on first use and freed with the pair
+        self._orbital = {}
         if check:
             self._validate()
 

@@ -92,3 +92,20 @@ def test_orbital_ok_is_the_matching_identity(tmp_path, seed):
     rec = json.loads(out.read_text().splitlines()[0])
     assert rec["ok"] == (rec["beta"] == rec["alpha_at_zero"])
     assert rc == (0 if rec["ok"] else 1)
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("satake", "f(a)"),
+    ("satake", "T_x"),
+    ("satake", "S_"),
+    ("satake", "S_3"),
+    ("satake", "pi^x*unit"),
+    ("orbital", "f(1,b)"),
+    ("orbital", "T_1.5"),
+])
+def test_malformed_hecke_spec_exits_2(command, spec):
+    assert main([command, "--hecke", spec]) == 2
+
+
+def test_both_ramified_exits_2():
+    assert main(["invariant", "--e1", "ramified", "--e2", "ramified"]) == 2

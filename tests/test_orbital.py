@@ -6,7 +6,7 @@ import pytest
 
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3
 from fflab.hecke import f_of_m, pi_twist, t_m, unit
-from fflab.lattices import canonicalize, standard_lattice
+from fflab.lattices import canonicalize, relative_position, standard_lattice
 from fflab.linalg import Matrix, mat_det
 from fflab.localfield import LocalField
 from fflab.orbital import (OrbitalValue, TransferContext, abs_character,
@@ -151,3 +151,77 @@ def test_base_choice_independence():
     g, gi = random_unimodular(F, 2, rng)
     val2, _ = orbital_alpha(alpha.conjugate(g, gi), f)
     assert val == val2
+
+
+# -- per-pair state shared across Hecke functions -----------------------------------
+
+_REUSE_SEEDS = {2: 5, 3: 3, 9: 11}
+
+
+def _reuse_case(q):
+    field = LocalField(q)
+    e0 = build_quadratic(SPLIT, field)
+    e1 = build_quadratic(UNRAMIFIED, field)
+    pair, inv, _ = random_pair(e1, e1, 1, seed=_REUSE_SEEDS[q])
+    alpha, _ = match_alpha(inv.delta, e0, inv.target)
+    # [pi] = pi_twist(unit, 1) skips the superlattices of position (2, 0)
+    # that T2 and f(1,1) count
+    fs = [unit(2), t_m(2, 1), t_m(2, 2), f_of_m(2, (1, 1), field),
+          pi_twist(t_m(2, 1), -1), pi_twist(unit(2), 1)]
+    return pair, alpha, fs
+
+
+def _fresh(pair):
+    from fflab.pairs import EmbeddingPair
+    return EmbeddingPair(pair.Ea, pair.Eb, pair.A, pair.B, check=False)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_reuse_matches_fresh_pairs(q, twisted, monkeypatch):
+    import fflab.orbital as orbital
+    pair, alpha, fs = _reuse_case(q)
+    target = alpha if twisted else pair
+    integral = orbital_alpha if twisted else orbital_beta
+    calls = []
+
+    def recording(ctx, l0, l3):
+        calls.append((l0, l3))
+        return transfer_factor(ctx, l0, l3)
+
+    monkeypatch.setattr(orbital, "transfer_factor", recording)
+
+    def run(on, f):
+        calls.clear()
+        value = integral(on, f)
+        # a transfer factor is asked for only at a position in f's support,
+        # after the central twist that makes the support nonnegative
+        low = min(min(mu) for mu in f.support())
+        supp = {tuple(mu) for mu in pi_twist(f, -min(low, 0)).support()}
+        assert all(relative_position(la, lb) in supp for la, lb in calls)
+        return value, {(la.key(), lb.key()) for la, lb in calls}
+
+    fresh = [run(_fresh(target), f) for f in fs]
+    forward = list(range(len(fs)))
+    for order in (forward, forward[::-1]):
+        shared = _fresh(target)
+        got = {i: run(shared, fs[i]) for i in order}
+        for i, (value, asked) in enumerate(fresh):
+            assert got[i][0] == value
+            assert got[i][1] <= asked
+
+
+def test_reuse_keeps_seeds_apart():
+    pair, alpha, fs = _reuse_case(3)
+    for target, integral in ((pair, orbital_beta), (alpha, orbital_alpha)):
+        shared = _fresh(target)
+        for f in fs:
+            for seed in (0, 1):
+                expect = integral(_fresh(target), f, seed=seed)
+                assert integral(shared, f, seed=seed) == expect
+        assert sorted(shared._orbital) == [0, 1]
+        assert shared._orbital[0] is not shared._orbital[1]
+        # the negative-support branch stays on the caller's seed
+        lone = _fresh(target)
+        integral(lone, fs[4], seed=1)
+        assert sorted(lone._orbital) == [1]

@@ -1,10 +1,11 @@
 """The lattice kernels' working-precision ladder against untruncated elimination.
 
-canonicalize and smith_exponents_rectangular truncate their entries a few
-digits above the least valuation and escalate on PrecisionExhausted.  A
-truncated rung must give exactly the untruncated answer or raise; a lower
-field precision must give the N = 40 answer or raise; and a pivot that an
-undetermined entry could undercut must never be accepted.
+canonicalize, smith_exponents and smith_exponents_rectangular truncate
+their entries a few digits above the least valuation and escalate on
+PrecisionExhausted.  A truncated rung must give exactly the untruncated
+answer or raise; a lower field precision must give the N = 40 answer or
+raise; and a pivot that an undetermined entry could undercut must never be
+accepted.
 """
 
 import random
@@ -124,6 +125,33 @@ def test_ladder_equals_untruncated_on_idempotent_products(q, seed, rank):
         assert len(got) == rank
 
 
+def _square(field, seed, series):
+    """A 4 x 4 integral matrix, full rank unless a random one is singular."""
+    rng = random.Random(seed)
+    square = _matrix(field, rng, 4, 4)
+    if series:
+        square = mat_inverse(_unimodular(field, rng)) * square
+    return square
+
+
+@settings(max_examples=30, deadline=None)
+@given(QS, SEEDS, st.booleans())
+def test_square_smith_equals_untruncated(q, seed, series):
+    square = _square(LocalField(q), seed, series)
+    got = _outcome(smith_exponents, square)
+    ref = _untruncated_smith(square)
+    if isinstance(ref, type):
+        assert got is ref
+    elif len(ref) < 4:
+        assert got is SingularBasis
+    else:
+        assert got == tuple(sorted(ref, reverse=True))
+    for n in (8, 12, 40):
+        low = _outcome(smith_exponents, _square(LocalField(q, n), seed, series))
+        if low is not PrecisionExhausted:
+            assert low == got
+
+
 @settings(max_examples=25, deadline=None)
 @given(QS, SEEDS, st.booleans())
 def test_lower_precision_agrees_or_raises(q, seed, series):
@@ -176,6 +204,12 @@ def test_hidden_pivot_raises_in_both_kernels(mat, rank):
         smith_exponents_rectangular(mat, rank)
     with pytest.raises(PrecisionExhausted):
         canonicalize(F, mat)
+
+
+def test_square_smith_refuses_a_hidden_pivot():
+    mat = Matrix(F, [[F.o_term(1), F.pi(2)], [F.pi(2), F.pi(5)]])
+    with pytest.raises(PrecisionExhausted):
+        smith_exponents(mat)
 
 
 def test_pivot_below_every_undetermined_entry_is_accepted():
