@@ -136,6 +136,10 @@ def cmd_invariant(cfg):
 
 
 def cmd_orbital(cfg):
+    if cfg["e1"] == "split":
+        # alpha(0) = beta is the matching identity for a non-split first
+        # algebra only; a split one gives alpha(0) = 0 on every pair tried
+        raise ConfigError("orbital needs a non-split e1 (unramified or ramified)")
     field = LocalField(cfg["q"], cfg["precision"])
     e1 = build_quadratic(_KINDS[cfg["e1"]], field)
     e2 = build_quadratic(_KINDS[cfg["e2"]], field)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BothRamified, NotASquare, UnsupportedRamified
 from .factor import hensel_factor, poly_gcd
-from .linalg import Matrix, Poly, berkowitz_charpoly
+from .linalg import Matrix, Poly, berkowitz_charpoly, det_berkowitz
 
 SPLIT = "split"
 UNRAMIFIED = "unramified"
@@ -321,13 +321,7 @@ def resultant(p, q):
     for i in range(n):
         rows.append([z] * i + qc + [z] * (size - m - 1 - i))
     # the Sylvester determinant equals prod(p_i - q_j) for monic inputs
-    return _det_division_free(Matrix(ring, rows))
-
-
-def _det_division_free(mat):
-    cp = berkowitz_charpoly(mat)
-    d = cp.coeffs[0]
-    return -d if mat.nrows % 2 else d
+    return det_berkowitz(Matrix(ring, rows))
 
 
 def symmetry_check(delta):

@@ -12,7 +12,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import WindowOverflow
-from .lattices import smith_exponents, standard_lattice, sublattices_of_index, lattices_at_position, relative_position, canonicalize
+from .lattices import (_compositions, canonicalize, lattices_at_position,
+                       relative_position, smith_exponents, standard_lattice)
 from .linalg import Matrix
 
 UNIPOTENT_WINDOW_CAP = 12
@@ -163,24 +164,15 @@ def t_m(rank, m):
         return unit(rank)
     if m > 0:
         keys = [tuple(sorted(c, reverse=True))
-                for c in _partitions_into(m, rank)]
+                for c in _compositions(m, rank)]
         return HeckeFunction(rank, {k: 1 for k in set(keys)})
     keys = [tuple(sorted((-x for x in c), reverse=True))
-            for c in _partitions_into(-m, rank)]
+            for c in _compositions(-m, rank)]
     return HeckeFunction(rank, {k: 1 for k in set(keys)})
 
 
 def pi_power(rank, k):
     return HeckeFunction(rank, {(k,) * rank: 1})
-
-
-def _partitions_into(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _partitions_into(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def convolve(f, g, field):
@@ -334,7 +326,7 @@ def sym_e(rank, q, k):
 def sym_b(rank, q, m):
     """Complete homogeneous symmetric polynomial of degree m."""
     out = {}
-    for comp in _partitions_into(m, rank):
+    for comp in _compositions(m, rank):
         out[comp] = 1
     return SymLaurent(rank, q, out, check=False)
 
@@ -351,9 +343,9 @@ def verify_69(rank, q, k):
 def dimension_census(rank, k):
     """(number of integral double cosets of determinant valuation k,
     dimension of degree-k symmetric polynomials); they must agree."""
-    cosets = sum(1 for c in _partitions_into(k, rank)
+    cosets = sum(1 for c in _compositions(k, rank)
                  if list(c) == sorted(c, reverse=True))
-    monomials = len({tuple(sorted(c, reverse=True)) for c in _partitions_into(k, rank)})
+    monomials = len({tuple(sorted(c, reverse=True)) for c in _compositions(k, rank)})
     if cosets != monomials:
         raise AssertionError("double coset census disagrees with the monomial count")
     return cosets, monomials

@@ -12,13 +12,17 @@ The field's precision N is a ceiling for the elimination kernels
 canonicalize, smith_exponents and smith_exponents_rectangular: they run at
 a certified working precision below it (entries truncated a few digits
 above their least valuation) and escalate on PrecisionExhausted, so each
-returns what the untruncated entries give or raises.
+returns what the untruncated entries give or raises.  The fourth kernel,
+smith_form, returns the unimodular transforms as well; it runs at full N,
+because its callers invert a transform and lift vectors through it, which
+needs every digit and not just the pivot valuations.  All four certify
+each pivot against the undetermined entries it could hide behind.
 """
 
 import itertools
 
 from .errors import NonFreeAction, PrecisionExhausted, SingularBasis, UnstableBase
-from .linalg import Matrix, mat_det, row_echelon
+from .linalg import Matrix, linear_solve, mat_det, mat_inverse, row_echelon
 from .localfield import INF
 
 
@@ -199,6 +203,11 @@ def lattice_sum(l1, l2):
     return canonicalize(l1.field, l1.basis.hstack(l2.basis))
 
 
+def order_span(mat, lat):
+    """lat + mat*lat: the smallest lattice over O_F[mat] containing lat."""
+    return canonicalize(lat.field, lat.basis.hstack(mat * lat.basis))
+
+
 def triangular_inverse(basis, diag):
     """Inverse of a canonical (upper triangular, monomial pivot) basis; exact."""
     field = basis.ring
@@ -282,11 +291,14 @@ def smith_exponents_rectangular(mat, rank=None):
     return _on_ladder(lambda rows: _smith(rows, rank), mat.ring, mat.rows)
 
 
-def _smith(rows, rank):
+def _smith(rows, rank, R=None, C=None):
     # Row sweeps alone give the exponents: once every entry below the pivot
     # that is not an exact zero is cleared (undetermined ones with an
     # O(pi^k) multiplier), the pivot's row is cleared by column operations
     # that change no other row, so the rest is the lower right block.
+    # Given the rows of two identity matrices as R and C, the row
+    # operations are recorded in R and the column operations (swaps, the
+    # sweep of the pivot's row, the pivot's unit) in C.
     n, m = len(rows), len(rows[0])
     out = []
     for top in range(min(n, m)):
@@ -299,22 +311,54 @@ def _smith(rows, rank):
         rows[top], rows[bi] = rows[bi], rows[top]
         for r in rows:
             r[top], r[bj] = r[bj], r[top]
+        if R is not None:
+            R[top], R[bi] = R[bi], R[top]
+            for c in C:
+                c[top], c[bj] = c[bj], c[top]
         prow = rows[top]
-        out.append(prow[top].val)
-        piv_inv = prow[top].inv()
-        for r in rows[top + 1:]:
+        piv = prow[top]
+        out.append(piv.val)
+        piv_inv = piv.inv()
+        for i in range(top + 1, n):
+            r = rows[i]
             x = r[top]
             if not x.is_exact_zero:
                 f = x * piv_inv
                 for j in range(top + 1, m):
                     r[j] = r[j] - f * prow[j]
+                if R is not None:
+                    R[i] = [a - f * b for a, b in zip(R[i], R[top])]
+        if C is not None:
+            for j in range(top + 1, m):
+                if not prow[j].is_exact_zero:
+                    f = prow[j] * piv_inv
+                    for c in C:
+                        c[j] = c[j] - f * c[top]
+            unit_inv = piv.shift(-piv.val).inv()
+            for c in C:
+                c[top] = c[top] * unit_inv
     return out
+
+
+def smith_form(mat):
+    """(R, D, C) with R * mat * C = diag(pi^D) zero-padded to mat's shape.
+
+    R and C are unimodular over O_F and D lists the finite exponents in
+    pivot order.  Runs at full precision (see the module docstring); raises
+    PrecisionExhausted when a pivot or a nonzero remainder is not certified.
+    """
+    field = mat.ring
+    R = [list(r) for r in Matrix.identity(field, mat.nrows).rows]
+    C = [list(r) for r in Matrix.identity(field, mat.ncols).rows]
+    D = _smith([list(r) for r in mat.rows], None, R, C)
+    return Matrix(field, R), D, Matrix(field, C)
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
 def _compositions(total, parts):
+    """Every tuple of `parts` nonnegative integers summing to total."""
     if parts == 1:
         yield (total,)
         return
@@ -422,11 +466,14 @@ def column_space_basis(field, mat):
 
 
 class StableFamily:
-    """O_E-stable lattices for E = F[J], J of integral quadratic minimal polynomial.
+    """O_E-stable lattices for a field E = F[J], J of integral quadratic
+    minimal polynomial (a split E has SplitStableFamily).
 
     The family provides stability tests, neighbor moves in the module
     "building" (index-one O_E-sub- and superlattices), and radius-limited
-    enumeration around a stable base lattice.
+    enumeration around a stable base lattice.  neighbor_stacks is the one
+    move generator: grow, ball and stable_superlattices canonicalize its
+    stacks, and the orbital traversal Gamma-reduces them.
     """
 
     def __init__(self, field, J, algebra, base):
@@ -437,96 +484,48 @@ class StableFamily:
         self.rank = J.nrows
         if not self.is_stable(base):
             raise UnstableBase("base lattice is not stable under the action")
-        if algebra.split_roots is not None:
-            r1, r2 = algebra.split_roots
-            # eigen-projectors (J - r2)/(r1 - r2) and (J - r1)/(r2 - r1)
-            d = (r1 - r2).inv()
-            ident = Matrix.identity(field, self.rank)
-            self.proj_plus = (J - ident.scale(r2)).scale(d)
-            self.proj_minus = (ident - self.proj_plus)
+        if algebra.kind == "unramified":
             self.pi_e_mat = Matrix.identity(field, self.rank).scale(field.pi())
-            self.residue_f = 1
+            self.residue_f = 2
         else:
-            self.proj_plus = self.proj_minus = None
-            if algebra.kind == "unramified":
-                self.pi_e_mat = Matrix.identity(field, self.rank).scale(field.pi())
-                self.residue_f = 2
-            else:
-                self.pi_e_mat = J  # the generator is a uniformizer
-                self.residue_f = 1
-        self._inv_pi_e = None
+            self.pi_e_mat = J  # the generator is a uniformizer
+            self.residue_f = 1
+        self._inv_pi_e = mat_inverse(self.pi_e_mat)
 
     def is_stable(self, lat):
         return all(in_lattice(lat, self.J.apply(lat.basis.column(j)))
                    for j in range(lat.rank))
 
-    def scale_pi_e(self, lat, power=1):
-        b = lat.basis
-        if power >= 0:
-            for _ in range(power):
-                b = self.pi_e_mat * b
-            return canonicalize(self.field, b)
-        inv_pi_e = None
-        for _ in range(-power):
-            if inv_pi_e is None:
-                from .linalg import mat_inverse
-                inv_pi_e = mat_inverse(self.pi_e_mat)
-            b = inv_pi_e * b
-        return canonicalize(self.field, b)
+    def scale_pi_e(self, lat):
+        return canonicalize(self.field, self.pi_e_mat * lat.basis)
 
-    def _residue_sublattices(self, lat, dim):
-        """Stable lattices M with pi_E*lat <= M <= lat whose residue image has
-        the given F_q-dimension."""
+    def _residue_stacks(self, lat, dims):
+        """Raw generator stacks of the stable lattices M with
+        pi_E*lat <= M <= lat, one list per F_q-dimension (of M's residue
+        image) in dims."""
         field = self.field
         scaled = self.scale_pi_e(lat)
         c_cols = coords_in(lat, [scaled.basis.column(j) for j in range(self.rank)])
         jc_cols = coords_in(lat, [self.J.apply(lat.basis.column(j)) for j in range(self.rank)])
         Cmat = Matrix.from_columns(field, c_cols)
         Jmat = Matrix.from_columns(field, jc_cols)
-        out = []
-        for sub_basis in _stable_subspaces(field, Cmat, Jmat, dim):
-            cols = [scaled.basis.column(j) for j in range(self.rank)]
-            for v in sub_basis:
-                cols.append(lat.basis.apply(v))
-            out.append(canonicalize(field, Matrix.from_columns(field, cols)))
-        return out
-
-    def neighbors_down(self, lat):
-        """Stable sublattices of module-index one (residue hyperplane preimages)."""
-        t = self.pi_e_index()
-        return self._residue_sublattices(lat, t - self.residue_f)
-
-    def neighbors_up(self, lat):
-        """Stable superlattices of module-index one (scaled residue lines)."""
-        lines = self._residue_sublattices(lat, self.residue_f)
-        return [self.scale_pi_e(m, -1) for m in lines]
-
-    def _residue_stacks(self, lat, dim):
-        """Raw generator stacks of the residue sublattices (no canonical form)."""
-        field = self.field
-        scaled = self.scale_pi_e(lat)
-        c_cols = coords_in(lat, [scaled.basis.column(j) for j in range(self.rank)])
-        jc_cols = coords_in(lat, [self.J.apply(lat.basis.column(j)) for j in range(self.rank)])
-        Cmat = Matrix.from_columns(field, c_cols)
-        Jmat = Matrix.from_columns(field, jc_cols)
-        out = []
-        for sub_basis in _stable_subspaces(field, Cmat, Jmat, dim):
-            cols = [scaled.basis.column(j) for j in range(self.rank)]
-            for v in sub_basis:
-                cols.append(lat.basis.apply(v))
-            out.append(Matrix.from_columns(field, cols))
-        return out
+        return [[Matrix.from_columns(field, scaled.basis.columns()
+                                     + [lat.basis.apply(v) for v in sub_basis])
+                 for sub_basis in subs]
+                for subs in _stable_subspaces(field, Cmat, Jmat, dims)]
 
     def neighbor_stacks(self, lat):
-        """Raw generator matrices of all index-one moves (down then up)."""
+        """Raw generator matrices of all index-one moves: the stable
+        sublattices (residue hyperplane preimages), then the stable
+        superlattices (pi_E^-1 times the residue line preimages)."""
         t = self.pi_e_index()
-        stacks = self._residue_stacks(lat, t - self.residue_f)
-        if self._inv_pi_e is None:
-            from .linalg import mat_inverse
-            self._inv_pi_e = mat_inverse(self.pi_e_mat)
-        ups = [self._inv_pi_e * s
-               for s in self._residue_stacks(lat, self.residue_f)]
-        return stacks + ups
+        down, lines = self._residue_stacks(lat, (t - self.residue_f, self.residue_f))
+        return down + [self._inv_pi_e * s for s in lines]
+
+    def _up_stacks(self, lat):
+        """The superlattice half of neighbor_stacks."""
+        (lines,) = self._residue_stacks(lat, (self.residue_f,))
+        return [self._inv_pi_e * s for s in lines]
 
     def pi_e_index(self):
         """F_q-dimension of lat / pi_E lat (independent of the lattice)."""
@@ -548,7 +547,8 @@ class StableFamily:
         seen = state["seen"]
         new = []
         for lat in state["frontier"]:
-            for nb in self.neighbors_down(lat) + self.neighbors_up(lat):
+            for stack in self.neighbor_stacks(lat):
+                nb = canonicalize(self.field, stack)
                 if nb.key() not in seen:
                     seen[nb.key()] = nb
                     new.append(nb)
@@ -557,7 +557,6 @@ class StableFamily:
 
     def stable_superlattices(self, lat, extra_index):
         """Stable superlattices with the given additional index over lat."""
-        out = {}
         layer = {lat.key(): lat}
         total = 0
         while True:
@@ -565,7 +564,8 @@ class StableFamily:
                 return list(layer.values())
             nxt = {}
             for l in layer.values():
-                for nb in self.neighbors_up(l):
+                for stack in self._up_stacks(l):
+                    nb = canonicalize(self.field, stack)
                     nxt[nb.key()] = nb
             if not nxt:
                 return []
@@ -578,80 +578,39 @@ class StableFamily:
             layer = nxt
 
 
-def _stable_subspaces(field, Cmat, Jmat, dim):
-    """Residue subspaces of the given F_q-dimension in O^m / C O^m stable
-    under Jmat; yields bases (lists of O^m coordinate vectors) of lifts.
+def _stable_subspaces(field, Cmat, Jmat, dims):
+    """Per F_q-dimension in dims, the residue subspaces of that dimension in
+    O^m / C O^m stable under Jmat, each as a basis (a list of O^m
+    coordinate vectors) of lifts.
     """
     g = field.gf
     m = Cmat.nrows
-    U, D, _ = _snf_transform(Cmat)
-    if any(e not in (0, 1) for e in D):
+    R, D, _ = smith_form(Cmat)
+    if len(D) < m or any(e not in (0, 1) for e in D):
         raise UnstableBase("quotient by pi_E is not elementary")
     torsion = [i for i in range(m) if D[i] == 1]
-    t = len(torsion)
-    from .linalg import mat_inverse
-    Uinv = mat_inverse(U)
-    act = Uinv * Jmat * U
+    # R * Cmat O^m = diag(pi^D) O^m: in the basis of R^-1's columns the
+    # quotient is spanned by the torsion coordinates
+    Rinv = mat_inverse(R)
+    act = R * Jmat * Rinv
     # residue action on the torsion coordinates
     A = [[act.rows[i][j].coeff(0) for j in torsion] for i in torsion]
-    for W in _subspaces_of_dim(g, t, dim):
-        if not _fq_subspace_stable(g, A, W):
-            continue
-        cols = []
-        for w in W:
-            vec = [field.zero] * m
-            for pos, i in enumerate(torsion):
-                if w[pos]:
-                    vec[i] = field.from_fq(w[pos])
-            cols.append(U.apply(vec))
-        yield cols
-
-
-def _snf_transform(mat):
-    """U, D, V with mat = U * diag(pi^D) * V, U and V unimodular over O."""
-    field = mat.ring
-    n = mat.nrows
-    rows = [list(r) for r in mat.rows]
-    U = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    top = 0
-    D = [0] * n
-    while top < n:
-        best = None
-        for i in range(top, n):
-            for j in range(top, n):
-                x = rows[i][j]
-                if x.coeffs and (best is None or x.val < rows[best[0]][best[1]].val):
-                    best = (i, j)
-        if best is None:
-            raise SingularBasis("singular matrix in SNF")
-        bi, bj = best
-        rows[top], rows[bi] = rows[bi], rows[top]
-        U[top], U[bi] = U[bi], U[top]
-        for r in rows:
-            r[top], r[bj] = r[bj], r[top]
-        piv = rows[top][top]
-        D[top] = piv.val
-        piv_inv = piv.inv()
-        # clear the column below (row ops tracked in U: row_i -= f row_top)
-        for i in range(top + 1, n):
-            x = rows[i][top]
-            if x.coeffs:
-                fct = x * piv_inv
-                rows[i] = [a - fct * b for a, b in zip(rows[i], rows[top])]
-                U[i] = [a - fct * b for a, b in zip(U[i], U[top])]
-        for j in range(top + 1, n):
-            x = rows[top][j]
-            if x.coeffs:
-                fct = x * piv_inv
-                for i in range(top, n):
-                    rows[i][j] = rows[i][j] - fct * rows[i][top]
-        top += 1
-    # mat = P_row^-1 * (cleared) ...: we only need U with mat O^m = U diag O^m
-    # after the sweep rows ~ diag(pi^D) up to column ops; U tracks row ops:
-    # U * mat * V' = D  =>  mat O^m = U^{-1} D O^m.  Return U^{-1} as "U".
-    from .linalg import mat_inverse
-    Umat = mat_inverse(Matrix(field, U))
-    return Umat, D, None
+    out = []
+    for dim in dims:
+        subs = []
+        for W in _subspaces_of_dim(g, len(torsion), dim):
+            if not _fq_subspace_stable(g, A, W):
+                continue
+            cols = []
+            for w in W:
+                vec = [field.zero] * m
+                for pos, i in enumerate(torsion):
+                    if w[pos]:
+                        vec[i] = field.from_fq(w[pos])
+                cols.append(Rinv.apply(vec))
+            subs.append(cols)
+        out.append(subs)
+    return out
 
 
 def _subspaces_of_dim(g, t, dim):
@@ -819,7 +778,6 @@ class SplitStableFamily:
 
 def _solve_coords(field, W, vectors):
     """Coordinates of vectors lying in the column space of W (full column rank)."""
-    from .linalg import linear_solve
     return [linear_solve(W, v, zeroish_ok=True) for v in vectors]
 
 
@@ -828,11 +786,7 @@ def stable_lattices(field, J, algebra, window, base):
 
     Every output satisfies J*Lambda <= Lambda; the base must be stable.
     """
-    if algebra.split_roots is not None:
-        fam = SplitStableFamily(field, J, algebra, base)
-    else:
-        fam = StableFamily(field, J, algebra, base)
-    return fam.ball(window)
+    return stable_family(field, J, algebra, base).ball(window)
 
 
 def stable_family(field, J, algebra, base):
@@ -851,13 +805,20 @@ class GammaGenerator:
     __slots__ = ("matrix", "inverse", "idempotent", "Wj", "shift")
 
     def __init__(self, field, matrix, idempotent):
-        from .linalg import mat_inverse
         self.matrix = matrix
         self.inverse = mat_inverse(matrix)
         self.idempotent = idempotent
         cols = column_space_basis(field, idempotent)
         self.Wj = Matrix.from_columns(field, cols)
         self.shift = None  # filled by GammaGroup
+
+
+def _power_times(gen, e, stack):
+    """gen.matrix^e * stack."""
+    step = gen.matrix if e > 0 else gen.inverse
+    for _ in range(abs(e)):
+        stack = step * stack
+    return stack
 
 
 class GammaGroup:
@@ -867,63 +828,45 @@ class GammaGroup:
         self.field = field
         self.gens = generators
         for g in self.gens:
-            probe = standard_lattice(field, g.matrix.nrows)
-            before = self.functional(g, probe)
-            moved = canonicalize(field, g.matrix * probe.basis)
-            after = self.functional(g, moved)
-            g.shift = after - before
+            probe = Matrix.identity(field, g.matrix.nrows)
+            g.shift = self.functional(g, g.matrix) - self.functional(g, probe)
             if g.shift <= 0:
                 raise NonFreeAction("generator does not shift its factor index")
 
-    def functional(self, gen, lat):
-        """Valuation functional on the factor eigenspace (additive under gen).
+    def functional(self, gen, stack):
+        """Valuation functional on the factor eigenspace (additive under gen)
+        of the lattice spanned by the columns of a generator stack.
 
         Computed as the sum of the finite elementary divisors of the
-        projected basis; the projection has constant corank, so the sum
-        shifts exactly by v(det gen | V_j) under the generator.
+        projected stack, which depends only on the lattice; the projection
+        has constant corank, so the sum shifts exactly by v(det gen | V_j)
+        under the generator.
         """
-        proj = gen.idempotent * lat.basis
-        return sum(smith_exponents_rectangular(proj, rank=gen.Wj.ncols))
+        return sum(smith_exponents_rectangular(gen.idempotent * stack,
+                                               rank=gen.Wj.ncols))
 
     def reduce_exponents(self, lat):
         """Exponent vector e placing the lattice in the fundamental box."""
         out = []
         for g in self.gens:
-            v = self.functional(g, lat)
+            v = self.functional(g, lat.basis)
             out.append(-(v // g.shift))
         return tuple(out)
 
-    def raw_functional(self, gen, stack):
-        """The factor functional evaluated on a raw generator stack."""
-        return sum(smith_exponents_rectangular(gen.idempotent * stack,
-                                               rank=gen.Wj.ncols))
-
     def reduce_stack(self, stack):
         """Canonical box representative of the lattice spanned by a raw stack."""
-        work = stack
         for g in self.gens:
-            v = self.raw_functional(g, work)
-            e = -(v // g.shift)
-            if e > 0:
-                for _ in range(e):
-                    work = g.matrix * work
-            elif e < 0:
-                for _ in range(-e):
-                    work = g.inverse * work
-        return canonicalize(self.field, work)
+            stack = _power_times(g, -(self.functional(g, stack) // g.shift), stack)
+        return canonicalize(self.field, stack)
 
     def in_fundamental_box(self, lat):
-        return all(0 <= self.functional(g, lat) < g.shift for g in self.gens)
+        return all(0 <= self.functional(g, lat.basis) < g.shift
+                   for g in self.gens)
 
     def apply(self, exponents, lat):
         b = lat.basis
         for g, e in zip(self.gens, exponents):
-            if e > 0:
-                for _ in range(e):
-                    b = g.matrix * b
-            elif e < 0:
-                for _ in range(-e):
-                    b = g.inverse * b
+            b = _power_times(g, e, b)
         return canonicalize(self.field, b)
 
     def reduce_pair(self, l1, l2):

@@ -369,16 +369,17 @@ def row_echelon(mat, augment=None, zeroish_ok=False):
     """Row echelon form over F with full pivoting bookkeeping.
 
     Returns (rows, aug_rows, pivots) where pivots is a list of (row, col).
-    Column swaps are not performed; pivot columns may be scattered.  With
-    zeroish_ok, entries that are zero to their certified precision are
-    treated as zero instead of raising; callers must verify the result.
+    Column swaps are not performed; pivot columns may be scattered.  Every
+    entry that is not an exact zero is swept, an undetermined one with an
+    O(pi^k) multiplier, so the precision lost is carried along.  With
+    zeroish_ok, a column whose entries are zero to their certified
+    precision is skipped instead of raising; callers must verify the result.
     """
     rows = [list(r) for r in mat.rows]
     aug = [list(r) for r in augment.rows] if augment is not None else None
     nrows, ncols = mat.nrows, mat.ncols
     pivots = []
     r = 0
-    used_cols = []
     for c in range(ncols):
         # find pivot in column c among rows >= r with certified valuation
         best = None
@@ -402,13 +403,12 @@ def row_echelon(mat, augment=None, zeroish_ok=False):
         for i in range(nrows):
             if i != r:
                 x = rows[i][c]
-                if x.coeffs:
+                if not x.is_exact_zero:
                     factor = x * piv_inv
                     rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
                     if aug is not None:
                         aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
         pivots.append((r, c))
-        used_cols.append(c)
         r += 1
         if r == nrows:
             break
@@ -416,7 +416,8 @@ def row_echelon(mat, augment=None, zeroish_ok=False):
 
 
 def mat_det(mat):
-    """Determinant over F via elimination with valuation pivoting."""
+    """Determinant over F via elimination with valuation pivoting; every
+    entry below a pivot that is not an exact zero is swept."""
     if mat.nrows != mat.ncols:
         raise ValueError("square matrix required")
     ring = mat.ring
@@ -446,7 +447,7 @@ def mat_det(mat):
         piv_inv = piv.inv()
         for i in range(k + 1, n):
             x = rows[i][k]
-            if x.coeffs:
+            if not x.is_exact_zero:
                 factor = x * piv_inv
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return det if sign == 1 else -det

@@ -17,8 +17,8 @@ pair until the pair is freed.
 from fractions import Fraction
 
 from .errors import NotStable, WindowOverflow
-from .lattices import (canonicalize, from_generators, in_lattice, index,
-                       lattice_leq, lattices_at_position, relative_position,
+from .lattices import (from_generators, in_lattice, index, order_span,
+                       relative_position, smith_exponents_rectangular,
                        stable_family, standard_lattice)
 from .linalg import Matrix
 from .pairs import centralizer
@@ -218,12 +218,12 @@ def abs_character(field, block_a, block_b):
 # -- enumeration core ----------------------------------------------------------------
 
 
-def _stable_base(field, mat, size):
-    """The order span of the standard lattice: Lambda + mat*Lambda."""
-    std = Matrix.identity(field, size)
-    cols = [std.column(j) for j in range(size)]
-    cols += [mat.column(j) for j in range(size)]
-    return from_generators(field, cols)
+def _stable_families(pair):
+    """The stable families of the pair's two actions, based at the order
+    spans of the standard lattice."""
+    std = standard_lattice(pair.field, pair.A.nrows)
+    return (stable_family(pair.field, pair.A, pair.Ea, order_span(pair.A, std)),
+            stable_family(pair.field, pair.B, pair.Eb, order_span(pair.B, std)))
 
 
 class _PairState:
@@ -241,7 +241,6 @@ class _PairState:
       stack in neighbor_stacks order; either slot stays None until a
       traversal needs it, and the vertex's stacks are rebuilt to fill it;
     - reps: the Gamma-reduced lattice of every rep key in moves;
-    - gaps: the span gap of each support rep;
     - positions: per (rep key, extra index), one [mu, la, omega] per stable
       superlattice la of the rep's span, in stable_superlattices order;
       omega, the transfer factor Omega(la, rep), is computed only once a
@@ -252,21 +251,15 @@ class _PairState:
     """
 
     __slots__ = ("gamma", "fam_a", "fam_b", "ctx", "start", "start_in_box",
-                 "moves", "reps", "gaps", "positions")
+                 "moves", "reps", "positions")
 
     def __init__(self, pair, seed):
-        field = pair.field
-        size = 2 * pair.n
         self.gamma = centralizer(pair, seed=seed).gamma_group()
-        self.fam_a = stable_family(field, pair.A, pair.Ea,
-                                   _stable_base(field, pair.A, size))
-        self.fam_b = stable_family(field, pair.B, pair.Eb,
-                                   _stable_base(field, pair.B, size))
+        self.fam_a, self.fam_b = _stable_families(pair)
         self.ctx = None
         self.start = self.start_in_box = None
         self.moves = {}
         self.reps = {}
-        self.gaps = {}
         self.positions = {}
 
 
@@ -309,29 +302,9 @@ class OrbitalProblem:
         self.supp = {tuple(mu): f.c[tuple(mu)] for mu in supp}
         self.nonneg = all(x >= 0 for mu in supp for x in mu)
 
-    def gap_only(self, lb):
-        """Index of the first order's span over the lattice (cheap)."""
-        from .lattices import smith_exponents_rectangular
-        stack = lb.basis.hstack(self.pair.A * lb.basis)
-        span_det = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
-        return lb.det_valuation - span_det
-
-    def gap(self, lb):
-        """Index of the first order's span over the lattice (remembered)."""
-        gaps = self.state.gaps
-        k = lb.key()
-        g = gaps.get(k)
-        if g is None:
-            g = gaps[k] = index(_order_span_of(self.field, self.pair.A, lb), lb)
-        return g
-
-    def reduce_rep(self, lb):
-        e = self.gamma.reduce_exponents(lb)
-        if any(e):
-            return self.gamma.apply(e, lb)
-        return lb
-
     def contribution(self, lb, gap):
+        """The Hecke-weighted count over the stable superlattices of lb's
+        order span; gap is the span gap of lb (see gap_of_stack)."""
         total = OrbitalValue() if self.twisted else Fraction(0)
         positions = self.state.positions
         span = None
@@ -343,7 +316,7 @@ class OrbitalProblem:
             found = positions.get(at)
             if found is None:
                 if span is None:
-                    span = _order_span_of(self.field, self.pair.A, lb)
+                    span = order_span(self.pair.A, lb)
                 found = positions[at] = [
                     [relative_position(la, lb), la, None]
                     for la in self.fam_a.stable_superlattices(span, extra)]
@@ -360,33 +333,32 @@ class OrbitalProblem:
         return total
 
     def _descend_start(self, budget=24):
-        """Greedy walk from the base toward smaller span gap (remembered)."""
+        """Greedy walk from the base toward smaller span gap (remembered).
+
+        Each step moves to the first neighbour stack of least gap when that
+        gap is smaller, and Gamma-reduces only that stack.
+        """
         st = self.state
         if st.start is not None:
             return st.start
-        cur = self.reduce_rep(self.fam_b.base)
-        g = self.gap_only(cur)
+        cur = self.gamma.reduce_stack(self.fam_b.base.basis)
+        g = self.gap_of_stack(cur.basis)
         for _ in range(budget):
             if g == 0:
                 break
-            best = None
-            for nb in self._neighbors(cur):
-                rep = self.reduce_rep(nb)
-                gg = self.gap_only(rep)
-                if best is None or gg < best[0]:
-                    best = (gg, rep)
-            if best is None or best[0] >= g:
+            stacks = self.fam_b.neighbor_stacks(cur)
+            gaps = [self.gap_of_stack(s) for s in stacks]
+            if not gaps or min(gaps) >= g:
                 break
-            g, cur = best[0], best[1]
+            g = min(gaps)
+            cur = self.gamma.reduce_stack(stacks[gaps.index(g)])
         st.start = (cur, g)
         return st.start
 
-    def _neighbors(self, lb):
-        return self.fam_b.neighbors_down(lb) + self.fam_b.neighbors_up(lb)
-
     def gap_of_stack(self, stack):
-        """Gamma-invariant span gap computed on a raw generator stack."""
-        from .lattices import smith_exponents_rectangular
+        """Span gap [L + A L : L] of the lattice L spanned by a raw generator
+        stack: the one route to it.  Gamma-invariant, since the centralizer
+        commutes with A."""
         d_lat = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
         span = stack.hstack(self.pair.A * stack)
         d_span = sum(smith_exponents_rectangular(span, rank=span.nrows))
@@ -422,7 +394,7 @@ class OrbitalProblem:
             if st.start_in_box is None:
                 st.start_in_box = self.gamma.in_fundamental_box(start)
             if st.start_in_box:
-                total = total + self.contribution(start, self.gap(start))
+                total = total + self.contribution(start, g0)
         frontier = [(start, g0, 0)]
         visited = 1
         radius = 0
@@ -467,19 +439,12 @@ class OrbitalProblem:
                             "orbital enumeration budget exceeded")
                     rep = st.reps[k]
                     if is_support:
-                        total = total + self.contribution(rep, self.gap(rep))
+                        total = total + self.contribution(rep, gg)
                         new.append((rep, gg, 0))
                     else:
                         new.append((rep, gg, next_depth))
             frontier = new
         return total, radius
-
-
-def _order_span_of(field, mat, lat):
-    """lat + mat*lat: the smallest lattice over the order containing lat."""
-    cols = [lat.basis.column(j) for j in range(lat.rank)]
-    cols += [mat.apply(lat.basis.column(j)) for j in range(lat.rank)]
-    return from_generators(field, cols)
 
 
 def orbital_beta(pair, f, slack=1, seed=0):

@@ -16,14 +16,12 @@ from fractions import Fraction
 
 from .errors import MissingInput, SingularMap, Unstable
 from .etale import resultant
-from .hecke import f_of_m, pi_twist
-from .lattices import (canonicalize, from_generators, in_lattice, index,
-                       lattice_leq, relative_position, stable_family,
-                       standard_lattice, sublattices_of_index,
-                       superlattices_of_index, triangular_inverse)
+from .hecke import f_of_m
+from .lattices import (from_generators, in_lattice, index, lattice_leq,
+                       smith_form, superlattices_of_index, triangular_inverse)
 from .linalg import Matrix, kernel_basis, linear_solve, mat_det
-from .orbital import OrbitalValue, orbital_alpha, orbital_beta
-from .pairs import EmbeddingPair, direct_sum, invariant
+from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
+from .pairs import direct_sum, invariant
 
 
 # -- fibration of single lattices ------------------------------------------------
@@ -138,8 +136,7 @@ class SplitScenario:
         self.n0 = p0.n
         self.n1 = p1.n
         for pj, chain in ((p0, chain0), (p1, chain1)):
-            fam_a = stable_family(pj.field, pj.A, pj.Ea, _order_span(pj.field, pj.A))
-            fam_b = stable_family(pj.field, pj.B, pj.Eb, _order_span(pj.field, pj.B))
+            fam_a, fam_b = _stable_families(pj)
             if not fam_a.is_stable(chain.top):
                 raise ValueError("chain top is not stable under the first action")
             if not fam_b.is_stable(chain.bottom):
@@ -154,14 +151,6 @@ class SplitScenario:
         return tuple(self.chain1.steps)
 
 
-def _order_span(field, mat):
-    size = mat.nrows
-    ident = Matrix.identity(field, size)
-    cols = [ident.column(j) for j in range(size)]
-    cols += [mat.column(j) for j in range(size)]
-    return from_generators(field, cols)
-
-
 def random_chain(pair, m, seed, window=2):
     """A chain in the pair's lattice set with the given step indices.
 
@@ -169,9 +158,7 @@ def random_chain(pair, m, seed, window=2):
     first; intermediates are unconstrained superlattice steps.
     """
     rng = random.Random(seed)
-    field = pair.field
-    fam_a = stable_family(field, pair.A, pair.Ea, _order_span(field, pair.A))
-    fam_b = stable_family(field, pair.B, pair.Eb, _order_span(field, pair.B))
+    fam_a, fam_b = _stable_families(pair)
     total = sum(m)
     tops = fam_a.ball(window)
     rng.shuffle(tops)
@@ -274,72 +261,17 @@ class SubspaceLattice:
         return inv.apply(y)
 
 
-def snf_full(mat):
-    """U, D, V with mat = U diag(pi^D) V; U, V unimodular over O."""
-    field = mat.ring
-    n, m = mat.nrows, mat.ncols
-    rows = [list(r) for r in mat.rows]
-    Ur = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    Vc = [[field.one if i == j else field.zero for j in range(m)] for i in range(m)]
-    top = 0
-    D = []
-    while top < min(n, m):
-        best = None
-        for i in range(top, n):
-            for j in range(top, m):
-                x = rows[i][j]
-                if x.coeffs and (best is None or x.val < rows[best[0]][best[1]].val):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        rows[top], rows[bi] = rows[bi], rows[top]
-        Ur[top], Ur[bi] = Ur[bi], Ur[top]
-        for r in rows:
-            r[top], r[bj] = r[bj], r[top]
-        for r in Vc:
-            r[top], r[bj] = r[bj], r[top]
-        piv = rows[top][top]
-        D.append(piv.val)
-        piv_inv = piv.inv()
-        for i in range(top + 1, n):
-            x = rows[i][top]
-            if x.coeffs:
-                f = x * piv_inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
-                Ur[i] = [a - f * b for a, b in zip(Ur[i], Ur[top])]
-        for j in range(top + 1, m):
-            x = rows[top][j]
-            if x.coeffs:
-                f = x * piv_inv
-                for i in range(top, n):
-                    rows[i][j] = rows[i][j] - f * rows[i][top]
-                for i in range(m):
-                    Vc[i][j] = Vc[i][j] - f * Vc[i][top]
-        top += 1
-    from .linalg import mat_inverse
-    U = mat_inverse(Matrix(field, Ur))
-    # columns were transformed as mat * Vc; mat = U D Vc^{-1}
-    V = mat_inverse(Matrix(field, Vc))
-    return U, D, V
-
-
 def lattice_in_subspace(field, lat, W):
     """The lattice {y : W y in lat} in subspace coordinates, as SubspaceLattice."""
     inv = triangular_inverse(lat.basis, lat.diag)
-    M = inv * W
-    U, D, V = snf_full(M)
+    # R (inv W) C = diag(pi^D): y lies in the lattice iff C^-1 y lies in
+    # the product of the pi^-D_k O
+    _, D, C = smith_form(inv * W)
     dim = W.ncols
     if len(D) != dim:
         raise SingularMap("subspace basis is not full rank against the lattice")
-    from .linalg import mat_inverse
-    Vinv = mat_inverse(V)
-    cols = []
-    for k in range(dim):
-        col = [Vinv.rows[i][k].shift(-D[k]) for i in range(dim)]
-        cols.append(col)
-    coords_lat = from_generators(field, cols)
-    return SubspaceLattice(field, W, coords_lat)
+    cols = [[C.rows[i][k].shift(-D[k]) for i in range(dim)] for k in range(dim)]
+    return SubspaceLattice(field, W, from_generators(field, cols))
 
 
 class HomSystem:

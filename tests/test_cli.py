@@ -107,5 +107,11 @@ def test_malformed_hecke_spec_exits_2(command, spec):
     assert main([command, "--hecke", spec]) == 2
 
 
+@pytest.mark.parametrize("e2", ["split", "unramified", "ramified"])
+def test_orbital_split_first_algebra_exits_2(e2):
+    # alpha(0) = beta is checked for a non-split first algebra only
+    assert main(["orbital", "--e1", "split", "--e2", e2]) == 2
+
+
 def test_both_ramified_exits_2():
     assert main(["invariant", "--e1", "ramified", "--e2", "ramified"]) == 2

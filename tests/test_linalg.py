@@ -16,6 +16,16 @@ def test_det_triangular():
     assert mat_det(m) == F.pi(2)
 
 
+def test_elimination_sweeps_undetermined_entries():
+    # the O(pi^3) entry is not skipped: det = pi + O(pi^3), not an exact pi
+    m = Matrix(F, [[pi, one], [F.o_term(3), one]])
+    d = mat_det(m)
+    assert d.same(pi) and d.known_to == 3
+    low = mat_inverse(m).rows[1]
+    assert low[0].is_zeroish and not low[0].is_exact_zero and low[0].known_to == 2
+    assert low[1].same(one) and low[1].known_to == 2
+
+
 def test_charpoly_diagonal():
     a, b = F.from_int(2), pi
     cp = berkowitz_charpoly(Matrix.diagonal(F, [a, b]))

@@ -225,3 +225,35 @@ def test_reuse_keeps_seeds_apart():
         lone = _fresh(target)
         integral(lone, fs[4], seed=1)
         assert sorted(lone._orbital) == [1]
+
+
+# -- one route per lattice invariant ------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
+    # the traversal takes span gaps and factor functionals on raw stacks and
+    # feeds a stack's gap to contribution as the gap of its reduced rep
+    from fflab.lattices import index, order_span
+    from fflab.orbital import OrbitalProblem
+    pair, alpha, _ = _reuse_case(q)
+    prob = OrbitalProblem(_fresh(alpha if twisted else pair), t_m(2, 2), twisted)
+    fam, gamma = prob.fam_b, prob.gamma
+    stacks = []
+
+    def recording(lat):
+        out = type(fam).neighbor_stacks(fam, lat)
+        stacks.extend(out)
+        return out
+
+    monkeypatch.setattr(fam, "neighbor_stacks", recording)
+    prob.evaluate()
+    assert stacks
+    for stack in stacks:
+        lat = canonicalize(prob.field, stack)
+        gap = prob.gap_of_stack(stack)
+        assert gap == index(order_span(prob.pair.A, lat), lat)
+        assert gap == prob.gap_of_stack(gamma.reduce_stack(stack).basis)
+        for g in gamma.gens:
+            assert gamma.functional(g, stack) == gamma.functional(g, lat.basis)

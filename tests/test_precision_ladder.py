@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from fflab.errors import PrecisionExhausted, SingularBasis
 from fflab.lattices import (_FIRST_RUNG, _hermite, _smith, canonicalize,
-                            smith_exponents, smith_exponents_rectangular)
-from fflab.linalg import Matrix, mat_inverse
+                            smith_exponents, smith_exponents_rectangular,
+                            smith_form)
+from fflab.linalg import Matrix, mat_det, mat_inverse
 from fflab.localfield import INF, LocalField
 
 QS = st.sampled_from([2, 3, 9])
@@ -170,6 +171,29 @@ def test_lower_precision_agrees_or_raises(q, seed, series):
             assert exps == ref_exps
 
 
+# -- Smith form with transforms (full precision) -----------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(QS, SEEDS, st.booleans(), st.booleans())
+def test_smith_form_transforms(q, seed, series, square):
+    field = LocalField(q)
+    mat = (_square if square else _stack)(field, seed, series)
+    got = _outcome(smith_form, mat)
+    # the exponents are those of the untruncated row sweeps, pivot for pivot
+    if isinstance(got, type):
+        assert got is _untruncated_smith(mat)
+        return
+    R, D, C = got
+    assert D == _untruncated_smith(mat)
+    assert sorted(D) == sorted(smith_exponents_rectangular(mat))
+    diag = [[field.zero] * mat.ncols for _ in range(mat.nrows)]
+    for k, d in enumerate(D):
+        diag[k][k] = field.pi(d)
+    assert (R * mat * C).same(Matrix(field, diag))
+    assert mat_det(R).valuation() == 0 and mat_det(C).valuation() == 0
+
+
 # -- pivots hidden behind undetermined entries -------------------------------------
 
 F = LocalField(3)
@@ -204,12 +228,16 @@ def test_hidden_pivot_raises_in_both_kernels(mat, rank):
         smith_exponents_rectangular(mat, rank)
     with pytest.raises(PrecisionExhausted):
         canonicalize(F, mat)
+    with pytest.raises(PrecisionExhausted):
+        smith_form(mat)
 
 
 def test_square_smith_refuses_a_hidden_pivot():
     mat = Matrix(F, [[F.o_term(1), F.pi(2)], [F.pi(2), F.pi(5)]])
     with pytest.raises(PrecisionExhausted):
         smith_exponents(mat)
+    with pytest.raises(PrecisionExhausted):
+        smith_form(mat)
 
 
 def test_pivot_below_every_undetermined_entry_is_accepted():
