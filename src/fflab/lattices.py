@@ -29,7 +29,7 @@ from .localfield import INF
 class Lattice:
     """Canonical Hermite-form lattice; construct through canonicalize()."""
 
-    __slots__ = ("field", "rank", "basis", "diag", "_key")
+    __slots__ = ("field", "rank", "basis", "diag", "_key", "_inverse")
 
     def __init__(self, field, basis, diag, key):
         self.field = field
@@ -37,6 +37,7 @@ class Lattice:
         self.basis = basis
         self.diag = diag
         self._key = key
+        self._inverse = None
 
     @property
     def det_valuation(self):
@@ -62,10 +63,29 @@ class Lattice:
         return Lattice(self.field, b, tuple(a + k for a in self.diag),
                        _basis_key(b))
 
+    def inverse(self):
+        """Inverse of the canonical (upper triangular, monomial pivot)
+        basis by exact back substitution.  Computed once per Lattice
+        object and built in full before it is stored."""
+        if self._inverse is None:
+            field, m, rows = self.field, self.rank, self.basis.rows
+            cols = []
+            for j in range(m):
+                # solve basis * x = e_j by back substitution
+                x = [field.zero] * m
+                rhs = [field.one if i == j else field.zero for i in range(m)]
+                for i in range(m - 1, -1, -1):
+                    acc = rhs[i]
+                    for k in range(i + 1, m):
+                        acc = acc - rows[i][k] * x[k]
+                    x[i] = acc.shift(-self.diag[i])
+                cols.append(x)
+            self._inverse = Matrix.from_columns(field, cols)
+        return self._inverse
+
     def dual(self):
         """Dual lattice (inverse-transpose basis); exact for canonical bases."""
-        inv = triangular_inverse(self.basis, self.diag)
-        return canonicalize(self.field, inv.transpose())
+        return canonicalize(self.field, self.inverse().transpose())
 
     def to_json(self):
         return [[e.to_json() for e in row] for row in self.basis.rows]
@@ -208,24 +228,6 @@ def order_span(mat, lat):
     return canonicalize(lat.field, lat.basis.hstack(mat * lat.basis))
 
 
-def triangular_inverse(basis, diag):
-    """Inverse of a canonical (upper triangular, monomial pivot) basis; exact."""
-    field = basis.ring
-    m = basis.nrows
-    cols = []
-    for j in range(m):
-        # solve basis * x = e_j by back substitution
-        x = [field.zero] * m
-        rhs = [field.one if i == j else field.zero for i in range(m)]
-        for i in range(m - 1, -1, -1):
-            acc = rhs[i]
-            for k in range(i + 1, m):
-                acc = acc - basis.rows[i][k] * x[k]
-            x[i] = acc.shift(-diag[i])
-        cols.append(x)
-    return Matrix.from_columns(field, cols)
-
-
 def in_lattice(lat, vector):
     """Membership test by exact back substitution."""
     m = lat.rank
@@ -256,7 +258,7 @@ def index(l1, l2):
 
 def coords_in(lat, vectors):
     """Columns of the coordinate matrix of the vectors in lat's basis (exact)."""
-    inv = triangular_inverse(lat.basis, lat.diag)
+    inv = lat.inverse()
     return [inv.apply(v) for v in vectors]
 
 
@@ -459,8 +461,7 @@ def column_space_basis(field, mat):
     for c in cols:
         trial = kept + [c]
         m = Matrix.from_columns(field, trial)
-        _, _, pivots = row_echelon(m, zeroish_ok=True)
-        if len(pivots) == len(trial):
+        if len(row_echelon(m, zeroish_ok=True).pivots) == len(trial):
             kept.append(c)
     return kept
 
@@ -694,12 +695,10 @@ class SplitStableFamily:
 
     def split(self, lat):
         """Component lattices in the eigenspace coordinates."""
-        plus_cols = _solve_coords(self.field, self.W_plus,
-                                  [self.proj_plus.apply(lat.basis.column(j))
-                                   for j in range(lat.rank)])
-        minus_cols = _solve_coords(self.field, self.W_minus,
-                                   [self.proj_minus.apply(lat.basis.column(j))
-                                    for j in range(lat.rank)])
+        plus_cols = [linear_solve(self.W_plus, self.proj_plus.apply(v), zeroish_ok=True)
+                     for v in lat.basis.columns()]
+        minus_cols = [linear_solve(self.W_minus, self.proj_minus.apply(v), zeroish_ok=True)
+                      for v in lat.basis.columns()]
         lp = from_generators(self.field, plus_cols)
         lm = from_generators(self.field, minus_cols)
         return lp, lm
@@ -776,11 +775,6 @@ class SplitStableFamily:
         return out
 
 
-def _solve_coords(field, W, vectors):
-    """Coordinates of vectors lying in the column space of W (full column rank)."""
-    return [linear_solve(W, v, zeroish_ok=True) for v in vectors]
-
-
 def stable_lattices(field, J, algebra, window, base):
     """All lattices stable under J within `window` module moves of base.
 
@@ -845,14 +839,6 @@ class GammaGroup:
         return sum(smith_exponents_rectangular(gen.idempotent * stack,
                                                rank=gen.Wj.ncols))
 
-    def reduce_exponents(self, lat):
-        """Exponent vector e placing the lattice in the fundamental box."""
-        out = []
-        for g in self.gens:
-            v = self.functional(g, lat.basis)
-            out.append(-(v // g.shift))
-        return tuple(out)
-
     def reduce_stack(self, stack):
         """Canonical box representative of the lattice spanned by a raw stack."""
         for g in self.gens:
@@ -862,21 +848,3 @@ class GammaGroup:
     def in_fundamental_box(self, lat):
         return all(0 <= self.functional(g, lat.basis) < g.shift
                    for g in self.gens)
-
-    def apply(self, exponents, lat):
-        b = lat.basis
-        for g, e in zip(self.gens, exponents):
-            b = _power_times(g, e, b)
-        return canonicalize(self.field, b)
-
-    def reduce_pair(self, l1, l2):
-        """Canonical orbit representative of a pair under the diagonal action.
-
-        Exponents are normalized on the first lattice; returns
-        ((l1', l2'), exponents, stabilizer_volume_exponent).
-        """
-        e = self.reduce_exponents(l1)
-        if any(e):
-            l1 = self.apply(e, l1)
-            l2 = self.apply(e, l2)
-        return (l1, l2), e, 0

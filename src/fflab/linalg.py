@@ -5,15 +5,32 @@ A "ring" here is any object whose elements support +, -, * and that exposes
 algorithms (Berkowitz) are used wherever the ring may fail to be a field;
 Gaussian elimination with valuation pivoting is used over F itself, where
 pivots can be certified.
+
+A matrix is eliminated once per Matrix object.  The elimination records
+its pivots, row swaps and per-pivot sweep factors together with the final
+echelon rows; row_echelon, linear_solve, kernel_basis, mat_inverse and
+mat_rank read that record, and a right-hand side is reduced by replaying
+the recorded swaps and sweeps on it.  Pivot choice and sweep factors
+depend only on the matrix, so the replay does the same operations, in the
+same order, as eliminating the augmented matrix: every result is
+bit-identical, precision included, to a fresh elimination.
 """
 
 from .errors import NoSolution, PrecisionExhausted, SingularBasis
 
 
 class Matrix:
-    """Immutable dense matrix over a coefficient ring."""
+    """Immutable dense matrix over a coefficient ring.
 
-    __slots__ = ("ring", "rows", "nrows", "ncols")
+    The first elimination of a Matrix object (row_echelon and the solvers
+    built on it) is recorded in the _echelon slot and replayed for every
+    later right-hand side.  The record is built in full before it is
+    stored and never changes afterwards, so two threads eliminating the
+    same object at worst both build it.  It takes no part in equality or
+    hashing.
+    """
+
+    __slots__ = ("ring", "rows", "nrows", "ncols", "_echelon")
 
     def __init__(self, ring, rows):
         self.ring = ring
@@ -22,6 +39,7 @@ class Matrix:
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged matrix")
+        self._echelon = None
 
     # -- constructors --------------------------------------------------------
 
@@ -365,54 +383,97 @@ def det_berkowitz(mat):
 
 # -- Gaussian elimination over F (valuation pivoting) --------------------------
 
-def row_echelon(mat, augment=None, zeroish_ok=False):
-    """Row echelon form over F with full pivoting bookkeeping.
+class Echelon:
+    """The elimination of one matrix (see row_echelon), recorded so it can
+    be replayed on right-hand sides.
 
-    Returns (rows, aug_rows, pivots) where pivots is a list of (row, col).
-    Column swaps are not performed; pivot columns may be scattered.  Every
-    entry that is not an exact zero is swept, an undetermined one with an
-    O(pi^k) multiplier, so the precision lost is carried along.  With
-    zeroish_ok, a column whose entries are zero to their certified
-    precision is skipped instead of raising; callers must verify the result.
+    steps holds, per pivot, (r, best, sweeps): rows r and best were swapped,
+    then each (i, factor) in sweeps did row_i -= factor * row_r.  rows are
+    the final echelon rows and pivots the (row, col) pairs.  certified is
+    false when some column had no certified pivot but an undetermined
+    entry; such a column is skipped, which only zeroish_ok callers accept.
     """
-    rows = [list(r) for r in mat.rows]
-    aug = [list(r) for r in augment.rows] if augment is not None else None
-    nrows, ncols = mat.nrows, mat.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # find pivot in column c among rows >= r with certified valuation
-        best = None
-        undet = False
-        for i in range(r, nrows):
-            x = rows[i][c]
-            if x.coeffs:
-                if best is None or x.val < rows[best][c].val:
-                    best = i
-            elif not x.is_exact_zero:
-                undet = True
-        if best is None:
-            if undet and not zeroish_ok:
-                raise PrecisionExhausted("pivot valuations cannot be certified")
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        if aug is not None:
-            aug[r], aug[best] = aug[best], aug[r]
-        piv = rows[r][c]
-        piv_inv = piv.inv()
-        for i in range(nrows):
-            if i != r:
+
+    __slots__ = ("steps", "rows", "pivots", "certified", "_pivot_invs")
+
+    def __init__(self, mat):
+        rows = [list(r) for r in mat.rows]
+        nrows = mat.nrows
+        steps, pivots = [], []
+        certified = True
+        r = 0
+        for c in range(mat.ncols):
+            # find pivot in column c among rows >= r with certified valuation
+            best = None
+            undet = False
+            for i in range(r, nrows):
                 x = rows[i][c]
-                if not x.is_exact_zero:
-                    factor = x * piv_inv
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-                    if aug is not None:
-                        aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return rows, aug, pivots
+                if x.coeffs:
+                    if best is None or x.val < rows[best][c].val:
+                        best = i
+                elif not x.is_exact_zero:
+                    undet = True
+            if best is None:
+                certified = certified and not undet
+                continue
+            rows[r], rows[best] = rows[best], rows[r]
+            piv_inv = rows[r][c].inv()
+            sweeps = []
+            for i in range(nrows):
+                if i != r:
+                    x = rows[i][c]
+                    if not x.is_exact_zero:
+                        factor = x * piv_inv
+                        rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                        sweeps.append((i, factor))
+            steps.append((r, best, tuple(sweeps)))
+            pivots.append((r, c))
+            r += 1
+            if r == nrows:
+                break
+        self.steps = tuple(steps)
+        self.rows = tuple(tuple(row) for row in rows)
+        self.pivots = tuple(pivots)
+        self.certified = certified
+        self._pivot_invs = None
+
+    def pivot_invs(self):
+        """Inverses of the final pivot entries, in pivot order."""
+        if self._pivot_invs is None:
+            self._pivot_invs = tuple(self.rows[r][c].inv() for r, c in self.pivots)
+        return self._pivot_invs
+
+    def replay(self, lines):
+        """The recorded swaps and sweeps applied to a copy of lines (one
+        per row of the matrix): the same operations, in the same order, as
+        eliminating the matrix augmented by them."""
+        aug = [list(line) for line in lines]
+        for r, best, sweeps in self.steps:
+            aug[r], aug[best] = aug[best], aug[r]
+            for i, factor in sweeps:
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        return aug
+
+
+def row_echelon(mat, zeroish_ok=False):
+    """Row echelon form of mat over F, as mat's Echelon record.
+
+    Valuation pivoting without column swaps, so pivot columns may be
+    scattered.  Every entry that is not an exact zero is swept, an
+    undetermined one with an O(pi^k) multiplier, so the precision lost is
+    carried along.  A column with no certified pivot but an undetermined
+    entry raises PrecisionExhausted; with zeroish_ok it is skipped instead
+    and callers must verify the result.  The elimination runs once per
+    Matrix object and is kept on it; zeroish_ok only decides whether such
+    a column raises, so one record serves both kinds of caller.  Apply the
+    same row operations to right-hand sides with the record's replay.
+    """
+    rec = mat._echelon
+    if rec is None:
+        rec = mat._echelon = Echelon(mat)
+    if not (rec.certified or zeroish_ok):
+        raise PrecisionExhausted("pivot valuations cannot be certified")
+    return rec
 
 
 def mat_det(mat):
@@ -466,35 +527,32 @@ def linear_solve(mat, rhs, zeroish_ok=False):
 
     rhs is a vector; returns a vector.
     """
-    ring = mat.ring
-    aug = Matrix(ring, [[x] for x in rhs])
-    rows, augr, pivots = row_echelon(mat, aug, zeroish_ok=zeroish_ok)
-    n = mat.ncols
-    x = [ring.zero] * n
-    pivot_rows = {r for r, _ in pivots}
-    for i in range(mat.nrows):
-        if i not in pivot_rows:
-            if augr[i][0].coeffs:
-                raise NoSolution("inconsistent linear system")
-            if not augr[i][0].is_exact_zero and not zeroish_ok:
-                raise PrecisionExhausted("consistency of linear system not certified")
-    for r, c in pivots:
-        x[c] = augr[r][0] * rows[r][c].inv()
+    rec = row_echelon(mat, zeroish_ok)
+    augr = rec.replay([x] for x in rhs)
+    for i in range(len(rec.pivots), mat.nrows):
+        if augr[i][0].coeffs:
+            raise NoSolution("inconsistent linear system")
+        if not augr[i][0].is_exact_zero and not zeroish_ok:
+            raise PrecisionExhausted("consistency of linear system not certified")
+    x = [mat.ring.zero] * mat.ncols
+    for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs()):
+        x[c] = augr[r][0] * piv_inv
     return x
 
 
 def kernel_basis(mat, zeroish_ok=False):
     """Basis of the right kernel of mat over F (list of vectors)."""
     ring = mat.ring
-    rows, _, pivots = row_echelon(mat, zeroish_ok=zeroish_ok)
-    pivot_cols = {c: r for r, c in pivots}
+    rec = row_echelon(mat, zeroish_ok)
+    pivot_cols = {c: (rec.rows[r], piv_inv)
+                  for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs())}
     free_cols = [c for c in range(mat.ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
         v = [ring.zero] * mat.ncols
         v[fc] = ring.one
-        for c, r in pivot_cols.items():
-            v[c] = -(rows[r][fc] * rows[r][c].inv())
+        for c, (row, piv_inv) in pivot_cols.items():
+            v[c] = -(row[fc] * piv_inv)
         basis.append(v)
     return basis
 
@@ -503,12 +561,12 @@ def mat_inverse(mat):
     """Inverse over F (raises SingularBasis when singular)."""
     ring = mat.ring
     n = mat.nrows
-    rows, aug, pivots = row_echelon(mat, Matrix.identity(ring, n))
-    if len(pivots) < n:
+    rec = row_echelon(mat)
+    if len(rec.pivots) < n:
         raise SingularBasis("matrix is singular over F")
+    aug = rec.replay(Matrix.identity(ring, n).rows)
     out = [[ring.zero] * n for _ in range(n)]
-    for r, c in pivots:
-        piv_inv = rows[r][c].inv()
+    for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs()):
         for j in range(n):
             out[c][j] = aug[r][j] * piv_inv
     return Matrix(ring, out)
@@ -520,5 +578,4 @@ def mat_charpoly(mat):
 
 
 def mat_rank(mat, zeroish_ok=False):
-    _, _, pivots = row_echelon(mat, zeroish_ok=zeroish_ok)
-    return len(pivots)
+    return len(row_echelon(mat, zeroish_ok).pivots)

@@ -18,7 +18,7 @@ from .errors import MissingInput, SingularMap, Unstable
 from .etale import resultant
 from .hecke import f_of_m
 from .lattices import (from_generators, in_lattice, index, lattice_leq,
-                       smith_form, superlattices_of_index, triangular_inverse)
+                       smith_form, superlattices_of_index)
 from .linalg import Matrix, kernel_basis, linear_solve, mat_det
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
 from .pairs import direct_sum, invariant
@@ -224,7 +224,7 @@ def hom_lattice(field, m_top, m_bot):
     Maps f with f(m_bot) <= m_top; basis g_top E_ab g_bot^(-1).
     """
     g_top = m_top.basis
-    g_bot_inv = triangular_inverse(m_bot.basis, m_bot.diag)
+    g_bot_inv = m_bot.inverse()
     d0, d1 = m_top.rank, m_bot.rank
     cols = []
     for a in range(d0):
@@ -257,13 +257,12 @@ class SubspaceLattice:
 
     def coords(self, vec):
         y = linear_solve(self.W, vec, zeroish_ok=True)
-        inv = triangular_inverse(self.coords_lat.basis, self.coords_lat.diag)
-        return inv.apply(y)
+        return self.coords_lat.inverse().apply(y)
 
 
 def lattice_in_subspace(field, lat, W):
     """The lattice {y : W y in lat} in subspace coordinates, as SubspaceLattice."""
-    inv = triangular_inverse(lat.basis, lat.diag)
+    inv = lat.inverse()
     # R (inv W) C = diag(pi^D): y lies in the lattice iff C^-1 y lies in
     # the product of the pi^-D_k O
     _, D, C = smith_form(inv * W)
@@ -380,8 +379,7 @@ def _det_valuation_of_cols(field, cols):
 
 def quasi_degree(field, source, target, map_matrix):
     """[target : map(source)]: valuation of det in the two lattice bases."""
-    inv = triangular_inverse(target.basis, target.diag)
-    m = inv * map_matrix * source.basis
+    m = target.inverse() * map_matrix * source.basis
     d = mat_det(m)
     if not d.coeffs:
         raise SingularMap("map is not bijective on the ambient spaces")
@@ -439,11 +437,9 @@ class PhiMap:
                 # block rows 1..r: L_i gamma_i - R_i gamma_{i-1}
                 for k in range(1, r + 1):
                     if i == k:
-                        c_coords = _lattice_coords(field, self.c_lattices[k - 1], v)
-                        col += list(c_coords)
+                        col += self.c_lattices[k - 1].inverse().apply(v)
                     elif i == k - 1:
-                        c_coords = _lattice_coords(field, self.c_lattices[k - 1], v)
-                        col += [-x for x in c_coords]
+                        col += [-x for x in self.c_lattices[k - 1].inverse().apply(v)]
                     else:
                         col += [field.zero] * dim
                 # last block row: q_1^- of gamma_r
@@ -463,11 +459,6 @@ class PhiMap:
         for i in range(1, self.r + 1):
             total += index(self.c_lattices[i - 1], self.sources[i])
         return total
-
-
-def _lattice_coords(field, lat, vec):
-    inv = triangular_inverse(lat.basis, lat.diag)
-    return inv.apply(vec)
 
 
 def fiber_count_exponent(phi, truncation=None):

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fflab.errors import NoSolution, SingularBasis
+from fflab.errors import NoSolution, PrecisionExhausted, SingularBasis
 from fflab.linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis,
                           linear_solve, mat_det, mat_inverse, mat_rank)
 from fflab.localfield import LocalField
@@ -79,3 +80,137 @@ def test_inverse_and_singular():
 def test_rank():
     assert mat_rank(Matrix(F, [[one, one], [one, one]])) == 1
     assert mat_rank(Matrix.identity(F, 3)) == 3
+
+
+# -- the elimination record against fresh objects and the augmented loop ------
+
+def _reference_echelon(mat, aug, zeroish_ok):
+    """The augmented elimination without a record: the matrix's rows and
+    the augment's rows swept together, raising at the first column that
+    has no certified pivot but an undetermined entry."""
+    rows = [list(r) for r in mat.rows]
+    aug = [list(r) for r in aug]
+    pivots = []
+    r = 0
+    for c in range(mat.ncols):
+        best, undet = None, False
+        for i in range(r, mat.nrows):
+            x = rows[i][c]
+            if x.coeffs:
+                if best is None or x.val < rows[best][c].val:
+                    best = i
+            elif not x.is_exact_zero:
+                undet = True
+        if best is None:
+            if undet and not zeroish_ok:
+                raise PrecisionExhausted("pivot valuations cannot be certified")
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        aug[r], aug[best] = aug[best], aug[r]
+        piv_inv = rows[r][c].inv()
+        for i in range(mat.nrows):
+            if i != r and not rows[i][c].is_exact_zero:
+                factor = rows[i][c] * piv_inv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == mat.nrows:
+            break
+    return rows, aug, pivots
+
+
+def _reference_solve(mat, rhs, zeroish_ok):
+    rows, aug, pivots = _reference_echelon(mat, [[x] for x in rhs], zeroish_ok)
+    for i in range(len(pivots), mat.nrows):
+        if aug[i][0].coeffs:
+            raise NoSolution("inconsistent linear system")
+        if not aug[i][0].is_exact_zero and not zeroish_ok:
+            raise PrecisionExhausted("consistency of linear system not certified")
+    x = [mat.ring.zero] * mat.ncols
+    for r, c in pivots:
+        x[c] = aug[r][0] * rows[r][c].inv()
+    return x
+
+
+def _reference_inverse(mat):
+    n = mat.nrows
+    rows, aug, pivots = _reference_echelon(mat, Matrix.identity(mat.ring, n).rows, False)
+    if len(pivots) < n:
+        raise SingularBasis("matrix is singular over F")
+    return Matrix(mat.ring, [[aug[r][j] * rows[r][c].inv() for j in range(n)]
+                             for r, c in sorted(pivots, key=lambda p: p[1])])
+
+
+def _keys(fn, *args):
+    """The result's element keys (known_to included), or the error type."""
+    try:
+        out = fn(*args)
+    except (NoSolution, PrecisionExhausted, SingularBasis) as e:
+        return type(e).__name__
+    if isinstance(out, int):
+        return out
+    rows = out.rows if isinstance(out, Matrix) else out
+    return tuple(tuple(e.key() for e in row) if isinstance(row, (list, tuple))
+                 else row.key() for row in rows)
+
+
+def _elim_entry(field, rng, kind):
+    roll = rng.random()
+    if roll < 0.2:
+        return field.zero
+    if roll < 0.3:
+        return field.o_term(rng.randint(0, 3))
+    x = field.random_element(rng, 0, 2, terms=rng.randint(1, 3))
+    if kind == "series":
+        x = field.random_element(rng, unit=True).inv().shift(rng.randint(0, 2)) + x
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([2, 3, 9]), shape=st.sampled_from([(2, 1), (4, 2), (4, 4)]),
+       kind=st.sampled_from(["poly", "series"]), seed=st.integers(0, 2 ** 32))
+def test_record_replays_like_a_fresh_elimination(q, shape, kind, seed):
+    field = LocalField(q)
+    rng = random.Random(seed)
+    nrows, ncols = shape
+    rows = [[_elim_entry(field, rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[-1 if nrows == 1 else 1])]
+    m = Matrix(field, rows)
+    h = hash(m)
+
+    def fresh():
+        return Matrix(field, m.rows)
+
+    for _ in range(6):
+        zeroish_ok = rng.random() < 0.5
+        if rng.random() < 0.5:
+            x = [_elim_entry(field, rng, kind) for _ in range(ncols)]
+            rhs = fresh().apply(x)
+        else:
+            rhs = [_elim_entry(field, rng, kind) for _ in range(nrows)]
+        got = _keys(linear_solve, m, rhs, zeroish_ok)
+        assert got == _keys(linear_solve, fresh(), rhs, zeroish_ok)
+        assert got == _keys(_reference_solve, fresh(), rhs, zeroish_ok)
+        assert _keys(kernel_basis, m, zeroish_ok) == _keys(kernel_basis, fresh(), zeroish_ok)
+        assert _keys(mat_rank, m, zeroish_ok) == _keys(mat_rank, fresh(), zeroish_ok)
+        if nrows == ncols:
+            inv = _keys(mat_inverse, m)
+            assert inv == _keys(mat_inverse, fresh()) == _keys(_reference_inverse, fresh())
+    # the record takes no part in equality or hashing
+    assert m == fresh() and hash(m) == hash(fresh()) == h
+
+
+def test_failed_elimination_is_not_served_as_a_success():
+    # no certified pivot in the column, only undetermined entries
+    m = Matrix(F, [[F.o_term(2)], [F.o_term(1)]])
+    rhs = [F.o_term(3), F.zero]
+    with pytest.raises(PrecisionExhausted):
+        linear_solve(m, rhs)
+    assert linear_solve(m, rhs, zeroish_ok=True) == [F.zero]
+    with pytest.raises(PrecisionExhausted):
+        linear_solve(m, rhs)
+    with pytest.raises(PrecisionExhausted):
+        mat_rank(m)
+    assert mat_rank(m, zeroish_ok=True) == 0
