@@ -66,12 +66,20 @@ class QuadraticEtale:
         a = x - b * r1
         return EtaleElement(self, a, b)
 
+    def eigen_projectors(self, M):
+        """(P+, P-) for a matrix image M of the generator; split only.
+
+        P+ = (M - r2) / (r1 - r2) projects onto the r1-eigenspace of M and
+        P- = 1 - P+ onto the r2-eigenspace.
+        """
+        r1, r2 = self.split_roots
+        ident = Matrix.identity(self.field, M.nrows)
+        plus = (M - ident.scale(r2)).scale((r1 - r2).inv())
+        return plus, ident - plus
+
     def gen_minpoly(self):
         F = self.field
         return Poly(F, [self.nm, -self.tr, F.one])
-
-    def sigma_gen(self):
-        return EtaleElement(self, self.tr, -self.field.one)
 
     # -- invariants -------------------------------------------------------------
 

@@ -11,7 +11,7 @@ produce raise FactorFail rather than guessing.
 
 from functools import lru_cache
 
-from .errors import FactorFail, NotASquare
+from .errors import FactorFail
 from .linalg import Poly
 
 # -- polynomials over F_q (dense int tuples, low first) ------------------------
@@ -60,27 +60,6 @@ def _fq_divmod(g, a, b):
             for i, bc in enumerate(b):
                 a[k - db + i] = g.sub(a[k - db + i], g.mul(c, bc))
     return _fq_strip(q), _fq_strip(a[:db])
-
-
-def _fq_gcd(g, a, b):
-    while b:
-        _, r = _fq_divmod(g, a, b)
-        a, b = b, r
-    if a:
-        inv = g.inv(a[-1])
-        a = tuple(g.mul(c, inv) for c in a)
-    return a
-
-
-def _fq_pow_mod(g, a, e, mod):
-    result = (1,)
-    base = _fq_divmod(g, a, mod)[1]
-    while e:
-        if e & 1:
-            result = _fq_divmod(g, _fq_mul(g, result, base), mod)[1]
-        base = _fq_divmod(g, _fq_mul(g, base, base), mod)[1]
-        e >>= 1
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +137,6 @@ def _min_known(poly):
 
 
 # -- Hensel lifting --------------------------------------------------------------
-
-
-def _poly_mod_pi_k(poly, k):
-    return Poly(poly.ring, [c.reduce_mod(k) for c in poly.coeffs])
 
 
 def _fq_bezout(g, a, b):

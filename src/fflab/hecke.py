@@ -82,12 +82,6 @@ class ULaurent:
     def __hash__(self):
         return hash((self.q, self.a, self.b))
 
-    def as_rational(self):
-        """The value when it lies in Q (no residual half power)."""
-        if self.b:
-            raise ValueError("value involves an odd power of u")
-        return self.a
-
     def __repr__(self):
         if not self.b:
             return str(self.a)

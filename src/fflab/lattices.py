@@ -160,6 +160,11 @@ def canonicalize(field, basis):
 
 
 def _hermite(field, m, cols):
+    # Its own loop rather than the Echelon record or _smith: the record's
+    # row operations over F and _smith's row-and-column operations keep the
+    # rank and the elementary divisors but not the lattice, which only
+    # column operations with O_F multipliers preserve.  Taking the pivot of
+    # least valuation in each row makes every multiplier integral.
     placed = [None] * m
     live = list(range(len(cols)))
     # Triangularize from the bottom row up.  Every live column whose entry
@@ -215,12 +220,7 @@ def standard_lattice(field, m):
 
 def from_generators(field, columns):
     """Lattice spanned by an arbitrary list of vectors (must be full rank)."""
-    m = len(columns[0])
     return canonicalize(field, Matrix.from_columns(field, columns))
-
-
-def lattice_sum(l1, l2):
-    return canonicalize(l1.field, l1.basis.hstack(l2.basis))
 
 
 def order_span(mat, lat):
@@ -473,14 +473,13 @@ class StableFamily:
     The family provides stability tests, neighbor moves in the module
     "building" (index-one O_E-sub- and superlattices), and radius-limited
     enumeration around a stable base lattice.  neighbor_stacks is the one
-    move generator: grow, ball and stable_superlattices canonicalize its
-    stacks, and the orbital traversal Gamma-reduces them.
+    move generator: ball and stable_superlattices canonicalize its stacks,
+    and the orbital traversal Gamma-reduces them.
     """
 
     def __init__(self, field, J, algebra, base):
         self.field = field
         self.J = J
-        self.algebra = algebra
         self.base = base
         self.rank = J.nrows
         if not self.is_stable(base):
@@ -532,29 +531,12 @@ class StableFamily:
         """F_q-dimension of lat / pi_E lat (independent of the lattice)."""
         return mat_det(self.pi_e_mat).valuation()
 
-    def ball(self, radius, center=None):
-        """All stable lattices within `radius` neighbor moves of the center."""
-        state = self.init_state(center)
-        for _ in range(radius):
-            self.grow(state)
-        return list(state["seen"].values())
-
-    def init_state(self, center=None):
-        center = center or self.base
-        return {"seen": {center.key(): center}, "frontier": [center]}
-
-    def grow(self, state):
-        """One BFS step; returns the newly discovered lattices."""
-        seen = state["seen"]
-        new = []
-        for lat in state["frontier"]:
-            for stack in self.neighbor_stacks(lat):
-                nb = canonicalize(self.field, stack)
-                if nb.key() not in seen:
-                    seen[nb.key()] = nb
-                    new.append(nb)
-        state["frontier"] = new
-        return new
+    def ball(self, radius):
+        """All stable lattices within `radius` neighbor moves of the base,
+        in breadth-first order."""
+        def moves(lat):
+            return (canonicalize(self.field, s) for s in self.neighbor_stacks(lat))
+        return [lat for layer in _layers(self.base, moves, radius) for lat in layer]
 
     def stable_superlattices(self, lat, extra_index):
         """Stable superlattices with the given additional index over lat."""
@@ -577,6 +559,23 @@ class StableFamily:
             if total > extra_index:
                 return []
             layer = nxt
+
+
+def _layers(center, moves, radius):
+    """Breadth-first layers around center: layer r lists the lattices first
+    reached after r applications of moves (a lattice -> its neighbours), in
+    order of discovery."""
+    seen = {center.key()}
+    layers = [[center]]
+    for _ in range(radius):
+        new = []
+        for lat in layers[-1]:
+            for nb in moves(lat):
+                if nb.key() not in seen:
+                    seen.add(nb.key())
+                    new.append(nb)
+        layers.append(new)
+    return layers
 
 
 def _stable_subspaces(field, Cmat, Jmat, dims):
@@ -668,26 +667,30 @@ def _fq_subspace_stable(g, A, W):
 
 
 class SplitStableFamily:
-    """Stable lattices for a split quadratic action: pairs of component lattices."""
+    """Stable lattices for a split quadratic action.
+
+    J acts by r1 on the plus eigenspace and by r2 on the minus one, so a
+    lattice is J-stable exactly when it is the direct sum of its two
+    projections; the family identifies it with the pair of component
+    lattices (L+, L-) in the eigenspace coordinates W_plus, W_minus.  A
+    neighbor move changes one component by an arbitrary index-one sub- or
+    superlattice (_moves, the one component-move generator), so ball is the
+    product of the two component balls; _stack builds the generator matrix
+    W_plus L+ | W_minus L- that ball, neighbor_stacks and
+    stable_superlattices return or canonicalize.
+    """
 
     def __init__(self, field, J, algebra, base):
         self.field = field
         self.J = J
-        self.algebra = algebra
-        self.rank = J.nrows
-        r1, r2 = algebra.split_roots
-        d = (r1 - r2).inv()
-        ident = Matrix.identity(field, self.rank)
-        self.proj_plus = (J - ident.scale(r2)).scale(d)
-        self.proj_minus = ident - self.proj_plus
-        self.basis_plus = column_space_basis(field, self.proj_plus)
-        self.basis_minus = column_space_basis(field, self.proj_minus)
-        self.W_plus = Matrix.from_columns(field, self.basis_plus)
-        self.W_minus = Matrix.from_columns(field, self.basis_minus)
+        self.proj_plus, self.proj_minus = algebra.eigen_projectors(J)
+        self.W_plus = Matrix.from_columns(
+            field, column_space_basis(field, self.proj_plus))
+        self.W_minus = Matrix.from_columns(
+            field, column_space_basis(field, self.proj_minus))
         self.base = base
         if not self.is_stable(base):
             raise UnstableBase("base lattice is not stable under the action")
-        self.base_plus, self.base_minus = self.split(base)
 
     def is_stable(self, lat):
         return all(in_lattice(lat, self.J.apply(lat.basis.column(j)))
@@ -703,76 +706,47 @@ class SplitStableFamily:
         lm = from_generators(self.field, minus_cols)
         return lp, lm
 
-    def combine(self, lp, lm):
-        cols = [self.W_plus.apply(lp.basis.column(j)) for j in range(lp.rank)]
-        cols += [self.W_minus.apply(lm.basis.column(j)) for j in range(lm.rank)]
-        return from_generators(self.field, cols)
-
-    def ball(self, radius, center=None):
-        state = self.init_state(center)
-        for _ in range(radius):
-            self.grow(state)
-        return [self.combine(lp, lm) for lp, lm in state["pairs"]]
-
-    def init_state(self, center=None):
-        center = center or self.base
-        cp, cm = self.split(center)
-        return {
-            "p": {"seen": {cp.key(): cp}, "frontier": [cp]},
-            "m": {"seen": {cm.key(): cm}, "frontier": [cm]},
-            "pairs": [(cp, cm)],
-        }
+    def _stack(self, lp, lm):
+        """Generator matrix of the stable lattice with components lp, lm."""
+        return (self.W_plus * lp.basis).hstack(self.W_minus * lm.basis)
 
     @staticmethod
-    def _grow_component(state):
-        seen = state["seen"]
-        new = []
-        for lat in state["frontier"]:
-            moves = list(sublattices_of_index(lat, 1))
-            moves += list(superlattices_of_index(lat, 1))
-            for nb in moves:
-                if nb.key() not in seen:
-                    seen[nb.key()] = nb
-                    new.append(nb)
-        state["frontier"] = new
-        return new
+    def _moves(comp):
+        """The index-one sublattices, then superlattices, of a component."""
+        yield from sublattices_of_index(comp, 1)
+        yield from superlattices_of_index(comp, 1)
 
-    def grow(self, state):
-        """One radius step on both components; returns new combined lattices."""
-        old_p = list(state["p"]["seen"].values())
-        old_m = list(state["m"]["seen"].values())
-        new_p = self._grow_component(state["p"])
-        new_m = self._grow_component(state["m"])
-        fresh = [(lp, lm) for lp in new_p for lm in old_m]
-        fresh += [(lp, lm) for lp in old_p for lm in new_m]
-        fresh += [(lp, lm) for lp in new_p for lm in new_m]
-        state["pairs"].extend(fresh)
-        return [self.combine(lp, lm) for lp, lm in fresh]
+    def ball(self, radius):
+        """The stable lattices whose two components each lie within
+        `radius` moves of the base's, ordered by the larger of the two move
+        counts; at count r, (new plus, older minus) pairs come first, then
+        (older plus, new minus), then (new plus, new minus)."""
+        cp, cm = self.split(self.base)
+        plus = _layers(cp, self._moves, radius)
+        minus = _layers(cm, self._moves, radius)
+        pairs = [(cp, cm)]
+        for r in range(1, radius + 1):
+            old_p = [lp for layer in plus[:r] for lp in layer]
+            old_m = [lm for layer in minus[:r] for lm in layer]
+            pairs += itertools.product(plus[r], old_m)
+            pairs += itertools.product(old_p, minus[r])
+            pairs += itertools.product(plus[r], minus[r])
+        return [canonicalize(self.field, self._stack(lp, lm)) for lp, lm in pairs]
 
     def stable_superlattices(self, lat, extra_index):
         """Stable superlattices with the given additional index over lat."""
         lp, lm = self.split(lat)
-        out = []
-        for kp in range(extra_index + 1):
-            km = extra_index - kp
-            for sp in superlattices_of_index(lp, kp):
-                for sm in superlattices_of_index(lm, km):
-                    out.append(self.combine(sp, sm))
-        return out
+        return [canonicalize(self.field, self._stack(sp, sm))
+                for kp in range(extra_index + 1)
+                for sp in superlattices_of_index(lp, kp)
+                for sm in superlattices_of_index(lm, extra_index - kp)]
 
     def neighbor_stacks(self, lat):
-        """Raw generator matrices of all single-component index-one moves."""
+        """Raw generator matrices of all single-component index-one moves:
+        those of the plus component, then those of the minus component."""
         lp, lm = self.split(lat)
-        out = []
-        for sp in list(sublattices_of_index(lp, 1)) + list(superlattices_of_index(lp, 1)):
-            cols = [self.W_plus.apply(sp.basis.column(j)) for j in range(sp.rank)]
-            cols += [self.W_minus.apply(lm.basis.column(j)) for j in range(lm.rank)]
-            out.append(Matrix.from_columns(self.field, cols))
-        for sm in list(sublattices_of_index(lm, 1)) + list(superlattices_of_index(lm, 1)):
-            cols = [self.W_plus.apply(lp.basis.column(j)) for j in range(lp.rank)]
-            cols += [self.W_minus.apply(sm.basis.column(j)) for j in range(sm.rank)]
-            out.append(Matrix.from_columns(self.field, cols))
-        return out
+        return ([self._stack(sp, lm) for sp in self._moves(lp)]
+                + [self._stack(lp, sm) for sm in self._moves(lm)])
 
 
 def stable_lattices(field, J, algebra, window, base):
@@ -796,14 +770,14 @@ class GammaGenerator:
     """One centralizer-factor generator: matrix, factor idempotent, and the
     index functional used for canonical orbit representatives."""
 
-    __slots__ = ("matrix", "inverse", "idempotent", "Wj", "shift")
+    __slots__ = ("matrix", "inverse", "idempotent", "rank", "shift")
 
     def __init__(self, field, matrix, idempotent):
         self.matrix = matrix
         self.inverse = mat_inverse(matrix)
         self.idempotent = idempotent
-        cols = column_space_basis(field, idempotent)
-        self.Wj = Matrix.from_columns(field, cols)
+        # dimension of the factor's eigenspace
+        self.rank = len(column_space_basis(field, idempotent))
         self.shift = None  # filled by GammaGroup
 
 
@@ -837,7 +811,7 @@ class GammaGroup:
         under the generator.
         """
         return sum(smith_exponents_rectangular(gen.idempotent * stack,
-                                               rank=gen.Wj.ncols))
+                                               rank=gen.rank))
 
     def reduce_stack(self, stack):
         """Canonical box representative of the lattice spanned by a raw stack."""

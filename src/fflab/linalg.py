@@ -92,18 +92,12 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def submatrix(self, rows, cols):
-        return Matrix(self.ring, [[self.rows[i][j] for j in cols] for i in rows])
-
     def transpose(self):
         return Matrix(self.ring, [[self.rows[i][j] for i in range(self.nrows)]
                                   for j in range(self.ncols)])
 
     def hstack(self, other):
         return Matrix(self.ring, [list(a) + list(b) for a, b in zip(self.rows, other.rows)])
-
-    def vstack(self, other):
-        return Matrix(self.ring, list(self.rows) + list(other.rows))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -195,10 +189,6 @@ class Poly:
     def constant(ring, c):
         return Poly(ring, [c])
 
-    @staticmethod
-    def variable(ring):
-        return Poly(ring, [ring.zero, ring.one])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -260,9 +250,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * other + Poly.constant(self.ring, c)
         return acc
-
-    def map_coeffs(self, fn, ring=None):
-        return Poly(ring or self.ring, [fn(c) for c in self.coeffs])
 
     def derivative(self):
         ring = self.ring
@@ -479,6 +466,14 @@ def row_echelon(mat, zeroish_ok=False):
 def mat_det(mat):
     """Determinant over F via elimination with valuation pivoting; every
     entry below a pivot that is not an exact zero is swept."""
+    # Its own forward sweep rather than the product of the Echelon record's
+    # pivots: the record also sweeps the rows above each pivot, which took
+    # 1.6x the field multiplies on random 2x2 matrices and 2x on 8x8 (most
+    # calls here are 2x2).  The two agree bit for bit wherever both return
+    # (3,653 of 6,000 random 2x2-5x5 matrices over q in {2, 3, 9}, with zero
+    # and O(pi^k) entries; both raised on 2,342), except that a column of
+    # exact zeros ahead of an undetermined one is an exact 0 here, while
+    # the record, which skips that column, raises (5 matrices).
     if mat.nrows != mat.ncols:
         raise ValueError("square matrix required")
     ring = mat.ring
@@ -570,11 +565,6 @@ def mat_inverse(mat):
         for j in range(n):
             out[c][j] = aug[r][j] * piv_inv
     return Matrix(ring, out)
-
-
-def mat_charpoly(mat):
-    """Characteristic polynomial det(T*I - M); division-free."""
-    return berkowitz_charpoly(mat)
 
 
 def mat_rank(mat, zeroish_ok=False):

@@ -10,7 +10,6 @@ raise PrecisionExhausted instead of guessing.
 """
 
 import math
-from fractions import Fraction
 
 from .errors import DivisionByZero, PrecisionExhausted
 from .finitefield import gf
@@ -141,10 +140,6 @@ class FieldElement:
         raise PrecisionExhausted(
             f"valuation undetermined: element is O(pi^{self.known_to})")
 
-    def is_unit(self):
-        """Valuation-zero test; raises if undetermined."""
-        return self.valuation() == 0
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -269,10 +264,6 @@ class FieldElement:
     def __truediv__(self, other):
         return self * other.inv()
 
-    def exact_div_pi(self, k):
-        """Exact division by pi^k (shifts the valuation down)."""
-        return self.shift(-k)
-
     # -- precision management -------------------------------------------------
 
     def reduce_mod(self, k):
@@ -296,11 +287,6 @@ class FieldElement:
         if self.known_to <= k:
             return self
         return FieldElement(self.field, self.val, self.coeffs, k)
-
-    def assert_exact(self):
-        if self.known_to != INF:
-            raise PrecisionExhausted("exact element required")
-        return self
 
     def same(self, other):
         """Value equality: no certified digit of the difference is nonzero."""
@@ -358,10 +344,3 @@ class FieldElement:
                 terms.append([self.val + i, g.log(c) if c != 1 else 0])
         known = None if self.known_to == INF else self.known_to
         return {"terms": terms, "known_to": known}
-
-    def abs_exponent(self):
-        """|x| = q^e with e = -valuation, as a Fraction; exact zero gives None."""
-        v = self.valuation()
-        if v == INF:
-            return None
-        return Fraction(-v)

@@ -20,7 +20,6 @@ from .errors import NotStable, WindowOverflow
 from .lattices import (from_generators, in_lattice, index, order_span,
                        relative_position, smith_exponents_rectangular,
                        stable_family, standard_lattice)
-from .linalg import Matrix
 from .pairs import centralizer
 
 
@@ -156,26 +155,14 @@ class TransferContext:
             raise ValueError("first algebra of the pair must be split")
         self.field = pair.field
         self.n = pair.n
-        ident = Matrix.identity(self.field, 2 * pair.n)
-        r1, r2 = pair.Ea.split_roots
-        # projector onto the (1,0)-eigenspace of the first action
-        self.p_plus = (pair.A - ident.scale(r2)).scale((r1 - r2).inv())
-        self.p_minus = ident - self.p_plus
+        # projectors onto the eigenspaces of the first action
+        self.p_plus, self.p_minus = pair.Ea.eigen_projectors(pair.A)
         self.C = pair.B
         self.E3 = pair.Eb
         # regular semisimplicity: O_E3-span of each eigenpart is full
+        std = standard_lattice(self.field, 2 * pair.n)
         for proj in (self.p_plus, self.p_minus):
-            span = self._e3_span_cols(proj)
-            from_generators(self.field, span)  # raises if rank deficient
-
-    def _e3_span_cols(self, proj):
-        cols = []
-        size = 2 * self.n
-        for j in range(size):
-            v = proj.column(j)
-            cols.append(v)
-            cols.append(self.C.apply(v))
-        return cols
+            self.eigenpart_span(std, proj)  # raises if rank deficient
 
     def eigenpart_span(self, lat, proj):
         """O_E3 * (proj lat) as a full lattice."""
@@ -263,6 +250,14 @@ class _PairState:
         self.positions = {}
 
 
+# most vertices one traversal may visit before it raises WindowOverflow
+_VISIT_BUDGET = 200000
+# how far beyond the Hecke reach a bridging vertex's span gap may lie
+_BRIDGE_GAP = 2
+# most steps of the greedy descent to the traversal's start
+_DESCENT_STEPS = 24
+
+
 class OrbitalProblem:
     """One orbital integral: a pair, a Hecke function f and a side.
 
@@ -332,7 +327,7 @@ class OrbitalProblem:
                     total = total + coeff
         return total
 
-    def _descend_start(self, budget=24):
+    def _descend_start(self):
         """Greedy walk from the base toward smaller span gap (remembered).
 
         Each step moves to the first neighbour stack of least gap when that
@@ -343,7 +338,7 @@ class OrbitalProblem:
             return st.start
         cur = self.gamma.reduce_stack(self.fam_b.base.basis)
         g = self.gap_of_stack(cur.basis)
-        for _ in range(budget):
+        for _ in range(_DESCENT_STEPS):
             if g == 0:
                 break
             stacks = self.fam_b.neighbor_stacks(cur)
@@ -364,12 +359,12 @@ class OrbitalProblem:
         d_span = sum(smith_exponents_rectangular(span, rank=span.nrows))
         return d_lat - d_span
 
-    def evaluate(self, slack=1, budget=200000, bridge_gap=2):
+    def evaluate(self, slack=1):
         """Support traversal in the centralizer quotient.
 
         Support vertices (span gap within the Hecke reach) are expanded;
         vertices just outside bridge for at most `slack` steps while their
-        gap stays within bridge_gap of the reach.  Off-support neighbors
+        gap stays within _BRIDGE_GAP of the reach.  Off-support neighbors
         are rejected by a cheap invariant gap test on the raw generator
         stack, without ever being reduced or canonicalized.  Gaps, reps
         and superlattice positions already in the pair's state are reused;
@@ -383,8 +378,7 @@ class OrbitalProblem:
             from .hecke import pi_twist
             prob = OrbitalProblem(self.pair, pi_twist(self.f, -shift),
                                   self.twisted, seed=self.seed)
-            return prob.evaluate(slack=slack, budget=budget,
-                                 bridge_gap=bridge_gap)
+            return prob.evaluate(slack=slack)
         st = self.state
         max_total = max(self.totals)
         start, g0 = self._descend_start()
@@ -421,7 +415,7 @@ class OrbitalProblem:
                     gg = move[0]
                     is_support = gg <= max_total
                     if not is_support and (next_depth > slack
-                                           or gg > max_total + bridge_gap):
+                                           or gg > max_total + _BRIDGE_GAP):
                         continue
                     if move[1] is None:
                         if stacks is None:
@@ -434,7 +428,7 @@ class OrbitalProblem:
                         continue
                     seen.add(k)
                     visited += 1
-                    if visited > budget:
+                    if visited > _VISIT_BUDGET:
                         raise WindowOverflow(
                             "orbital enumeration budget exceeded")
                     rep = st.reps[k]

@@ -49,8 +49,7 @@ class EmbeddingPair:
             if not rel.same(Matrix.zero(self.field, 2 * self.n)):
                 raise ValueError("generator image violates its minimal polynomial")
             if alg.split_roots is not None:
-                r1, r2 = alg.split_roots
-                proj = (M - ident.scale(r2)).scale((r1 - r2).inv())
+                proj, _ = alg.eigen_projectors(M)
                 if mat_rank(proj, zeroish_ok=True) != self.n:
                     raise ValueError("split embedding is not balanced")
 
@@ -381,14 +380,20 @@ def _unit_triangular_inverse(field, m):
     return acc
 
 
-def random_unimodular(field, size, rng, depth=2):
+# lower-upper unitriangular factor pairs in a random unimodular matrix
+_UNIMODULAR_DEPTH = 2
+# conjugation attempts before random_pair gives up
+_PAIR_TRIES = 64
+
+
+def random_unimodular(field, size, rng):
     """Random element of GL_size(O_F) with an exact inverse.
 
     Returns (g, g_inv); both are exact Laurent-polynomial matrices.
     """
     g = Matrix.identity(field, size)
     g_inv = Matrix.identity(field, size)
-    for _ in range(depth):
+    for _ in range(_UNIMODULAR_DEPTH):
         for shape in ("lower", "upper"):
             rows = [[field.one if i == j else
                      (field.random_element(rng, 0, 2)
@@ -401,13 +406,13 @@ def random_unimodular(field, size, rng, depth=2):
     return g, g_inv
 
 
-def random_pair(Ea, Eb, n, seed, max_tries=64):
+def random_pair(Ea, Eb, n, seed):
     """Regular semisimple pair from conjugated standard block embeddings."""
     field = Ea.field
     rng = random.Random(seed)
     stdA = standard_embedding(Ea, n)
     stdB = standard_embedding(Eb, n)
-    for attempt in range(max_tries):
+    for attempt in range(_PAIR_TRIES):
         g1, g1i = random_unimodular(field, 2 * n, rng)
         g2, g2i = random_unimodular(field, 2 * n, rng)
         A = g1 * stdA * g1i
@@ -416,7 +421,7 @@ def random_pair(Ea, Eb, n, seed, max_tries=64):
         inv = invariant(pair)
         if inv.rs_flag:
             return pair, inv, attempt + 1
-    raise SearchTimeout(f"no regular semisimple pair after {max_tries} tries")
+    raise SearchTimeout(f"no regular semisimple pair after {_PAIR_TRIES} tries")
 
 
 # -- matching ---------------------------------------------------------------------------

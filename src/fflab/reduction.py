@@ -347,7 +347,7 @@ class HomSystem:
             c1 = t1.coords(self.q_minus[1].apply(v))
             c2 = t2.coords(self.q_minus[2].apply(v))
             cols.append(list(c1) + list(c2))
-        return _det_valuation_of_cols(self.field, cols)
+        return _det_valuation(Matrix.from_columns(self.field, cols))
 
     def deg_restricted(self, i_op, sign_op, source_key, target_key):
         """deg(q_{i_op}^{sign} restricted: Lambda_source^{s} -> Lambda_target^{t})."""
@@ -357,7 +357,7 @@ class HomSystem:
         cols = []
         for v in src.basis_cols():
             cols.append(tgt.coords(op.apply(v)))
-        return _det_valuation_of_cols(self.field, cols)
+        return _det_valuation(Matrix.from_columns(self.field, cols))
 
     def deg_composite_lambda1_plus(self):
         """deg(q_1^+ q_2^- restricted to Lambda_1^+, an endomorphism)."""
@@ -366,11 +366,10 @@ class HomSystem:
         for v in src.basis_cols():
             w = self.q_plus[1].apply(self.q_minus[2].apply(v))
             cols.append(src.coords(w))
-        return _det_valuation_of_cols(self.field, cols)
+        return _det_valuation(Matrix.from_columns(self.field, cols))
 
 
-def _det_valuation_of_cols(field, cols):
-    mat = Matrix.from_columns(field, cols)
+def _det_valuation(mat):
     d = mat_det(mat)
     if not d.coeffs:
         raise SingularMap("map is not a quasi-isogeny")
@@ -400,7 +399,6 @@ class PhiMap:
         if sc.chain1.r != r:
             raise ValueError("chains must have equal length")
         self.r = r
-        dim = sys.dim
         # source lattices: Hom(X_i^1, X_i^0); targets: minus parts and C_i
         self.sources = []
         for i in range(r + 1):
@@ -414,11 +412,11 @@ class PhiMap:
                                              sys.P_minus[2])
         self.t_minus_a = lattice_in_subspace(field, self.sources[r],
                                              sys.P_minus[1])
+        self.matrix = Matrix.from_columns(field, self._matrix_cols())
 
     def degree(self):
         """Quasi-isogeny degree of Phi between its source and target lattices."""
-        cols = self._matrix_cols()
-        return _det_valuation_of_cols(self.sys.field, cols)
+        return _det_valuation(self.matrix)
 
     def _matrix_cols(self):
         sys = self.sys
@@ -450,8 +448,7 @@ class PhiMap:
 
     def elementary_divisors(self):
         from .lattices import smith_exponents
-        cols = self._matrix_cols()
-        return smith_exponents(Matrix.from_columns(self.sys.field, cols))
+        return smith_exponents(self.matrix)
 
     def deg_l_maps(self):
         """Sum of the degrees of the restriction maps L_i."""
@@ -461,15 +458,15 @@ class PhiMap:
         return total
 
 
-def fiber_count_exponent(phi, truncation=None):
+def fiber_count_exponent(phi):
     """log_q of the number of solutions of the connecting-map system.
 
     Counts kernel vectors of the Phi matrix modulo pi^M via its elementary
-    divisors, raising the truncation until the count stabilizes.
+    divisors, at a truncation M two above the largest, and checks that the
+    count does not change when M grows by two.
     """
     divisors = phi.elementary_divisors()
-    if truncation is None:
-        truncation = max(divisors) + 2 if divisors else 2
+    truncation = max(divisors) + 2 if divisors else 2
     count_prev = sum(min(d, truncation) for d in divisors)
     count_next = sum(min(d, truncation + 2) for d in divisors)
     if count_prev != count_next:

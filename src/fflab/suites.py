@@ -5,7 +5,6 @@ functions of (config, seed) and rerun at a higher precision must produce
 identical payloads.  The acceptance tests and the CLI both drive these.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -17,11 +16,10 @@ from .hecke import (ULaurent, convolve, dimension_census, f_of_m,
 from .lattices import canonicalize, standard_lattice
 from .linalg import Matrix
 from .localfield import LocalField
-from .orbital import (OrbitalValue, TransferContext, functional_equation_probe,
+from .orbital import (TransferContext, functional_equation_probe,
                       orbital_alpha, orbital_beta, order_lower_bound_report,
-                      transfer_factor, value_at_zero, vanishing_order_at_one)
-from .pairs import (centralizer, direct_sum, invariant, match_alpha,
-                    random_pair, random_unimodular)
+                      transfer_factor, value_at_zero)
+from .pairs import invariant, match_alpha, random_pair
 from .reduction import (HomSystem, PhiMap, SplitScenario,
                         closed_composite_exponent, closed_pair_exponent,
                         closed_phi_exponent, fiber_count_exponent,

@@ -1,17 +1,20 @@
+import itertools
 import random
 
 import pytest
 
 from fflab.errors import SingularBasis, UnstableBase
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
-from fflab.lattices import (GammaGenerator, GammaGroup, canonicalize,
-                            count_chains, from_generators, in_lattice, index,
-                            lattice_leq, lattices_at_position,
-                            relative_position, stable_family, stable_lattices,
-                            standard_lattice, sublattices_of_index,
-                            superlattices_of_index)
+from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
+                            canonicalize, count_chains, from_generators,
+                            in_lattice, index, lattice_leq,
+                            lattices_at_position, relative_position,
+                            stable_family, stable_lattices, standard_lattice,
+                            sublattices_of_index, superlattices_of_index)
 from fflab.linalg import Matrix, mat_det
 from fflab.localfield import LocalField
+from fflab.orbital import _stable_families
+from fflab.pairs import direct_sum, match_alpha, random_pair
 
 F = LocalField(3)
 one, pi = F.one, F.pi()
@@ -137,6 +140,39 @@ def test_stable_lattices_split():
     J = Matrix(F, [[one, F.zero], [F.zero, F.zero]])
     ball = stable_lattices(F, J, E0, 1, std2)
     assert len(ball) == 9  # 3 x 3 component moves
+    # rank 4 at q = 2: each rank-2 component has 1 + 2(q+1) lattices within
+    # one move, and the ball is their product
+    F2 = LocalField(2)
+    J4 = Matrix.diagonal(F2, [F2.one, F2.one, F2.zero, F2.zero])
+    ball = stable_lattices(F2, J4, build_quadratic(SPLIT, F2), 1,
+                           standard_lattice(F2, 4))
+    assert len(set(ball)) == len(ball) == (1 + 2 * 3) ** 2
+
+
+@pytest.mark.parametrize("q, top", [(2, 2), (3, 1)])
+def test_split_family_moves_match_brute_force(q, top):
+    # the rank-4 direct sum of two matched pairs, as in suite_thm212's
+    # unramified configuration; both of its stable families are split
+    Fq = LocalField(q)
+    E0 = build_quadratic(SPLIT, Fq)
+    E1 = build_quadratic(UNRAMIFIED, Fq)
+    alphas = []
+    for seed in (1, 3):
+        _, inv, _ = random_pair(E1, E1, 1, seed=seed)
+        alphas.append(match_alpha(inv.delta, E0, inv.target)[0])
+    for fam in _stable_families(direct_sum(*alphas)):
+        assert isinstance(fam, SplitStableFamily)
+        L = fam.base
+        moves = [canonicalize(Fq, s) for s in fam.neighbor_stacks(L)]
+        brute = {M for M in itertools.chain(sublattices_of_index(L, 1),
+                                            superlattices_of_index(L, 1))
+                 if fam.is_stable(M)}
+        assert len(set(moves)) == len(moves) == 2 * 2 * (q + 1)
+        assert set(moves) == brute
+        ups = fam.stable_superlattices(L, top)
+        assert len(set(ups)) == len(ups)
+        assert set(ups) == {M for M in superlattices_of_index(L, top)
+                            if fam.is_stable(M)}
 
 
 def test_unstable_base_rejected():
