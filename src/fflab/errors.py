@@ -77,10 +77,6 @@ class WindowOverflow(FFLabError):
     """A derived enumeration window exceeded the configured cap."""
 
 
-class Unstable(FFLabError):
-    """A truncated count did not stabilize under truncation growth."""
-
-
 class MissingInput(FFLabError):
     """An externally supplied value required by an evaluator is absent."""
 

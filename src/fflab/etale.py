@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import BothRamified, NotASquare, UnsupportedRamified
 from .factor import hensel_factor, poly_gcd
-from .linalg import Matrix, Poly, berkowitz_charpoly, det_berkowitz
+from .linalg import Matrix, Poly, det_berkowitz
 
 SPLIT = "split"
 UNRAMIFIED = "unramified"
@@ -461,8 +461,4 @@ def eta(x):
 
 def eta_gl(h):
     """eta of det(h) for a square matrix over the etale algebra."""
-    cp = berkowitz_charpoly(h)
-    d = cp.coeffs[0]
-    if h.nrows % 2:
-        d = -d
-    return eta(d)
+    return eta(det_berkowitz(h))

@@ -360,37 +360,26 @@ def hensel_factor(poly, _depth=0):
             return out
     # now all non-leading coefficients have positive valuation
     segs = newton_slopes(poly)
-    if len(segs) == 1:
-        num, den, length = segs[0]
-        if den == length:
-            return [(poly, 1)]  # single slope in lowest terms: irreducible
-        if den == 1:
-            # integral slope w: substitute T = pi^w S
-            w = num
-            n = poly.degree
-            coeffs = [c.shift(-w * n + w * i) for i, c in enumerate(poly.coeffs)]
-            sub = Poly(F, coeffs)
-            out = []
-            for f, m in hensel_factor(sub, _depth + 1):
-                d = f.degree
-                back = Poly(F, [c.shift(w * (d - i)) for i, c in enumerate(f.coeffs)])
-                out.append((back, m))
-            return out
-        raise FactorFail("mixed ramification on a single segment: unsupported degree")
-    # several slopes: peel the smallest-slope segment if integral
     num, den, length = segs[0]
-    if den == 1:
-        w = num
-        n = poly.degree
-        coeffs = [c.shift(-w * n + w * i) for i, c in enumerate(poly.coeffs)]
-        sub = Poly(F, coeffs)
-        out = []
-        for f, m in hensel_factor(sub, _depth + 1):
-            d = f.degree
-            back = Poly(F, [c.shift(w * (d - i)) for i, c in enumerate(f.coeffs)])
-            out.append((back, m))
-        return out
-    raise FactorFail("non-integral leading slope with multiple segments: unsupported")
+    if len(segs) == 1 and den == length:
+        return [(poly, 1)]  # single slope in lowest terms: irreducible
+    if den != 1:
+        if len(segs) == 1:
+            raise FactorFail(
+                "mixed ramification on a single segment: unsupported degree")
+        raise FactorFail("non-integral leading slope with multiple segments: unsupported")
+    # integral (smallest) slope w: substitute T = pi^w S, which peels that
+    # segment when there are several
+    w = num
+    n = poly.degree
+    coeffs = [c.shift(-w * n + w * i) for i, c in enumerate(poly.coeffs)]
+    sub = Poly(F, coeffs)
+    out = []
+    for f, m in hensel_factor(sub, _depth + 1):
+        d = f.degree
+        back = Poly(F, [c.shift(w * (d - i)) for i, c in enumerate(f.coeffs)])
+        out.append((back, m))
+    return out
 
 
 def _factor_quadratic(poly):

@@ -430,40 +430,43 @@ def lattices_at_position(base, mu):
             yield sub
 
 
-def count_chains(l0, lr, m):
-    """Number of chains l0 = X_0 <= X_1 <= ... <= X_r = lr with
-    [X_i : X_{i-1}] = m_i."""
+def chains(l0, lr, m):
+    """Every chain l0 = X_0 <= X_1 <= ... <= X_r = lr with
+    [X_i : X_{i-1}] = m_i, as lists of lattices."""
     m = tuple(m)
-    total = index(lr, l0)
-    if total != sum(m) or total < 0:
-        return 0
-    if not lattice_leq(l0, lr):
-        return 0
-    if len(m) == 0:
-        return 1  # empty chain: the lattices already agree
-    if len(m) == 1:
-        return 1  # index matches and inclusion holds
-    count = 0
-    for x1 in superlattices_of_index(l0, m[0]):
-        if lattice_leq(x1, lr):
-            count += count_chains(x1, lr, m[1:])
-    return count
+    if index(lr, l0) != sum(m) or not lattice_leq(l0, lr):
+        return []
+
+    def up(x, steps):
+        # x has index sum(steps) in lr, so the last step is x <= lr itself
+        if len(steps) <= 1:
+            return [[x, lr]] if steps else [[x]]
+        return [[x] + rest
+                for nxt in superlattices_of_index(x, steps[0])
+                if lattice_leq(nxt, lr)
+                for rest in up(nxt, steps[1:])]
+    return up(l0, m)
+
+
+def count_chains(l0, lr, m):
+    """Number of chains l0 = X_0 <= ... <= X_r = lr with [X_i : X_{i-1}] = m_i."""
+    return len(chains(l0, lr, m))
 
 
 # -- module-stable lattices -------------------------------------------------------
 
 
-def column_space_basis(field, mat):
+def column_space_basis(mat):
     """A lattice basis of the column span of a (possibly singular) matrix,
-    as a list of independent columns (over F)."""
-    cols = [mat.column(j) for j in range(mat.ncols)]
-    kept = []
-    for c in cols:
-        trial = kept + [c]
-        m = Matrix.from_columns(field, trial)
-        if len(row_echelon(m, zeroish_ok=True).pivots) == len(trial):
-            kept.append(c)
-    return kept
+    as a list of independent columns (over F): the pivot columns of its
+    row echelon form."""
+    return [mat.column(c) for _, c in row_echelon(mat, zeroish_ok=True).pivots]
+
+
+def _is_stable(J, lat):
+    """Whether J maps lat into itself."""
+    return all(in_lattice(lat, J.apply(lat.basis.column(j)))
+               for j in range(lat.rank))
 
 
 class StableFamily:
@@ -493,8 +496,7 @@ class StableFamily:
         self._inv_pi_e = mat_inverse(self.pi_e_mat)
 
     def is_stable(self, lat):
-        return all(in_lattice(lat, self.J.apply(lat.basis.column(j)))
-                   for j in range(lat.rank))
+        return _is_stable(self.J, lat)
 
     def scale_pi_e(self, lat):
         return canonicalize(self.field, self.pi_e_mat * lat.basis)
@@ -685,16 +687,15 @@ class SplitStableFamily:
         self.J = J
         self.proj_plus, self.proj_minus = algebra.eigen_projectors(J)
         self.W_plus = Matrix.from_columns(
-            field, column_space_basis(field, self.proj_plus))
+            field, column_space_basis(self.proj_plus))
         self.W_minus = Matrix.from_columns(
-            field, column_space_basis(field, self.proj_minus))
+            field, column_space_basis(self.proj_minus))
         self.base = base
         if not self.is_stable(base):
             raise UnstableBase("base lattice is not stable under the action")
 
     def is_stable(self, lat):
-        return all(in_lattice(lat, self.J.apply(lat.basis.column(j)))
-                   for j in range(lat.rank))
+        return _is_stable(self.J, lat)
 
     def split(self, lat):
         """Component lattices in the eigenspace coordinates."""
@@ -777,7 +778,7 @@ class GammaGenerator:
         self.inverse = mat_inverse(matrix)
         self.idempotent = idempotent
         # dimension of the factor's eigenspace
-        self.rank = len(column_space_basis(field, idempotent))
+        self.rank = len(column_space_basis(idempotent))
         self.shift = None  # filled by GammaGroup
 
 

@@ -509,14 +509,6 @@ def mat_det(mat):
     return det if sign == 1 else -det
 
 
-def det_valuation(mat):
-    """Valuation of det over F; SingularBasis when det is exactly zero."""
-    d = mat_det(mat)
-    if d.is_exact_zero:
-        raise SingularBasis("matrix is singular over F")
-    return d.valuation()
-
-
 def linear_solve(mat, rhs, zeroish_ok=False):
     """One solution of mat * x = rhs over F, or NoSolution.
 

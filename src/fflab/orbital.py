@@ -460,19 +460,19 @@ def orbital_alpha(pair, f, slack=1, seed=0):
     return val, w
 
 
-def order_estimate(pair, f=None, slack=1):
+def order_estimate(pair):
     """Analytic order estimate of an invariant factor: 1 when the functional
-    equation sign of the twisted integral is -1, else 0."""
+    equation sign of its twisted integral with the unit function is -1,
+    else 0."""
     from .hecke import unit
-    f = f or unit(2 * pair.n)
-    val, _ = orbital_alpha(pair, f, slack=slack)
+    val, _ = orbital_alpha(pair, unit(2 * pair.n))
     probe = functional_equation_probe(val)
     if probe is None:
         return None
     return 1 if probe[0] == -1 else 0
 
 
-def order_lower_bound_report(components, f, slack=1):
+def order_lower_bound_report(components, f):
     """Vanishing order of the direct sum's integral vs the per-factor estimate.
 
     components is a list of pairs on the same algebras; their direct sum is
@@ -483,8 +483,8 @@ def order_lower_bound_report(components, f, slack=1):
     total = components[0]
     for c in components[1:]:
         total = direct_sum(total, c)
-    val, w = orbital_alpha(total, f, slack=slack)
-    estimates = [order_estimate(c, slack=slack) for c in components]
+    val, w = orbital_alpha(total, f)
+    estimates = [order_estimate(c) for c in components]
     if any(e is None for e in estimates):
         raise WindowOverflow("component functional equation probe failed")
     ord_val = vanishing_order_at_one(val)

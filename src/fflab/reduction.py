@@ -14,11 +14,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import MissingInput, SingularMap, Unstable
+from .errors import MissingInput, SingularMap
 from .etale import resultant
 from .hecke import f_of_m
-from .lattices import (from_generators, in_lattice, index, lattice_leq,
-                       smith_form, superlattices_of_index)
+from .lattices import (chains, from_generators, in_lattice, index, lattice_leq,
+                       smith_exponents, smith_form)
 from .linalg import Matrix, kernel_basis, linear_solve, mat_det
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
 from .pairs import direct_sum, invariant
@@ -167,23 +167,10 @@ def random_chain(pair, m, seed, window=2):
                    if index(top, lb) == total and lattice_leq(lb, top)]
         rng.shuffle(bottoms)
         for bottom in bottoms:
-            chains = _all_chains(bottom, top, m)
-            if chains:
-                return LatticeChain(chains[rng.randrange(len(chains))])
+            found = chains(bottom, top, m)
+            if found:
+                return LatticeChain(found[rng.randrange(len(found))])
     raise SingularMap("no chain with the requested indices in the window")
-
-
-def _all_chains(bottom, top, m):
-    if len(m) == 0:
-        return [[bottom]] if bottom == top else []
-    if len(m) == 1:
-        return [[bottom, top]] if index(top, bottom) == m[0] else []
-    out = []
-    for nxt in superlattices_of_index(bottom, m[0]):
-        if lattice_leq(nxt, top):
-            for rest in _all_chains(nxt, top, m[1:]):
-                out.append([bottom] + rest)
-    return out
 
 
 # -- Hom-space machinery ---------------------------------------------------------------
@@ -378,11 +365,7 @@ def _det_valuation(mat):
 
 def quasi_degree(field, source, target, map_matrix):
     """[target : map(source)]: valuation of det in the two lattice bases."""
-    m = target.inverse() * map_matrix * source.basis
-    d = mat_det(m)
-    if not d.coeffs:
-        raise SingularMap("map is not bijective on the ambient spaces")
-    return d.valuation()
+    return _det_valuation(target.inverse() * map_matrix * source.basis)
 
 
 # -- the block map Phi -------------------------------------------------------------
@@ -447,7 +430,6 @@ class PhiMap:
         return cols
 
     def elementary_divisors(self):
-        from .lattices import smith_exponents
         return smith_exponents(self.matrix)
 
     def deg_l_maps(self):
@@ -461,17 +443,12 @@ class PhiMap:
 def fiber_count_exponent(phi):
     """log_q of the number of solutions of the connecting-map system.
 
-    Counts kernel vectors of the Phi matrix modulo pi^M via its elementary
-    divisors, at a truncation M two above the largest, and checks that the
-    count does not change when M grows by two.
+    Modulo pi^M the Phi matrix has q^(sum of min(d, M)) kernel vectors over
+    its elementary divisors d.  From M = max(d) on that no longer depends on
+    M, so the count is the sum of the elementary divisors; no truncation is
+    involved.
     """
-    divisors = phi.elementary_divisors()
-    truncation = max(divisors) + 2 if divisors else 2
-    count_prev = sum(min(d, truncation) for d in divisors)
-    count_next = sum(min(d, truncation + 2) for d in divisors)
-    if count_prev != count_next:
-        raise Unstable("fiber count did not stabilize; raise the truncation")
-    return count_prev
+    return sum(phi.elementary_divisors())
 
 
 # -- closed formulas -----------------------------------------------------------------
@@ -526,12 +503,14 @@ def _q_power_fraction(q, exponent):
     return Fraction(q) ** e.numerator
 
 
-def verify_reduction(p0, p1, m, alpha_side=False, slack=1, seed=0):
-    """Both sides of the Levi reduction identity for f(m).
+def verify_reduction(p0, p1, ms, alpha_side=False):
+    """Both sides of the Levi reduction identity for f(m), for each m in ms.
 
     With alpha_side, the matched pairs on (split, E3) are compared as
     Laurent polynomials in Q; otherwise the plain rational integrals are
-    compared.  Returns a report dict with exact equality.
+    compared.  Returns one report dict with exact equality per m, in the
+    order of ms.  The direct sum is built once, so every m after the first
+    reuses its traversal state.
     """
     field = p0.field
     q = field.q
@@ -541,42 +520,33 @@ def verify_reduction(p0, p1, m, alpha_side=False, slack=1, seed=0):
     const_exp = reduction_constants(p0.Ea, p0.Eb, inv0.delta, inv1.delta, n0, n1)
     const = _q_power_fraction(q, const_exp)
     full = direct_sum(p0, p1)
-    f_full = f_of_m(2 * (n0 + n1), m, field)
-    if alpha_side:
-        lhs, w_lhs = orbital_alpha(full, f_full, slack=slack, seed=seed)
-        rhs = OrbitalValue()
-    else:
-        lhs, w_lhs = orbital_beta(full, f_full, slack=slack, seed=seed)
-        rhs = Fraction(0)
-    windows = [w_lhs]
-    for m0 in itertools.product(*[range(mi + 1) for mi in m]):
-        m1 = tuple(mi - x for mi, x in zip(m, m0))
-        f0 = f_of_m(2 * n0, m0, field)
-        f1 = f_of_m(2 * n1, m1, field)
-        weight = Fraction(q) ** (n1 * sum(m0) + n0 * sum(m1))
-        if alpha_side:
-            o0, w0 = orbital_alpha(p0, f0, slack=slack, seed=seed)
-            o1, w1 = orbital_alpha(p1, f1, slack=slack, seed=seed)
+    orbital = orbital_alpha if alpha_side else orbital_beta
+    reports = []
+    for m in ms:
+        lhs, w_lhs = orbital(full, f_of_m(2 * (n0 + n1), m, field))
+        rhs = OrbitalValue() if alpha_side else Fraction(0)
+        windows = [w_lhs]
+        for m0 in itertools.product(*[range(mi + 1) for mi in m]):
+            m1 = tuple(mi - x for mi, x in zip(m, m0))
+            o0, w0 = orbital(p0, f_of_m(2 * n0, m0, field))
+            o1, w1 = orbital(p1, f_of_m(2 * n1, m1, field))
+            weight = Fraction(q) ** (n1 * sum(m0) + n0 * sum(m1))
             rhs = rhs + (o0 * o1) * (weight * const)
-        else:
-            o0, w0 = orbital_beta(p0, f0, slack=slack, seed=seed)
-            o1, w1 = orbital_beta(p1, f1, slack=slack, seed=seed)
-            rhs = rhs + const * weight * o0 * o1
-        windows += [w0, w1]
-    equal = lhs == rhs
-    return {
-        "m": list(m),
-        "alpha_side": alpha_side,
-        "constant_exponent": str(const_exp),
-        "lhs": lhs.to_json() if alpha_side else str(lhs),
-        "rhs": rhs.to_json() if alpha_side else str(rhs),
-        "equal": equal,
-        "windows": windows,
-    }
+            windows += [w0, w1]
+        reports.append({
+            "m": list(m),
+            "alpha_side": alpha_side,
+            "constant_exponent": str(const_exp),
+            "lhs": lhs.to_json() if alpha_side else str(lhs),
+            "rhs": rhs.to_json() if alpha_side else str(rhs),
+            "equal": lhs == rhs,
+            "windows": windows,
+        })
+    return reports
 
 
 def evaluate_int_reduction_rhs(int0_values, p1, m, disc_exponent_alg_pair,
-                               delta0, n0, slack=1):
+                               delta0, n0):
     """RHS of the intersection-number reduction, with the connected-side
     numbers supplied externally.
 
@@ -602,7 +572,7 @@ def evaluate_int_reduction_rhs(int0_values, p1, m, disc_exponent_alg_pair,
             continue
         if tuple(m0) not in int0_values:
             raise MissingInput(f"missing connected-side value for {m0}")
-        o1, _ = orbital_beta(p1, f_of_m(2 * n1, m1, field), slack=slack)
+        o1, _ = orbital_beta(p1, f_of_m(2 * n1, m1, field))
         total += const * Fraction(q) ** (n1 * sum(m0) + n0 * sum(m1)) \
             * Fraction(int0_values[tuple(m0)]) * o1
     return total

@@ -8,13 +8,14 @@ identical payloads.  The acceptance tests and the CLI both drive these.
 import random
 from fractions import Fraction
 
+from .errors import PrecisionExhausted
 from .etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3,
                     eta)
 from .hecke import (ULaurent, convolve, dimension_census, f_of_m,
                     partial_satake_closed, pi_twist, s_k, satake_direct, sym_b,
                     sym_e, t_m, unit, verify_69)
 from .lattices import canonicalize, standard_lattice
-from .linalg import Matrix
+from .linalg import Matrix, mat_det
 from .localfield import LocalField
 from .orbital import (TransferContext, functional_equation_probe,
                       orbital_alpha, orbital_beta, order_lower_bound_report,
@@ -111,13 +112,16 @@ def _matched_pair(field, kind_b, n, seed):
     return pair, alpha, inv, tries
 
 
-def suite_transfer_law(precision=40, count=10, seed=0):
+_LAW_CASES = 10  # records of each of the two kinds in suite_transfer_law
+
+
+def suite_transfer_law(precision=40):
     """Transformation law of the transfer factor and twist invariance."""
     out = []
     field = LocalField(3, precision)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     base_idx = 0
-    while len([r for r in out if r["id"].startswith("omega-law")]) < count:
+    while len(out) < _LAW_CASES:
         _, alpha, _, _ = _matched_pair(field, UNRAMIFIED, 1, seed=base_idx)
         base_idx += 1
         ctx = TransferContext(alpha)
@@ -133,8 +137,6 @@ def suite_transfer_law(precision=40, count=10, seed=0):
         a_exp, b_exp = rng.randrange(-2, 3), rng.randrange(-2, 3)
         h0 = ctx.p_plus.scale(field.pi(a_exp)) + ctx.p_minus.scale(field.pi(b_exp))
         # h3: an integral polynomial in the second generator with unit det
-        from .errors import PrecisionExhausted
-        from .linalg import mat_det
         while True:
             c0, c1 = rng.randrange(3), rng.randrange(1, 3)
             h3 = Matrix.identity(field, size).scale(field.from_fq(c0)) \
@@ -147,7 +149,6 @@ def suite_transfer_law(precision=40, count=10, seed=0):
         lhs = transfer_factor(ctx, canonicalize(field, h0 * l0.basis),
                               canonicalize(field, h3 * l3.basis))
         # |h0|^s eta(h3) Omega
-        from .linalg import mat_det
         va = mat_det(ctx.p_plus * h0 + ctx.p_minus).valuation()
         vb = mat_det(ctx.p_minus * h0 + ctx.p_plus).valuation()
         eta_sign = -1 if mat_det(h3).valuation() % 2 else 1
@@ -158,7 +159,7 @@ def suite_transfer_law(precision=40, count=10, seed=0):
     # twist invariance of both integrals
     done = 0
     idx = 0
-    while done < count:
+    while done < _LAW_CASES:
         pair, alpha, inv, _ = _matched_pair(field, UNRAMIFIED, 1, seed=100 + idx)
         idx += 1
         f = t_m(2, idx % 2 + 1)
@@ -265,11 +266,11 @@ def suite_thm212(precision=40, ms=((0,), (1,), (2,), (1, 1))):
         p1, i1, _ = random_pair(E1, E2, 1, seed=seeds[1])
         a0, _ = match_alpha(i0.delta, E0, i0.target)
         a1, _ = match_alpha(i1.delta, E0, i1.target)
-        for m in ms:
-            rep_b = verify_reduction(p0, p1, m, alpha_side=False)
+        reps_b = verify_reduction(p0, p1, ms, alpha_side=False)
+        reps_a = verify_reduction(a0, a1, ms, alpha_side=True)
+        for m, rep_b, rep_a in zip(ms, reps_b, reps_a):
             out.append(_record(f"thm212-beta/{kind_b}/m{m}", rep_b["equal"],
                                **{k: v for k, v in rep_b.items() if k != "equal"}))
-            rep_a = verify_reduction(a0, a1, m, alpha_side=True)
             out.append(_record(f"thm212-alpha/{kind_b}/m{m}", rep_a["equal"],
                                **{k: v for k, v in rep_a.items() if k != "equal"}))
     return out

@@ -2,16 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fflab.errors import SingularBasis, UnstableBase
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
 from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
-                            canonicalize, count_chains, from_generators,
-                            in_lattice, index, lattice_leq,
-                            lattices_at_position, relative_position,
-                            stable_family, stable_lattices, standard_lattice,
-                            sublattices_of_index, superlattices_of_index)
-from fflab.linalg import Matrix, mat_det
+                            canonicalize, chains, column_space_basis,
+                            count_chains, from_generators, in_lattice, index,
+                            lattice_leq, lattices_at_position,
+                            relative_position, stable_family, stable_lattices,
+                            standard_lattice, sublattices_of_index,
+                            superlattices_of_index)
+from fflab.linalg import Matrix, mat_det, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
 from fflab.pairs import direct_sum, match_alpha, random_pair
@@ -114,6 +116,58 @@ def test_count_chains():
     assert count_chains(piL, std2, (2,)) == 1
     assert count_chains(piL, std2, (1,)) == 0
     assert count_chains(std2, std2, ()) == 1
+    std3 = standard_lattice(F, 3)
+    low = canonicalize(F, Matrix.diagonal(F, [pi, pi, F.pi(2)]))
+    cases = [(piL, std2, m) for m in ((1, 1), (2,), (1,), (0, 2), (2, 0))]
+    cases += [(std2, std2, ()), (std2, std2, (0,)), (std2, piL, (2,))]
+    cases += [(low, std3, m) for m in ((1, 1, 2), (2, 2), (1, 3), (0, 4))]
+    for l0, lr, m in cases:
+        found = chains(l0, lr, m)
+        assert count_chains(l0, lr, m) == len(found)
+        assert len({tuple(x.key() for x in ch) for ch in found}) == len(found)
+        for ch in found:
+            assert ch[0] == l0 and ch[-1] == lr and len(ch) == len(m) + 1
+            for a, b, step in zip(ch, ch[1:], m):
+                assert lattice_leq(a, b) and index(b, a) == step
+    assert len(chains(low, std3, (1, 1, 2))) > 0
+
+
+def _greedy_column_basis(field, mat):
+    """Oracle: keep each column that stays independent of those kept, one
+    fresh elimination per trial."""
+    kept = []
+    for c in mat.columns():
+        trial = kept + [c]
+        if len(row_echelon(Matrix.from_columns(field, trial), zeroish_ok=True).pivots) \
+                == len(trial):
+            kept.append(c)
+    return kept
+
+
+def _column_entry(field, rng):
+    roll = rng.random()
+    if roll < 0.25:
+        return field.zero
+    if roll < 0.35:
+        return field.o_term(rng.randint(0, 3))
+    x = field.random_element(rng, 0, 2, terms=rng.randint(1, 3))
+    return x.truncate(x.val + rng.randint(1, 3)) if roll < 0.45 else x
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 3, 9]), nrows=st.integers(1, 5),
+       ncols=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+def test_column_space_basis_matches_greedy(q, nrows, ncols, seed):
+    field = LocalField(q)
+    rng = random.Random(seed)
+    cols = [[_column_entry(field, rng) for _ in range(nrows)] for _ in range(ncols)]
+    for j in range(1, ncols):
+        if rng.random() < 0.3:
+            cols[j] = list(cols[rng.randrange(j)])
+    mat = Matrix.from_columns(field, cols)
+    got = column_space_basis(mat)
+    want = _greedy_column_basis(field, Matrix.from_columns(field, cols))
+    assert [[x.key() for x in c] for c in got] == [[x.key() for x in c] for c in want]
 
 
 def test_stable_lattices_unramified_rank2():

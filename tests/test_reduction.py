@@ -7,7 +7,7 @@ from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
 from fflab.lattices import canonicalize, in_lattice, standard_lattice
 from fflab.linalg import Matrix
 from fflab.localfield import LocalField
-from fflab.pairs import invariant, random_pair
+from fflab.pairs import direct_sum, invariant, random_pair
 from fflab.reduction import (Fibration, HomSystem, LatticeChain, PhiMap,
                              SplitScenario, closed_composite_exponent,
                              closed_pair_exponent, closed_phi_exponent,
@@ -125,10 +125,34 @@ def test_fiber_count_multiplicative_block_scenarios():
 def test_verify_reduction_beta_small():
     p0, i0, _ = random_pair(E1, E1, 1, seed=1)
     p1, i1, _ = random_pair(E1, E1, 1, seed=3)
-    rep = verify_reduction(p0, p1, (0,), alpha_side=False)
-    assert rep["equal"]
-    rep = verify_reduction(p0, p1, (1,), alpha_side=False)
-    assert rep["equal"]
+    rep0, rep1 = verify_reduction(p0, p1, [(0,), (1,)], alpha_side=False)
+    assert rep0["m"] == [0] and rep0["equal"]
+    assert rep1["m"] == [1] and rep1["equal"]
+
+
+def test_verify_reduction_builds_one_direct_sum(monkeypatch):
+    # one call over several ms reports what one call per m on freshly built
+    # component pairs reports, with a single direct sum
+    from fflab import reduction
+    sums = []
+
+    def counting_direct_sum(a, b):
+        sums.append((a, b))
+        return direct_sum(a, b)
+
+    monkeypatch.setattr(reduction, "direct_sum", counting_direct_sum)
+    ms = [(0,), (1,), (1, 1)]
+    p0, _, _ = random_pair(E1, E1, 1, seed=1)
+    p1, _, _ = random_pair(E1, E1, 1, seed=3)
+    together = verify_reduction(p0, p1, ms)
+    assert len(sums) == 1
+    assert [rep["m"] for rep in together] == [list(m) for m in ms]
+    assert all(rep["equal"] for rep in together)
+    for m, rep in zip(ms, together):
+        q0, _, _ = random_pair(E1, E1, 1, seed=1)
+        q1, _, _ = random_pair(E1, E1, 1, seed=3)
+        assert verify_reduction(q0, q1, [m]) == [rep]
+    assert len(sums) == 1 + len(ms)
 
 
 def test_int_reduction_rhs_degenerate():
