@@ -25,7 +25,7 @@ from .suites import SUITES, run_suite
 _KINDS = {"split": SPLIT, "unramified": UNRAMIFIED, "ramified": RAMIFIED}
 
 
-def _load_config(path, overrides):
+def _load_config(path, overrides, command):
     cfg = {
         "q": 3,
         "precision": DEFAULT_PRECISION,
@@ -64,10 +64,26 @@ def _load_config(path, overrides):
     for key in ("e1", "e2"):
         if cfg[key] not in _KINDS:
             raise ConfigError(f"{key} must be one of {sorted(_KINDS)}")
-    if cfg["e2"] == "split" and cfg["e1"] != "split":
-        raise ConfigError("e2 may be split only when e1 is split")
-    if cfg["e1"] == cfg["e2"] == "ramified":
-        raise ConfigError("e1 and e2 may not both be ramified")
+    # the support table: (whether the combination is unsupported, the
+    # commands that cannot run it or None for all, the config error)
+    q_even, e1, e2 = cfg["q"] % 2 == 0, cfg["e1"], cfg["e2"]
+    for unsupported, commands, message in (
+            (e2 == "split" and e1 != "split", None,
+             "e2 may be split only when e1 is split"),
+            (e1 == e2 == "ramified", None, "e1 and e2 may not both be ramified"),
+            # alpha(0) = beta is the matching identity for a non-split first
+            # algebra only; a split one gives alpha(0) = 0 on every pair tried
+            (e1 == "split", ("orbital",),
+             "orbital needs a non-split e1 (unramified or ramified)"),
+            # build_quadratic has a ramified model for odd q only
+            (q_even and "ramified" in (e1, e2), ("invariant", "orbital"),
+             "a ramified algebra needs odd q"),
+            # this invariant takes a square root over an unramified
+            # extension, which characteristic 2 lacks
+            (q_even and (e1, e2) == ("split", "unramified"), ("invariant",),
+             "the invariant of a split and an unramified algebra needs odd q")):
+        if unsupported and (commands is None or command in commands):
+            raise ConfigError(message)
     return cfg
 
 
@@ -136,10 +152,6 @@ def cmd_invariant(cfg):
 
 
 def cmd_orbital(cfg):
-    if cfg["e1"] == "split":
-        # alpha(0) = beta is the matching identity for a non-split first
-        # algebra only; a split one gives alpha(0) = 0 on every pair tried
-        raise ConfigError("orbital needs a non-split e1 (unramified or ramified)")
     field = LocalField(cfg["q"], cfg["precision"])
     e1 = build_quadratic(_KINDS[cfg["e1"]], field)
     e2 = build_quadratic(_KINDS[cfg["e2"]], field)
@@ -234,7 +246,7 @@ def main(argv=None):
                  ("seed", "precision", "window", "suite", "hecke",
                   "q", "n", "e1", "e2")}
     try:
-        cfg = _load_config(args.config, overrides)
+        cfg = _load_config(args.config, overrides, args.command)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

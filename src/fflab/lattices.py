@@ -380,21 +380,14 @@ def hermite_forms_of_index(field, rank, k):
             rows = [[field.zero] * rank for _ in range(rank)]
             for i in range(rank):
                 rows[i][i] = field.pi(diag[i]) if diag[i] else field.one
-            ok = True
             for (i, j), code in zip(free, combo):
-                if diag[i] == 0:
-                    if code:
-                        ok = False
-                        break
-                    continue
                 digits = []
                 c = code
                 for _ in range(diag[i]):
                     digits.append(c % q)
                     c //= q
                 rows[i][j] = field.element(0, digits) if any(digits) else field.zero
-            if ok:
-                yield Matrix(field, rows)
+            yield Matrix(field, rows)
 
 
 def sublattices_of_index(lat, k):
@@ -477,7 +470,7 @@ class StableFamily:
     "building" (index-one O_E-sub- and superlattices), and radius-limited
     enumeration around a stable base lattice.  neighbor_stacks is the one
     move generator: ball and stable_superlattices canonicalize its stacks,
-    and the orbital traversal Gamma-reduces them.
+    and the orbital traversal Gamma-reduces them (StackQuotient).
     """
 
     def __init__(self, field, J, algebra, base):
@@ -539,6 +532,9 @@ class StableFamily:
         def moves(lat):
             return (canonicalize(self.field, s) for s in self.neighbor_stacks(lat))
         return [lat for layer in _layers(self.base, moves, radius) for lat in layer]
+
+    def quotient(self, gamma):
+        return StackQuotient(self, gamma)
 
     def stable_superlattices(self, lat, extra_index):
         """Stable superlattices with the given additional index over lat."""
@@ -668,16 +664,27 @@ def _fq_subspace_stable(g, A, W):
 # -- split-family stable lattices ---------------------------------------------------
 
 
+class ComponentPair(tuple):
+    """A split-family lattice as its canonical components (L+, L-), keyed
+    by the pair of their keys."""
+
+    __slots__ = ()
+
+    def key(self):
+        return (self[0].key(), self[1].key())
+
+
 class SplitStableFamily:
     """Stable lattices for a split quadratic action.
 
     J acts by r1 on the plus eigenspace and by r2 on the minus one, so a
     lattice is J-stable exactly when it is the direct sum of its two
-    projections; the family identifies it with the pair of component
-    lattices (L+, L-) in the eigenspace coordinates W_plus, W_minus.  A
+    projections; the family identifies it with the ComponentPair (L+, L-)
+    of its components in the eigenspace coordinates W_plus, W_minus.  A
     neighbor move changes one component by an arbitrary index-one sub- or
-    superlattice (_moves, the one component-move generator), so ball is the
-    product of the two component balls; _stack builds the generator matrix
+    superlattice (_moves, the one component-move generator, which the
+    orbital traversal walks on component pairs), so ball is the product of
+    the two component balls; _stack builds the generator matrix
     W_plus L+ | W_minus L- that ball, neighbor_stacks and
     stable_superlattices return or canonicalize.
     """
@@ -697,15 +704,17 @@ class SplitStableFamily:
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
 
+    def quotient(self, gamma):
+        return PairQuotient(self, gamma)
+
     def split(self, lat):
-        """Component lattices in the eigenspace coordinates."""
+        """The ComponentPair of a stable lattice."""
         plus_cols = [linear_solve(self.W_plus, self.proj_plus.apply(v), zeroish_ok=True)
                      for v in lat.basis.columns()]
         minus_cols = [linear_solve(self.W_minus, self.proj_minus.apply(v), zeroish_ok=True)
                       for v in lat.basis.columns()]
-        lp = from_generators(self.field, plus_cols)
-        lm = from_generators(self.field, minus_cols)
-        return lp, lm
+        return ComponentPair((from_generators(self.field, plus_cols),
+                              from_generators(self.field, minus_cols)))
 
     def _stack(self, lp, lm):
         """Generator matrix of the stable lattice with components lp, lm."""
@@ -773,7 +782,7 @@ class GammaGenerator:
 
     __slots__ = ("matrix", "inverse", "idempotent", "rank", "shift")
 
-    def __init__(self, field, matrix, idempotent):
+    def __init__(self, matrix, idempotent):
         self.matrix = matrix
         self.inverse = mat_inverse(matrix)
         self.idempotent = idempotent
@@ -782,9 +791,9 @@ class GammaGenerator:
         self.shift = None  # filled by GammaGroup
 
 
-def _power_times(gen, e, stack):
-    """gen.matrix^e * stack."""
-    step = gen.matrix if e > 0 else gen.inverse
+def _power_times(matrix, inverse, e, stack):
+    """matrix^e * stack."""
+    step = matrix if e > 0 else inverse
     for _ in range(abs(e)):
         stack = step * stack
     return stack
@@ -817,9 +826,133 @@ class GammaGroup:
     def reduce_stack(self, stack):
         """Canonical box representative of the lattice spanned by a raw stack."""
         for g in self.gens:
-            stack = _power_times(g, -(self.functional(g, stack) // g.shift), stack)
+            e = -(self.functional(g, stack) // g.shift)
+            stack = _power_times(g.matrix, g.inverse, e, stack)
         return canonicalize(self.field, stack)
 
     def in_fundamental_box(self, lat):
         return all(0 <= self.functional(g, lat.basis) < g.shift
                    for g in self.gens)
+
+
+# -- a stable family modulo Gamma, as the orbital traversal walks it -------------
+# A quotient gives the base as a raw move (start), a vertex's raw moves in
+# neighbor_stacks order (moves), a raw move's reduced vertex (reduce), a raw
+# move's span gap, given the route span_gap from a generator stack to it
+# (gap), and a vertex's canonical lattice (lattice).
+
+
+class StackQuotient:
+    """A StableFamily modulo Gamma, on neighbor stacks and reduced Lattices;
+    the gap is read off the raw stack, so a pruned move is never reduced."""
+
+    def __init__(self, fam, gamma):
+        self.fam, self.gamma = fam, gamma
+
+    def start(self):
+        return self.fam.base.basis
+
+    def moves(self, lat):
+        return self.fam.neighbor_stacks(lat)
+
+    def reduce(self, stack):
+        return self.gamma.reduce_stack(stack)
+
+    def gap(self, stack, span_gap):
+        return span_gap(stack)
+
+    def lattice(self, lat):
+        return lat
+
+
+class PairQuotient:
+    """A SplitStableFamily modulo Gamma, on ComponentPairs.
+
+    A generator g commutes with J, so g W+- = W+- g+-, with g+- the
+    coordinates of proj+- g W+- in W+- (certified here).  For e =
+    g.idempotent, e L = e W+ L+ (+) e W- L-, so the content of e L's top
+    exterior power splits: functional(g, L) = c_g + phi+(L+) + phi-(L-),
+    phi+- the sum of the elementary divisors of e W+- L+-, c_g (from the
+    wedge of bases of e W+ and e W-) read off the base.  So reduction moves
+    and canonicalizes only the components; it is memoized per raw pair and
+    runs before the span gap, taken, like the lattice, once per rep key.
+    """
+
+    def __init__(self, fam, gamma):
+        self.fam, self.gamma = fam, gamma
+        self.terms, self.reduced, self.gaps, self.lattices = {}, {}, {}, {}
+        self.component_moves = {}
+        sides = ((fam.W_plus, fam.proj_plus), (fam.W_minus, fam.proj_minus))
+        self.parts = [[_eigenpart(g, W, proj) for W, proj in sides]
+                      for g in gamma.gens]
+        lp, lm = self.start()
+        self.consts = [gamma.functional(g, fam.base.basis)
+                       - self._term(i, 0, lp) - self._term(i, 1, lm)
+                       for i, g in enumerate(gamma.gens)]
+
+    def _term(self, i, side, comp):
+        """phi of generator i on one component (side 0 plus, 1 minus)."""
+        at = (i, side, comp.key())
+        if at not in self.terms:
+            _, eW, rank = self.parts[i][side]
+            self.terms[at] = sum(
+                smith_exponents_rectangular(eW * comp.basis, rank=rank))
+        return self.terms[at]
+
+    def functional(self, i, pair):
+        """GammaGroup.functional of generator i on the pair's lattice."""
+        return (self.consts[i] + self._term(i, 0, pair[0])
+                + self._term(i, 1, pair[1]))
+
+    def start(self):
+        return self.fam.split(self.fam.base)
+
+    def moves(self, pair):
+        """The moves of neighbor_stacks, each component's built once."""
+        lp, lm = pair
+        return ([ComponentPair((sp, lm)) for sp in self._component_moves(lp)]
+                + [ComponentPair((lp, sm)) for sm in self._component_moves(lm)])
+
+    def _component_moves(self, comp):
+        if comp.key() not in self.component_moves:
+            self.component_moves[comp.key()] = list(self.fam._moves(comp))
+        return self.component_moves[comp.key()]
+
+    def reduce(self, pair):
+        """As reduce_stack: one generator after another, reading the
+        functional after each power."""
+        k = pair.key()
+        if k not in self.reduced:
+            for i, (g, parts) in enumerate(zip(self.gamma.gens, self.parts)):
+                e = -(self.functional(i, pair) // g.shift)
+                if e:
+                    pair = ComponentPair(
+                        canonicalize(self.fam.field, _power_times(*mats, e, comp.basis))
+                        for (mats, _, _), comp in zip(parts, pair))
+            self.reduced[k] = pair
+        return self.reduced[k]
+
+    def gap(self, pair, span_gap):
+        rep = self.reduce(pair)
+        k = rep.key()
+        if k not in self.gaps:
+            self.gaps[k] = span_gap(self.fam._stack(*rep))
+        return self.gaps[k]
+
+    def lattice(self, pair):
+        k = pair.key()
+        if k not in self.lattices:
+            self.lattices[k] = canonicalize(self.fam.field, self.fam._stack(*pair))
+        return self.lattices[k]
+
+
+def _eigenpart(g, W, proj):
+    """((g+-, g+-^-1), e W+-, rank of e W+-) of generator g on the
+    eigenspace with basis W and projector proj."""
+    gW = g.matrix * W
+    gc = Matrix.from_columns(W.ring, [linear_solve(W, proj.apply(v), zeroish_ok=True)
+                                      for v in gW.columns()])
+    if not (W * gc).same(gW):
+        raise PrecisionExhausted("generator not certified block-diagonal")
+    eW = g.idempotent * W
+    return (gc, mat_inverse(gc)), eW, len(column_space_basis(eW))

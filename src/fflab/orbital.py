@@ -219,30 +219,36 @@ class _PairState:
     One instance per (pair, seed), stored in the pair's `_orbital` dict on
     first use and freed with the pair.  Besides the centralizer's
     Gamma-group, the two stable families and (on the twisted side) the
-    transfer context, it records what traversals have learned about the
-    quotient, so that a later Hecke function repeats none of it:
+    transfer context, it holds the second family modulo Gamma and records
+    what traversals have learned about the quotient, so that a later Hecke
+    function repeats none of it:
 
-    - start: the descent start (lattice, span gap) and whether it lies in
+    - quotient: fam_b modulo Gamma, whose vertices are reduced Lattices,
+      or reduced ComponentPairs (L+, L-) when fam_b is split; a split
+      quotient keeps its own memos (lattices.PairQuotient);
+    - start: the descent start (vertex, span gap) and whether it lies in
       the fundamental box;
-    - moves: per expanded vertex key, one [gap, rep key] per neighbour
-      stack in neighbor_stacks order; either slot stays None until a
-      traversal needs it, and the vertex's stacks are rebuilt to fill it;
-    - reps: the Gamma-reduced lattice of every rep key in moves;
-    - positions: per (rep key, extra index), one [mu, la, omega] per stable
-      superlattice la of the rep's span, in stable_superlattices order;
-      omega, the transfer factor Omega(la, rep), is computed only once a
-      Hecke function has mu in its support.
+    - moves: per expanded vertex key, one [gap, rep key] per raw move in
+      the quotient's moves order; either slot stays None until a traversal
+      needs it, and the vertex's moves are rebuilt to fill it;
+    - reps: the reduced vertex of every rep key in moves;
+    - positions: per (rep lattice key, extra index), one [mu, la, omega]
+      per stable superlattice la of the rep's span, in
+      stable_superlattices order; omega, the transfer factor
+      Omega(la, rep), is computed only once a Hecke function has mu in its
+      support.
 
     Every entry is a function of its key alone, so two threads filling the
     state of one pair at worst repeat work.
     """
 
-    __slots__ = ("gamma", "fam_a", "fam_b", "ctx", "start", "start_in_box",
-                 "moves", "reps", "positions")
+    __slots__ = ("gamma", "fam_a", "fam_b", "quotient", "ctx", "start",
+                 "start_in_box", "moves", "reps", "positions")
 
     def __init__(self, pair, seed):
         self.gamma = centralizer(pair, seed=seed).gamma_group()
         self.fam_a, self.fam_b = _stable_families(pair)
+        self.quotient = self.fam_b.quotient(self.gamma)
         self.ctx = None
         self.start = self.start_in_box = None
         self.moves = {}
@@ -330,23 +336,25 @@ class OrbitalProblem:
     def _descend_start(self):
         """Greedy walk from the base toward smaller span gap (remembered).
 
-        Each step moves to the first neighbour stack of least gap when that
-        gap is smaller, and Gamma-reduces only that stack.
+        Each step moves to the first neighbour of least gap when that gap
+        is smaller, and Gamma-reduces only that move.
         """
         st = self.state
         if st.start is not None:
             return st.start
-        cur = self.gamma.reduce_stack(self.fam_b.base.basis)
-        g = self.gap_of_stack(cur.basis)
+        q = st.quotient
+        base = q.start()
+        cur = q.reduce(base)
+        g = q.gap(base, self.gap_of_stack)
         for _ in range(_DESCENT_STEPS):
             if g == 0:
                 break
-            stacks = self.fam_b.neighbor_stacks(cur)
-            gaps = [self.gap_of_stack(s) for s in stacks]
+            raws = q.moves(cur)
+            gaps = [q.gap(r, self.gap_of_stack) for r in raws]
             if not gaps or min(gaps) >= g:
                 break
             g = min(gaps)
-            cur = self.gamma.reduce_stack(stacks[gaps.index(g)])
+            cur = q.reduce(raws[gaps.index(g)])
         st.start = (cur, g)
         return st.start
 
@@ -365,10 +373,11 @@ class OrbitalProblem:
         Support vertices (span gap within the Hecke reach) are expanded;
         vertices just outside bridge for at most `slack` steps while their
         gap stays within _BRIDGE_GAP of the reach.  Off-support neighbors
-        are rejected by a cheap invariant gap test on the raw generator
-        stack, without ever being reduced or canonicalized.  Gaps, reps
-        and superlattice positions already in the pair's state are reused;
-        the traversal itself is the same for every f.
+        are rejected by the quotient's invariant gap test: on the raw
+        stack, before any reduction, for a StableFamily; once per rep key,
+        after the cheap componentwise reduction, for a split family.  Gaps,
+        reps and superlattice positions already in the pair's state are
+        reused; the traversal itself is the same for every f.
         """
         if not self.supp:
             return (OrbitalValue() if self.twisted else Fraction(0)), 0
@@ -380,15 +389,16 @@ class OrbitalProblem:
                                   self.twisted, seed=self.seed)
             return prob.evaluate(slack=slack)
         st = self.state
+        q = st.quotient
         max_total = max(self.totals)
         start, g0 = self._descend_start()
         total = OrbitalValue() if self.twisted else Fraction(0)
         seen = {start.key()}
         if g0 <= max_total:
             if st.start_in_box is None:
-                st.start_in_box = self.gamma.in_fundamental_box(start)
+                st.start_in_box = self.gamma.in_fundamental_box(q.lattice(start))
             if st.start_in_box:
-                total = total + self.contribution(start, g0)
+                total = total + self.contribution(q.lattice(start), g0)
         frontier = [(start, g0, 0)]
         visited = 1
         radius = 0
@@ -403,25 +413,23 @@ class OrbitalProblem:
                 else:
                     continue
                 moves = st.moves.get(lb.key())
-                stacks = None
+                raws = None
                 if moves is None:
-                    stacks = self.fam_b.neighbor_stacks(lb)
-                    moves = st.moves[lb.key()] = [[None, None] for _ in stacks]
+                    raws = q.moves(lb)
+                    moves = st.moves[lb.key()] = [[None, None] for _ in raws]
                 for i, move in enumerate(moves):
                     if move[0] is None:
-                        if stacks is None:
-                            stacks = self.fam_b.neighbor_stacks(lb)
-                        move[0] = self.gap_of_stack(stacks[i])
+                        raws = raws or q.moves(lb)
+                        move[0] = q.gap(raws[i], self.gap_of_stack)
                     gg = move[0]
                     is_support = gg <= max_total
                     if not is_support and (next_depth > slack
                                            or gg > max_total + _BRIDGE_GAP):
                         continue
                     if move[1] is None:
-                        if stacks is None:
-                            stacks = self.fam_b.neighbor_stacks(lb)
-                        rep = self.gamma.reduce_stack(stacks[i])
-                        # one Lattice and one key object per rep
+                        raws = raws or q.moves(lb)
+                        rep = q.reduce(raws[i])
+                        # one vertex and one key object per rep
                         move[1] = st.reps.setdefault(rep.key(), rep).key()
                     k = move[1]
                     if k in seen:
@@ -433,7 +441,7 @@ class OrbitalProblem:
                             "orbital enumeration budget exceeded")
                     rep = st.reps[k]
                     if is_support:
-                        total = total + self.contribution(rep, gg)
+                        total = total + self.contribution(q.lattice(rep), gg)
                         new.append((rep, gg, 0))
                     else:
                         new.append((rep, gg, next_depth))

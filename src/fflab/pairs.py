@@ -231,7 +231,7 @@ class Centralizer:
         self.factors = factors
 
     def gamma_group(self):
-        gens = [GammaGenerator(self.field, f.gamma, f.idempotent)
+        gens = [GammaGenerator(f.gamma, f.idempotent)
                 for f in self.factors]
         return GammaGroup(self.field, gens)
 

@@ -363,7 +363,7 @@ def _det_valuation(mat):
     return d.valuation()
 
 
-def quasi_degree(field, source, target, map_matrix):
+def quasi_degree(source, target, map_matrix):
     """[target : map(source)]: valuation of det in the two lattice bases."""
     return _det_valuation(target.inverse() * map_matrix * source.basis)
 

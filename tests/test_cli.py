@@ -115,3 +115,22 @@ def test_orbital_split_first_algebra_exits_2(e2):
 
 def test_both_ramified_exits_2():
     assert main(["invariant", "--e1", "ramified", "--e2", "ramified"]) == 2
+
+
+# at even q the ramified quadratic model and the invariant of a split and an
+# unramified algebra are unsupported: each combination is a config error
+_EVEN_Q_UNSUPPORTED = [
+    ("invariant", "split", "unramified"),
+    ("invariant", "split", "ramified"),
+    ("invariant", "unramified", "ramified"),
+    ("invariant", "ramified", "unramified"),
+    ("orbital", "unramified", "ramified"),
+    ("orbital", "ramified", "unramified"),
+]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("command,e1,e2", _EVEN_Q_UNSUPPORTED)
+def test_unsupported_even_q_combinations_exit_2(command, e1, e2, q, capsys):
+    assert main([command, "--q", str(q), "--e1", e1, "--e2", e2]) == 2
+    assert capsys.readouterr().err.startswith("config error")

@@ -249,7 +249,7 @@ def test_stable_closed_under_centralizer_spot():
 
 
 def test_gamma_reduction():
-    gen = GammaGenerator(F, Matrix.identity(F, 2).scale(pi),
+    gen = GammaGenerator(Matrix.identity(F, 2).scale(pi),
                          Matrix.identity(F, 2))
     gg = GammaGroup(F, [gen])
     assert gen.shift == 2

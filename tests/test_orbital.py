@@ -233,21 +233,23 @@ def test_reuse_keeps_seeds_apart():
 @pytest.mark.parametrize("q", [2, 3, 9])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
-    # the traversal takes span gaps and factor functionals on raw stacks and
-    # feeds a stack's gap to contribution as the gap of its reduced rep
-    from fflab.lattices import index, order_span
+    # the traversal takes span gaps and factor functionals on raw moves and
+    # feeds a move's gap to contribution as the gap of its reduced rep; a
+    # split family's moves are component pairs, checked here on their stacks
+    from fflab.lattices import ComponentPair, index, order_span
     from fflab.orbital import OrbitalProblem
     pair, alpha, _ = _reuse_case(q)
     prob = OrbitalProblem(_fresh(alpha if twisted else pair), t_m(2, 2), twisted)
-    fam, gamma = prob.fam_b, prob.gamma
+    fam, gamma, quotient = prob.fam_b, prob.gamma, prob.state.quotient
     stacks = []
 
-    def recording(lat):
-        out = type(fam).neighbor_stacks(fam, lat)
-        stacks.extend(out)
+    def recording(vertex):
+        out = type(quotient).moves(quotient, vertex)
+        stacks.extend(fam._stack(*m) if isinstance(m, ComponentPair) else m
+                      for m in out)
         return out
 
-    monkeypatch.setattr(fam, "neighbor_stacks", recording)
+    monkeypatch.setattr(quotient, "moves", recording)
     prob.evaluate()
     assert stacks
     for stack in stacks:
@@ -257,3 +259,90 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
         assert gap == prob.gap_of_stack(gamma.reduce_stack(stack).basis)
         for g in gamma.gens:
             assert gamma.functional(g, stack) == gamma.functional(g, lat.basis)
+
+
+# -- split families walked as component pairs ---------------------------------------
+
+
+def _thm212_sum(kind_b):
+    """The alpha-side rank-4 direct sum of one suite_thm212 configuration."""
+    from fflab.pairs import direct_sum
+    e2 = build_quadratic(kind_b, F)
+    alphas = []
+    for seed in ((1, 3) if kind_b == UNRAMIFIED else (0, 1)):
+        _, inv, _ = random_pair(E1, e2, 1, seed=seed)
+        alphas.append(match_alpha(inv.delta, E0, inv.target)[0])
+    return direct_sum(*alphas), [f_of_m(4, (1,), F)]
+
+
+def _congruent_eigenspaces():
+    """A split family whose eigenspaces (1, 0) and (1, pi) meet modulo pi,
+    with Gamma generated by pi: c_g = 1 there, where the traversal cases
+    all have c_g = 0."""
+    from fflab.lattices import GammaGenerator, GammaGroup, SplitStableFamily
+    J = Matrix(F, [[F.one, -F.pi(-1)], [F.zero, F.zero]])
+    base = canonicalize(F, Matrix.diagonal(F, [F.one, F.pi()]))
+    fam = SplitStableFamily(F, J, E0, base)
+    ident = Matrix.identity(F, 2)
+    return fam, GammaGroup(F, [GammaGenerator(ident.scale(F.pi()), ident)])
+
+
+@pytest.mark.parametrize("case", [2, 3, 9, UNRAMIFIED, RAMIFIED])
+def test_split_traversal_matches_the_stack_route(case):
+    # the 4 x 4 route (StackQuotient on the same family) is the oracle: same
+    # value and radius per f, and per move of every expanded vertex the same
+    # rep lattice as reduce_stack and the same gap as the raw stack's
+    from fflab.lattices import PairQuotient, StackQuotient
+    from fflab.orbital import OrbitalProblem
+    if case in (2, 3, 9):
+        _, target, fs = _reuse_case(case)
+    else:
+        target, fs = _thm212_sum(case)
+    shared, oracle = _fresh(target), _fresh(target)
+    for f in fs:
+        prob = OrbitalProblem(shared, f, twisted=True)
+        slow = OrbitalProblem(oracle, f, twisted=True)
+        slow.state.quotient = StackQuotient(slow.fam_b, slow.gamma)
+        assert prob.evaluate() == slow.evaluate()
+    st, fam, gamma = prob.state, prob.fam_b, prob.gamma
+    q = st.quotient
+    assert isinstance(q, PairQuotient) == (case != RAMIFIED)
+    if case == RAMIFIED:
+        return  # E3 is ramified there, so fam_b is not split
+    vertices = {v.key(): v for v in (st.start[0], *st.reps.values())}
+    assert len(st.moves) > 1
+    for key, moves in st.moves.items():
+        raws = q.moves(vertices[key])
+        assert len(raws) == len(moves)
+        for (gap, rep_key), raw in zip(moves, raws):
+            stack = fam._stack(*raw)
+            rep = q.reduce(raw)
+            assert q.lattice(rep) == gamma.reduce_stack(stack)
+            raw_gap = prob.gap_of_stack(stack)
+            assert q.gap(raw, prob.gap_of_stack) == raw_gap
+            assert gap in (None, raw_gap)
+            assert rep_key in (None, rep.key())
+
+
+@pytest.mark.parametrize("case", ["congruent", 2, 3, 9])
+def test_split_functional_is_additive(case):
+    # c_g + phi+(L+) + phi-(L-) is GammaGroup.functional on the split ball,
+    # and the componentwise reduction is reduce_stack's
+    from fflab.orbital import OrbitalProblem
+    if case == "congruent":
+        fam, gamma = _congruent_eigenspaces()
+    else:
+        _, alpha, _ = _reuse_case(case)
+        prob = OrbitalProblem(_fresh(alpha), unit(2), twisted=True)
+        fam, gamma = prob.fam_b, prob.gamma
+    q = fam.quotient(gamma)
+    if case == "congruent":
+        assert q.consts == [1]
+    ball = fam.ball(2)
+    assert len(ball) == 25
+    for lat in ball:
+        pair = fam.split(lat)
+        for i, g in enumerate(gamma.gens):
+            assert (q.consts[i] + q._term(i, 0, pair[0]) + q._term(i, 1, pair[1])
+                    == q.functional(i, pair) == gamma.functional(g, lat.basis))
+        assert q.lattice(q.reduce(pair)) == gamma.reduce_stack(lat.basis)

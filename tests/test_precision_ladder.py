@@ -264,3 +264,43 @@ def test_inverse_claims_only_computed_digits():
     m = field.element(1, [2], known_to=3)
     assert m.inv().known_to == 1  # pi^-1 (1 + O(pi^2)) / 2
     assert field.element(1, [2]).inv().known_to == INF
+
+
+# -- the split traversal at low precision ------------------------------------------
+
+
+def _split_alpha_values(q, n, fs):
+    """orbital_alpha of each f (an outcome, as _outcome gives it) on alpha
+    pairs whose second family is split, built at precision n: the matched
+    pair of seed 5 at q = 2 or 9; at q = 3 those of seeds 1 and 3 and their
+    rank-4 direct sum (thm212's unramified configuration)."""
+    from fflab.etale import SPLIT, UNRAMIFIED, build_quadratic
+    from fflab.lattices import PairQuotient
+    from fflab.orbital import OrbitalProblem
+    from fflab.pairs import direct_sum, match_alpha, random_pair
+    field = LocalField(q, n)
+    e0, e1 = build_quadratic(SPLIT, field), build_quadratic(UNRAMIFIED, field)
+    alphas = []
+    for seed in ((1, 3) if q == 3 else (5,)):
+        _, inv, _ = random_pair(e1, e1, 1, seed=seed)
+        alphas.append(match_alpha(inv.delta, e0, inv.target)[0])
+    out = []
+    for target in alphas + ([direct_sum(*alphas)] if q == 3 else []):
+        for f in fs(field, 2 * target.n):
+            prob = OrbitalProblem(target, f, twisted=True)
+            assert isinstance(prob.state.quotient, PairQuotient)
+            out.append(_outcome(lambda: prob.evaluate()[0]))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_split_traversal_at_lower_precision_agrees_or_raises(q):
+    from fflab.hecke import f_of_m, t_m, unit
+
+    def fs(field, rank):
+        return [unit(rank), t_m(rank, 1), f_of_m(rank, (1,), field)]
+    ref = _split_alpha_values(q, 40, fs)
+    assert PrecisionExhausted not in ref
+    for n in (6, 10, 16):
+        for got, want in zip(_split_alpha_values(q, n, fs), ref):
+            assert got is PrecisionExhausted or got == want

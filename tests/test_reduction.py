@@ -50,8 +50,8 @@ def test_fibration_inclusion_functoriality():
 
 def test_quasi_degree():
     std = standard_lattice(F, 2)
-    assert quasi_degree(F, std, std, Matrix.identity(F, 2)) == 0
-    assert quasi_degree(F, std, std, Matrix.identity(F, 2).scale(F.pi())) == 2
+    assert quasi_degree(std, std, Matrix.identity(F, 2)) == 0
+    assert quasi_degree(std, std, Matrix.identity(F, 2).scale(F.pi())) == 2
 
 
 def _scenario(kind_b, m0, m1, seeds):
@@ -223,3 +223,19 @@ def test_theta_constant_disc_chain():
     for eb in (E1, E2R):
         e3 = compute_e3(E1, eb)
         assert E1.disc_valuation + eb.disc_valuation == e3.disc_valuation
+
+
+def test_random_chain_panel_is_pinned():
+    # the degree-formula and fiber-count records hold on whatever chain
+    # random_chain picks, so its choice is pinned here by a SHA-256 of the
+    # lattice keys of the 24 _DEGREE_PANEL chains
+    import hashlib
+    from fflab.suites import _DEGREE_PANEL, _scenario_for
+    keys = []
+    for kind_b, m0, m1, seeds in _DEGREE_PANEL:
+        sc, _, _ = _scenario_for(F, kind_b, m0, m1, seeds)
+        keys += [[lat.key() for lat in ch.lattices]
+                 for ch in (sc.chain0, sc.chain1)]
+    assert len(keys) == 24
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
+        "ff79abaacda1952eb3f476cb484b7ca56bbf74fc08c8d0c0095d4d08267f663b")
