@@ -487,6 +487,8 @@ class StableFamily:
             self.pi_e_mat = J  # the generator is a uniformizer
             self.residue_f = 1
         self._inv_pi_e = mat_inverse(self.pi_e_mat)
+        # F_q-dimension of lat / pi_E lat (independent of the lattice)
+        self.pi_e_index = mat_det(self.pi_e_mat).valuation()
 
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
@@ -513,18 +515,14 @@ class StableFamily:
         """Raw generator matrices of all index-one moves: the stable
         sublattices (residue hyperplane preimages), then the stable
         superlattices (pi_E^-1 times the residue line preimages)."""
-        t = self.pi_e_index()
-        down, lines = self._residue_stacks(lat, (t - self.residue_f, self.residue_f))
+        down, lines = self._residue_stacks(
+            lat, (self.pi_e_index - self.residue_f, self.residue_f))
         return down + [self._inv_pi_e * s for s in lines]
 
     def _up_stacks(self, lat):
         """The superlattice half of neighbor_stacks."""
         (lines,) = self._residue_stacks(lat, (self.residue_f,))
         return [self._inv_pi_e * s for s in lines]
-
-    def pi_e_index(self):
-        """F_q-dimension of lat / pi_E lat (independent of the lattice)."""
-        return mat_det(self.pi_e_mat).valuation()
 
     def ball(self, radius):
         """All stable lattices within `radius` neighbor moves of the base,
@@ -700,6 +698,7 @@ class SplitStableFamily:
         self.base = base
         if not self.is_stable(base):
             raise UnstableBase("base lattice is not stable under the action")
+        self._splits = {}
 
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
@@ -708,13 +707,18 @@ class SplitStableFamily:
         return PairQuotient(self, gamma)
 
     def split(self, lat):
-        """The ComponentPair of a stable lattice."""
-        plus_cols = [linear_solve(self.W_plus, self.proj_plus.apply(v), zeroish_ok=True)
-                     for v in lat.basis.columns()]
-        minus_cols = [linear_solve(self.W_minus, self.proj_minus.apply(v), zeroish_ok=True)
-                      for v in lat.basis.columns()]
-        return ComponentPair((from_generators(self.field, plus_cols),
-                              from_generators(self.field, minus_cols)))
+        """The ComponentPair of a stable lattice, computed once per
+        lattice key and kept on the family."""
+        pair = self._splits.get(lat.key())
+        if pair is None:
+            plus_cols = [linear_solve(self.W_plus, self.proj_plus.apply(v), zeroish_ok=True)
+                         for v in lat.basis.columns()]
+            minus_cols = [linear_solve(self.W_minus, self.proj_minus.apply(v), zeroish_ok=True)
+                          for v in lat.basis.columns()]
+            pair = self._splits[lat.key()] = ComponentPair((
+                from_generators(self.field, plus_cols),
+                from_generators(self.field, minus_cols)))
+        return pair
 
     def _stack(self, lp, lm):
         """Generator matrix of the stable lattice with components lp, lm."""

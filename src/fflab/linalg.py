@@ -116,27 +116,16 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
-            bt = other.transpose().rows
-            out = []
-            for r in self.rows:
-                row = []
-                for c in bt:
-                    acc = self.ring.zero
-                    for a, b in zip(r, c):
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return Matrix(self.ring, out)
+            zero = self.ring.zero
+            cols = [_nonzero(other.column(j)) for j in range(other.ncols)]
+            return Matrix(self.ring, [[_dot(r, c, zero) for c in cols]
+                                      for r in self.rows])
         return Matrix(self.ring, [[a * other for a in r] for r in self.rows])
 
     def apply(self, vec):
-        out = []
-        for r in self.rows:
-            acc = self.ring.zero
-            for a, b in zip(r, vec):
-                acc = acc + a * b
-            out.append(acc)
-        return out
+        nz = _nonzero(vec)
+        zero = self.ring.zero
+        return [_dot(r, nz, zero) for r in self.rows]
 
     def scale(self, s):
         return Matrix(self.ring, [[a * s for a in r] for r in self.rows])
@@ -336,14 +325,12 @@ def berkowitz_charpoly(mat):
         items = [one, -a]
         v = col
         for _ in range(k - 1):
-            s = zero
-            for x, y in zip(row, v):
-                s = s + x * y
-            items.append(-s)
-            v = [_dot(sub_i, v, zero) for sub_i in sub]
+            nz = _nonzero(v)
+            items.append(-_dot(row, nz, zero))
+            v = [_dot(sub_i, nz, zero) for sub_i in sub]
         new = [zero] * (len(poly) + 1)
         for i, p in enumerate(poly):
-            if not _is_zeroish(p):
+            if not p.is_exact_zero:
                 for j, it in enumerate(items):
                     if i + j < len(new):
                         new[i + j] = new[i + j] + p * it
@@ -351,15 +338,21 @@ def berkowitz_charpoly(mat):
     return Poly(ring, list(reversed(poly)))
 
 
-def _dot(row, vec, zero):
+def _nonzero(vec):
+    """The (index, entry) pairs of vec's entries that are not exact zeros."""
+    return [(k, y) for k, y in enumerate(vec) if not y.is_exact_zero]
+
+
+def _dot(row, nz, zero):
+    """sum(row[k] * y) over nz = _nonzero(vec), in index order.  A term
+    with an exact-zero factor is an exact zero, and adding one leaves the
+    sum's key unchanged, so skipping them gives the dense sum bit for bit."""
     s = zero
-    for x, y in zip(row, vec):
-        s = s + x * y
+    for k, y in nz:
+        x = row[k]
+        if not x.is_exact_zero:
+            s = s + x * y
     return s
-
-
-def _is_zeroish(x):
-    return getattr(x, "is_exact_zero", False)
 
 
 def det_berkowitz(mat):

@@ -144,6 +144,11 @@ class FieldElement:
 
     def __add__(self, other):
         a, b = self, other
+        # an exact zero term leaves the other operand's key unchanged
+        if not b.coeffs and b.known_to == INF:
+            return a
+        if not a.coeffs and a.known_to == INF:
+            return b
         know = min(a.known_to, b.known_to)
         if not a.coeffs and not b.coeffs:
             return FieldElement(a.field, know, (), know)
@@ -181,6 +186,8 @@ class FieldElement:
                             tuple(neg[c] for c in self.coeffs), self.known_to)
 
     def __sub__(self, other):
+        if not other.coeffs and other.known_to == INF:
+            return self
         return self + (-other)
 
     def __mul__(self, other):

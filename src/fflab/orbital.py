@@ -163,6 +163,7 @@ class TransferContext:
         std = standard_lattice(self.field, 2 * pair.n)
         for proj in (self.p_plus, self.p_minus):
             self.eigenpart_span(std, proj)  # raises if rank deficient
+        self._spans = {}
 
     def eigenpart_span(self, lat, proj):
         """O_E3 * (proj lat) as a full lattice."""
@@ -181,13 +182,21 @@ class TransferContext:
                     return False
         return True
 
+    def eigenpart_spans(self, lat):
+        """The two eigenpart spans of a zero-stable lat (NotStable
+        otherwise), computed once per lattice key and kept on the context."""
+        spans = self._spans.get(lat.key())
+        if spans is None:
+            if not self.is_zero_stable(lat):
+                raise NotStable("first lattice is not stable under the idempotents")
+            spans = self._spans[lat.key()] = (self.eigenpart_span(lat, self.p_plus),
+                                              self.eigenpart_span(lat, self.p_minus))
+        return spans
+
 
 def transfer_factor(ctx, l0, l3):
     """Omega(l0, l3, s) = (-1)^a Q^(b-a) from the two eigenpart indices."""
-    if not ctx.is_zero_stable(l0):
-        raise NotStable("first lattice is not stable under the idempotents")
-    span_p = ctx.eigenpart_span(l0, ctx.p_plus)
-    span_m = ctx.eigenpart_span(l0, ctx.p_minus)
+    span_p, span_m = ctx.eigenpart_spans(l0)
     a = index(l3, span_p)
     b = index(l3, span_m)
     sign = -1 if a % 2 else 1
@@ -236,7 +245,8 @@ class _PairState:
       per stable superlattice la of the rep's span, in
       stable_superlattices order; omega, the transfer factor
       Omega(la, rep), is computed only once a Hecke function has mu in its
-      support.
+      support, from la's eigenpart spans, which ctx keeps per la key (a
+      split fam_a likewise keeps the components of each span it splits).
 
     Every entry is a function of its key alone, so two threads filling the
     state of one pair at worst repeat work.

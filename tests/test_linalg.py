@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflab.errors import NoSolution, PrecisionExhausted, SingularBasis
-from fflab.linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis,
+from fflab.etale import SPLIT, UNRAMIFIED, build_quadratic
+from fflab.linalg import (Matrix, Poly, _dot, _nonzero, berkowitz_charpoly, kernel_basis,
                           linear_solve, mat_det, mat_inverse, mat_rank)
 from fflab.localfield import LocalField
 
@@ -200,6 +201,67 @@ def test_record_replays_like_a_fresh_elimination(q, shape, kind, seed):
             assert inv == _keys(mat_inverse, fresh()) == _keys(_reference_inverse, fresh())
     # the record takes no part in equality or hashing
     assert m == fresh() and hash(m) == hash(fresh()) == h
+
+
+def _dense_dot(row, vec, zero):
+    """Every term, exact zeros included, added in index order."""
+    acc = zero
+    for a, b in zip(row, vec):
+        acc = acc + a * b
+    return acc
+
+
+def _check_products_match_dense(ring, entry, rng, shape):
+    """Matrix.__mul__, apply and _dot against the dense sum by element keys,
+    on entries from entry() with exact zeros added as triangular bases and
+    block-diagonal eigen-coordinates have them: a lower triangle, or a whole
+    row and column."""
+    n, k, m = shape
+    zero = ring.zero
+    a_rows = [[entry() for _ in range(k)] for _ in range(n)]
+    b_rows = [[entry() for _ in range(m)] for _ in range(k)]
+    roll = rng.random()
+    if roll < 0.25:
+        b_rows = [[zero if i > j else x for j, x in enumerate(r)] for i, r in enumerate(b_rows)]
+    elif roll < 0.5:
+        a_rows[rng.randrange(n)] = [zero] * k
+        j = rng.randrange(m)
+        for r in b_rows:
+            r[j] = zero
+    a, b = Matrix(ring, a_rows), Matrix(ring, b_rows)
+    vec = [entry() for _ in range(k)]
+    dense = [[_dense_dot(r, b.column(j), zero).key() for j in range(m)] for r in a.rows]
+    assert [[x.key() for x in r] for r in (a * b).rows] == dense
+    want = [_dense_dot(r, vec, zero).key() for r in a.rows]
+    assert [x.key() for x in a.apply(vec)] == want
+    assert [_dot(r, _nonzero(vec), zero).key() for r in a.rows] == want
+    for x in vec:
+        assert (x + zero).key() == (zero + x).key() == (x - zero).key() == x.key()
+        assert (zero - x).key() == (-x).key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([2, 3, 9]),
+       shape=st.sampled_from([(1, 1, 1), (2, 3, 2), (4, 4, 4), (4, 8, 3)]),
+       kind=st.sampled_from(["poly", "series"]), seed=st.integers(0, 2 ** 32))
+def test_products_skip_exact_zeros_like_the_dense_sum(q, shape, kind, seed):
+    field = LocalField(q)
+    rng = random.Random(seed)
+    _check_products_match_dense(field, lambda: _elim_entry(field, rng, kind), rng, shape)
+
+
+@pytest.mark.parametrize("kind", [SPLIT, UNRAMIFIED])
+def test_etale_products_skip_exact_zeros_like_the_dense_sum(kind):
+    alg = build_quadratic(kind, F)
+    rng = random.Random(7)
+
+    def entry():
+        if rng.random() < 0.3:
+            return alg.zero
+        return alg.element(_elim_entry(F, rng, "series"), _elim_entry(F, rng, "poly"))
+
+    for shape in [(2, 2, 2), (3, 4, 2), (4, 4, 4)] * 5:
+        _check_products_match_dense(alg, entry, rng, shape)
 
 
 def test_failed_elimination_is_not_served_as_a_success():
