@@ -19,7 +19,7 @@ from .etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
 from .hecke import f_of_m, pi_twist, s_k, satake_direct, t_m, unit
 from .localfield import DEFAULT_PRECISION, LocalField
 from .orbital import orbital_alpha, orbital_beta, value_at_zero
-from .pairs import invariant, match_alpha, random_pair
+from .pairs import match_alpha, random_pair
 from .suites import SUITES, run_suite
 
 _KINDS = {"split": SPLIT, "unramified": UNRAMIFIED, "ramified": RAMIFIED}
@@ -131,7 +131,6 @@ def _emit(records, out_path):
     else:
         sys.stdout.write(payload)
         sys.stdout.write(summary.getvalue())
-    return payload
 
 
 def cmd_invariant(cfg):
@@ -224,12 +223,15 @@ def cmd_verify(cfg):
     return records
 
 
+_COMMANDS = {"invariant": cmd_invariant, "orbital": cmd_orbital,
+             "satake": cmd_satake, "verify": cmd_verify}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="fflab",
         description="Exact lattice-counting workbench over F_q((pi))")
-    parser.add_argument("command",
-                        choices=["invariant", "orbital", "satake", "verify"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--precision", type=int, default=None)
@@ -247,18 +249,7 @@ def main(argv=None):
                   "q", "n", "e1", "e2")}
     try:
         cfg = _load_config(args.config, overrides, args.command)
-    except ConfigError as e:
-        sys.stderr.write(f"config error: {e}\n")
-        return 2
-    try:
-        if args.command == "invariant":
-            records = cmd_invariant(cfg)
-        elif args.command == "orbital":
-            records = cmd_orbital(cfg)
-        elif args.command == "satake":
-            records = cmd_satake(cfg)
-        else:
-            records = cmd_verify(cfg)
+        records = _COMMANDS[args.command](cfg)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2

@@ -11,7 +11,7 @@ with the generator t = z1(x)z2 + z1^s(x)z2^s.
 from fractions import Fraction
 
 from .errors import BothRamified, NotASquare, UnsupportedRamified
-from .factor import hensel_factor, poly_gcd
+from .factor import hensel_factor, poly_gcd, sqrt_in_F
 from .linalg import Matrix, Poly, det_berkowitz
 
 SPLIT = "split"
@@ -354,28 +354,16 @@ def is_regular_semisimple(delta):
     if not delta.coeffs[0].is_invertible():
         return False
     der = delta.derivative()
-    if der.degree < delta.degree - 1 or not der.coeffs[-1].is_invertible():
-        # derivative degenerates in small characteristic; decide by gcd
-        return _gcd_is_trivial(delta)
-    return resultant(delta, _monic_scale(der)).is_invertible()
-
-
-def _monic_scale(p):
-    li = p.coeffs[-1].inv()
-    return Poly(p.ring, [c * li for c in p.coeffs])
-
-
-def _gcd_is_trivial(delta):
-    alg = delta.ring
-    if alg.split_roots is not None:
-        for p in poly_components(delta):
-            if p.derivative().is_zero() or poly_gcd(p, p.derivative()).degree != 0:
-                return False
-        return True
-    der = delta.derivative()
+    if ((der.degree < delta.degree - 1 or not der.coeffs[-1].is_invertible())
+            and delta.ring.split_roots is not None):
+        # the derivative degenerates in small characteristic; decide each
+        # component by gcd
+        return all(not p.derivative().is_zero()
+                   and poly_gcd(p, p.derivative()).degree == 0
+                   for p in poly_components(delta))
     if der.is_zero():
         return False
-    return resultant(delta, _monic_scale(der)).is_invertible()
+    return resultant(delta, der.force_monic()).is_invertible()
 
 
 def poly_sqrt(p):
@@ -422,7 +410,6 @@ def poly_sqrt(p):
 
 
 def _sqrt_coeff(c):
-    from .factor import sqrt_in_F
     if isinstance(c, EtaleElement):
         alg = c.algebra
         if alg.split_roots is not None:

@@ -229,7 +229,6 @@ def sqrt_in_F(x):
         for i in range(1, k):
             s = g.add(s, g.mul(out[i], out[k - i]))
         out[k] = g.mul(g.sub(u[k], s), two_lead_inv)
-    know = x.known_to - v // 2 - v // 2 if x.known_to != float("inf") else None
     root = F.element(v // 2, out, float("inf"))
     # certify: exact when the square reproduces x exactly
     if (root * root - x).is_exact_zero:
@@ -327,10 +326,6 @@ def hensel_factor(poly, _depth=0):
         return out
     g = F.gf
     res = poly_residue(poly)
-    if len(res) - 1 < poly.degree:
-        # leading residue vanishes is impossible for monic; res short means
-        # lower coefficients all divisible: treat through the polygon below
-        pass
     rfac = fq_factor(g, res) if len(res) > 1 else []
     if len(res) == poly.degree + 1 and len(rfac) > 1:
         # split off the first residue factor group
@@ -468,15 +463,28 @@ def _artin_schreier_root(F, a):
     return s
 
 
-# -- polynomial gcd over F ------------------------------------------------------------
+# -- polynomial gcd and Bezout coefficients over F ----------------------------------
+
+
+def poly_bezout(a, b):
+    """(u, v, g) with u*a + v*b = g, the monic gcd of a and b over F, by the
+    Euclidean algorithm (valuation-certified leads)."""
+    F = a.ring
+    r0, r1 = a, b
+    u0, u1 = Poly(F, [F.one]), Poly(F, [F.zero])
+    v0, v1 = Poly(F, [F.zero]), Poly(F, [F.one])
+    while not r1.is_zero():
+        li = r1.coeffs[-1].inv()
+        q, r = r0.monic_divmod(r1.force_monic())
+        q = Poly(F, [c * li for c in q.coeffs])
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    ci = r0.coeffs[-1].inv()
+    return (Poly(F, [x * ci for x in u0.coeffs]),
+            Poly(F, [x * ci for x in v0.coeffs]), r0.force_monic())
 
 
 def poly_gcd(a, b):
-    """Monic gcd over F via the Euclidean algorithm (valuation-certified leads)."""
-    while not b.is_zero():
-        bm = b.force_monic()
-        _, r = a.monic_divmod(bm)
-        a, b = bm, r
-    if a.is_zero():
-        return a
-    return a.force_monic()
+    """Monic gcd over F."""
+    return poly_bezout(a, b)[2]

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .errors import WindowOverflow
 from .lattices import (_compositions, canonicalize, lattices_at_position,
-                       relative_position, smith_exponents, standard_lattice)
+                       relative_position, residues, smith_exponents,
+                       standard_lattice)
 from .linalg import Matrix
 
 UNIPOTENT_WINDOW_CAP = 12
@@ -312,8 +313,6 @@ def sym_e(rank, q, k):
     for idx in itertools.combinations(range(rank), k):
         key = tuple(1 if i in idx else 0 for i in range(rank))
         out[key] = 1
-    if k == 0:
-        out = {(0,) * rank: 1}
     return SymLaurent(rank, q, out, check=False)
 
 
@@ -346,25 +345,6 @@ def dimension_census(rank, k):
 
 
 # -- Satake transforms ---------------------------------------------------------------
-
-
-def _coset_reps(field, width):
-    """Representatives of pi^-width O / O as exact Laurent polynomials."""
-    if width <= 0:
-        return [field.zero]
-    q = field.q
-    out = []
-    for code in range(q ** width):
-        digits = []
-        c = code
-        for _ in range(width):
-            digits.append(c % q)
-            c //= q
-        if any(digits):
-            out.append(field.element(-width, digits))
-        else:
-            out.append(field.zero)
-    return out
 
 
 def _type_candidates(f, levi):
@@ -438,7 +418,8 @@ def _unipotent_sum(f, mu, levi, offsets, v_min, field):
                     positions.append((i, j))
                     widths.append(w)
     total = Fraction(0)
-    reps = [_coset_reps(field, w) for w in widths]
+    # representatives of pi^-w O / O
+    reps = [residues(field, -w, w) for w in widths]
     for combo in itertools.product(*reps):
         rows = [[field.zero] * rank for _ in range(rank)]
         for i in range(rank):

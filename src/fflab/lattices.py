@@ -369,24 +369,26 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def residues(field, val, width):
+    """The q^width exact sums of d_i pi^(val+i), 0 <= i < width, d_i in
+    F_q: representatives of pi^val O / pi^(val+width) O, the zero first
+    and the lowest digit varying fastest."""
+    return [field.element(val, digits[::-1]) if any(digits) else field.zero
+            for digits in itertools.product(range(field.q), repeat=width)]
+
+
 def hermite_forms_of_index(field, rank, k):
     """All canonical Hermite matrices of index k over the standard lattice."""
-    q = field.q
     for diag in _compositions(k, rank):
         # entry (i, j), i < j, runs over residues mod pi^diag[i]
         free = [(i, j) for j in range(rank) for i in range(j)]
-        ranges = [range(q ** diag[i]) for i, _ in free]
+        ranges = [residues(field, 0, diag[i]) for i, _ in free]
         for combo in itertools.product(*ranges):
             rows = [[field.zero] * rank for _ in range(rank)]
             for i in range(rank):
                 rows[i][i] = field.pi(diag[i]) if diag[i] else field.one
-            for (i, j), code in zip(free, combo):
-                digits = []
-                c = code
-                for _ in range(diag[i]):
-                    digits.append(c % q)
-                    c //= q
-                rows[i][j] = field.element(0, digits) if any(digits) else field.zero
+            for (i, j), x in zip(free, combo):
+                rows[i][j] = x
             yield Matrix(field, rows)
 
 
@@ -519,11 +521,6 @@ class StableFamily:
             lat, (self.pi_e_index - self.residue_f, self.residue_f))
         return down + [self._inv_pi_e * s for s in lines]
 
-    def _up_stacks(self, lat):
-        """The superlattice half of neighbor_stacks."""
-        (lines,) = self._residue_stacks(lat, (self.residue_f,))
-        return [self._inv_pi_e * s for s in lines]
-
     def ball(self, radius):
         """All stable lattices within `radius` neighbor moves of the base,
         in breadth-first order."""
@@ -535,26 +532,23 @@ class StableFamily:
         return StackQuotient(self, gamma)
 
     def stable_superlattices(self, lat, extra_index):
-        """Stable superlattices with the given additional index over lat."""
+        """Stable superlattices with the given additional index over lat.
+        Every up-move pi_E^-1 M adds index [pi_E^-1 M : L] = [M : pi_E L]
+        = residue_f, so they lie extra_index / residue_f moves up."""
+        moves, rest = divmod(extra_index, self.residue_f)
+        if rest:
+            return []
         layer = {lat.key(): lat}
-        total = 0
-        while True:
-            if total == extra_index:
-                return list(layer.values())
+        for _ in range(moves):
             nxt = {}
             for l in layer.values():
-                for stack in self._up_stacks(l):
-                    nb = canonicalize(self.field, stack)
+                # the superlattice half of neighbor_stacks
+                (lines,) = self._residue_stacks(l, (self.residue_f,))
+                for s in lines:
+                    nb = canonicalize(self.field, self._inv_pi_e * s)
                     nxt[nb.key()] = nb
-            if not nxt:
-                return []
-            sample = next(iter(nxt.values()))
-            step = (next(iter(layer.values())).det_valuation
-                    - sample.det_valuation)
-            total += step
-            if total > extra_index:
-                return []
             layer = nxt
+        return list(layer.values())
 
 
 def _layers(center, moves, radius):

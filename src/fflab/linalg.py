@@ -363,6 +363,22 @@ def det_berkowitz(mat):
 
 # -- Gaussian elimination over F (valuation pivoting) --------------------------
 
+def _pivot_scan(rows, r, c):
+    """(best, undet) for column c among rows r, r+1, ...: best is the first
+    row of least certified valuation (None if there is none) and undet
+    whether some entry there is undetermined but not an exact zero."""
+    best = None
+    undet = False
+    for i in range(r, len(rows)):
+        x = rows[i][c]
+        if x.coeffs:
+            if best is None or x.val < rows[best][c].val:
+                best = i
+        elif not x.is_exact_zero:
+            undet = True
+    return best, undet
+
+
 class Echelon:
     """The elimination of one matrix (see row_echelon), recorded so it can
     be replayed on right-hand sides.
@@ -383,16 +399,7 @@ class Echelon:
         certified = True
         r = 0
         for c in range(mat.ncols):
-            # find pivot in column c among rows >= r with certified valuation
-            best = None
-            undet = False
-            for i in range(r, nrows):
-                x = rows[i][c]
-                if x.coeffs:
-                    if best is None or x.val < rows[best][c].val:
-                        best = i
-                elif not x.is_exact_zero:
-                    undet = True
+            best, undet = _pivot_scan(rows, r, c)
             if best is None:
                 certified = certified and not undet
                 continue
@@ -475,15 +482,7 @@ def mat_det(mat):
     det = ring.one
     sign = 1
     for k in range(n):
-        best = None
-        undet = False
-        for i in range(k, n):
-            x = rows[i][k]
-            if x.coeffs:
-                if best is None or x.val < rows[best][k].val:
-                    best = i
-            elif not x.is_exact_zero:
-                undet = True
+        best, undet = _pivot_scan(rows, k, k)
         if best is None:
             if undet:
                 raise PrecisionExhausted("pivot valuations cannot be certified")

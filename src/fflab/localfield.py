@@ -40,11 +40,6 @@ class LocalField:
     def pi(self, k=1):
         return FieldElement(self, k, (1,), INF)
 
-    def monomial(self, c, k):
-        if c == 0:
-            return self.zero
-        return FieldElement(self, k, (c,), INF)
-
     def from_int(self, n):
         c = self.gf.from_int(n)
         if c == 0:

@@ -17,10 +17,12 @@ pair until the pair is freed.
 from fractions import Fraction
 
 from .errors import NotStable, WindowOverflow
-from .lattices import (from_generators, in_lattice, index, order_span,
+from .hecke import pi_twist, unit
+from .lattices import (_is_stable, from_generators, index, order_span,
                        relative_position, smith_exponents_rectangular,
                        stable_family, standard_lattice)
-from .pairs import centralizer
+from .linalg import mat_det
+from .pairs import centralizer, direct_sum
 
 
 class OrbitalValue:
@@ -176,11 +178,7 @@ class TransferContext:
 
     def is_zero_stable(self, lat):
         """Stability under both idempotent images."""
-        for proj in (self.p_plus, self.p_minus):
-            for j in range(lat.rank):
-                if not in_lattice(lat, proj.apply(lat.basis.column(j))):
-                    return False
-        return True
+        return all(_is_stable(proj, lat) for proj in (self.p_plus, self.p_minus))
 
     def eigenpart_spans(self, lat):
         """The two eigenpart spans of a zero-stable lat (NotStable
@@ -205,7 +203,6 @@ def transfer_factor(ctx, l0, l3):
 
 def abs_character(field, block_a, block_b):
     """|det a / det b| as the exponent of q (a Fraction)."""
-    from .linalg import mat_det
     va = mat_det(block_a).valuation()
     vb = mat_det(block_b).valuation()
     return Fraction(vb - va)
@@ -394,7 +391,6 @@ class OrbitalProblem:
         if not self.nonneg:
             # reduce to a nonnegative support through a central twist
             shift = min(x for mu in self.supp for x in mu)
-            from .hecke import pi_twist
             prob = OrbitalProblem(self.pair, pi_twist(self.f, -shift),
                                   self.twisted, seed=self.seed)
             return prob.evaluate(slack=slack)
@@ -482,7 +478,6 @@ def order_estimate(pair):
     """Analytic order estimate of an invariant factor: 1 when the functional
     equation sign of its twisted integral with the unit function is -1,
     else 0."""
-    from .hecke import unit
     val, _ = orbital_alpha(pair, unit(2 * pair.n))
     probe = functional_equation_probe(val)
     if probe is None:
@@ -497,7 +492,6 @@ def order_lower_bound_report(components, f):
     evaluated at f, and each component contributes its own sign-derived
     order estimate with the unit function.
     """
-    from .pairs import direct_sum
     total = components[0]
     for c in components[1:]:
         total = direct_sum(total, c)

@@ -17,8 +17,9 @@ from .errors import (FactorFail, NormalizationFail, NotFound, SearchTimeout,
 from .etale import (EtaleElement, cd_constants, is_regular_semisimple,
                     pair_target_algebra, poly_components, poly_sqrt,
                     sigma_poly, symmetry_check)
-from .factor import hensel_factor
-from .linalg import Matrix, Poly, berkowitz_charpoly, kernel_basis, mat_rank
+from .factor import hensel_factor, poly_bezout
+from .linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis, mat_det,
+                     mat_inverse, mat_rank)
 from .lattices import GammaGenerator, GammaGroup
 
 
@@ -54,7 +55,6 @@ class EmbeddingPair:
                     raise ValueError("split embedding is not balanced")
 
     def conjugate(self, g, g_inv=None):
-        from .linalg import mat_inverse
         gi = g_inv if g_inv is not None else mat_inverse(g)
         return EmbeddingPair(self.Ea, self.Eb, g * self.A * gi, g * self.B * gi,
                              check=False)
@@ -267,10 +267,7 @@ def decompose_commutative_algebra(field, basis, size, seed=0):
             break
     else:
         raise WrongDimension("no primitive element found for the centralizer")
-    try:
-        fac = hensel_factor(mp)
-    except FactorFail:
-        raise
+    fac = hensel_factor(mp)
     if any(m != 1 for _, m in fac):
         raise WrongDimension("centralizer algebra is not etale (repeated factor)")
     factors = []
@@ -279,7 +276,9 @@ def decompose_commutative_algebra(field, basis, size, seed=0):
         for other, _ in fac:
             if other is not mj:
                 rest = rest * other
-        u, _v = _poly_bezout(rest, mj)
+        u, _v, g = poly_bezout(rest, mj)
+        if g.degree:
+            raise FactorFail("polynomials are not coprime")
         ej = (u * rest)(x)
         if not (ej * ej).same(ej):
             raise FactorFail("idempotent reconstruction lost precision")
@@ -293,31 +292,8 @@ def decompose_commutative_algebra(field, basis, size, seed=0):
     return factors
 
 
-def _poly_bezout(a, b):
-    """u, v with u*a + v*b = 1 for coprime polynomials over F."""
-    F = a.ring
-    r0, r1 = a, b
-    u0, u1 = Poly(F, [F.one]), Poly(F, [F.zero])
-    v0, v1 = Poly(F, [F.zero]), Poly(F, [F.one])
-    while not r1.is_zero():
-        lead = r1.coeffs[-1]
-        li = lead.inv()
-        r1m = r1.force_monic()
-        q, r = r0.monic_divmod(r1m)
-        q = Poly(F, [c * li for c in q.coeffs])
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    c = r0.coeffs[-1]
-    if r0.degree != 0:
-        raise FactorFail("polynomials are not coprime")
-    ci = c.inv()
-    return Poly(F, [x * ci for x in u0.coeffs]), Poly(F, [x * ci for x in v0.coeffs])
-
-
-def _det_val_on_factor(field, mat, ej, ident):
+def _det_val_on_factor(mat, ej, ident):
     """Valuation of det of (mat on im ej) + (identity elsewhere)."""
-    from .linalg import mat_det
     full = mat * ej + (ident - ej)
     d = mat_det(full)
     if not d.coeffs:
@@ -328,14 +304,14 @@ def _det_val_on_factor(field, mat, ej, ident):
 def _factor_uniformizer(field, x, ej, mj, ident):
     """Matrix acting as a uniformizer of the factor and identity elsewhere."""
     pi_cand = ej.scale(field.pi()) + (ident - ej)
-    v_pi = _det_val_on_factor(field, Matrix.identity(field, ident.nrows).scale(field.pi()), ej, ident)
+    v_pi = _det_val_on_factor(ident.scale(field.pi()), ej, ident)
     if mj.degree == 1:
         return pi_cand
     # best residue shift of the primitive element
     best = None
     for a in range(field.q):
         shifted = x - ident.scale(field.from_fq(a))
-        v = _det_val_on_factor(field, shifted, ej, ident)
+        v = _det_val_on_factor(shifted, ej, ident)
         if v is not None and v > 0 and (best is None or v > best[0]):
             best = (v, shifted)
     if best is None:
@@ -349,7 +325,6 @@ def _factor_uniformizer(field, x, ej, mj, ident):
     # Bezout: i*v_xi + k*v_pi = g with small i >= 0
     i = next(i for i in range(1, v_pi + 1) if (g - i * v_xi) % v_pi == 0)
     k = (g - i * v_xi) // v_pi
-    from .linalg import mat_inverse
     m = Matrix.identity(field, ident.nrows)
     for _ in range(i):
         m = m * xi

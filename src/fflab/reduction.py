@@ -17,8 +17,8 @@ from fractions import Fraction
 from .errors import MissingInput, SingularMap
 from .etale import resultant
 from .hecke import f_of_m
-from .lattices import (chains, from_generators, in_lattice, index, lattice_leq,
-                       smith_exponents, smith_form)
+from .lattices import (_is_stable, chains, from_generators, in_lattice, index,
+                       lattice_leq, smith_exponents, smith_form)
 from .linalg import Matrix, kernel_basis, linear_solve, mat_det
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
 from .pairs import direct_sum, invariant
@@ -98,15 +98,13 @@ class Fibration:
 class LatticeChain:
     """X_0 <= X_1 <= ... <= X_r with step indices."""
 
-    def __init__(self, lattices, steps=None):
+    def __init__(self, lattices):
         self.lattices = list(lattices)
         self.steps = []
         for a, b in zip(self.lattices, self.lattices[1:]):
             if not lattice_leq(a, b):
                 raise ValueError("chain inclusions fail")
             self.steps.append(index(b, a))
-        if steps is not None and list(steps) != self.steps:
-            raise ValueError("declared step indices do not match")
 
     @property
     def bottom(self):
@@ -136,10 +134,9 @@ class SplitScenario:
         self.n0 = p0.n
         self.n1 = p1.n
         for pj, chain in ((p0, chain0), (p1, chain1)):
-            fam_a, fam_b = _stable_families(pj)
-            if not fam_a.is_stable(chain.top):
+            if not _is_stable(pj.A, chain.top):
                 raise ValueError("chain top is not stable under the first action")
-            if not fam_b.is_stable(chain.bottom):
+            if not _is_stable(pj.B, chain.bottom):
                 raise ValueError("chain bottom is not stable under the second action")
 
     @property
@@ -162,8 +159,9 @@ def random_chain(pair, m, seed, window=2):
     total = sum(m)
     tops = fam_a.ball(window)
     rng.shuffle(tops)
+    ball_b = fam_b.ball(window)
     for top in tops:
-        bottoms = [lb for lb in fam_b.ball(window)
+        bottoms = [lb for lb in ball_b
                    if index(top, lb) == total and lattice_leq(lb, top)]
         rng.shuffle(bottoms)
         for bottom in bottoms:

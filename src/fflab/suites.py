@@ -9,18 +9,17 @@ import random
 from fractions import Fraction
 
 from .errors import PrecisionExhausted
-from .etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3,
-                    eta)
+from .etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3
 from .hecke import (ULaurent, convolve, dimension_census, f_of_m,
                     partial_satake_closed, pi_twist, s_k, satake_direct, sym_b,
                     sym_e, t_m, unit, verify_69)
 from .lattices import canonicalize, standard_lattice
-from .linalg import Matrix, mat_det
+from .linalg import Matrix, Poly, mat_det
 from .localfield import LocalField
 from .orbital import (TransferContext, functional_equation_probe,
                       orbital_alpha, orbital_beta, order_lower_bound_report,
                       transfer_factor, value_at_zero)
-from .pairs import invariant, match_alpha, random_pair
+from .pairs import match_alpha, random_pair
 from .reduction import (HomSystem, PhiMap, SplitScenario,
                         closed_composite_exponent, closed_pair_exponent,
                         closed_phi_exponent, fiber_count_exponent,
@@ -311,7 +310,6 @@ def suite_fl_n1(precision=40, seeds=20, workers=1):
 
 def _alpha_from_root(field, x):
     """Matched pair on (split, split E3) for the degree-one invariant T - (x, 1-x)."""
-    from .linalg import Poly
     E0 = build_quadratic(SPLIT, field)
     E1 = build_quadratic(UNRAMIFIED, field)
     E3 = compute_e3(E1, E1)

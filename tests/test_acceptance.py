@@ -2,7 +2,7 @@
 
 All equalities are exact (rational or Laurent-polynomial identity); there
 are no tolerances anywhere.  The heavy criteria enumerate rank-4 lattice
-sums and take a few minutes.
+sums; the reduction identity takes about 7 s.
 """
 
 import json

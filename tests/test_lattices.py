@@ -16,7 +16,7 @@ from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
 from fflab.linalg import Matrix, mat_det, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
-from fflab.pairs import direct_sum, match_alpha, random_pair
+from fflab.pairs import direct_sum, match_alpha, random_pair, standard_embedding
 
 F = LocalField(3)
 one, pi = F.one, F.pi()
@@ -226,6 +226,24 @@ def test_split_family_moves_match_brute_force(q, top):
         ups = fam.stable_superlattices(L, top)
         assert len(set(ups)) == len(ups)
         assert set(ups) == {M for M in superlattices_of_index(L, top)
+                            if fam.is_stable(M)}
+
+
+@pytest.mark.parametrize("q, kind, n, top", [
+    (2, UNRAMIFIED, 1, 3), (3, UNRAMIFIED, 1, 3), (3, RAMIFIED, 1, 3),
+    (3, UNRAMIFIED, 2, 2), (3, RAMIFIED, 2, 2)])
+def test_stable_superlattices_match_brute_force(q, kind, n, top):
+    # a field family walks extra_index / residue_f up-moves, and none when
+    # residue_f does not divide it; the oracle filters every superlattice
+    Fq = LocalField(q)
+    E = build_quadratic(kind, Fq)
+    fam = stable_family(Fq, standard_embedding(E, n), E, standard_lattice(Fq, 2 * n))
+    assert not isinstance(fam, SplitStableFamily)
+    L = fam.base
+    for k in range(top + 1):
+        ups = fam.stable_superlattices(L, k)
+        assert len(set(ups)) == len(ups)
+        assert set(ups) == {M for M in superlattices_of_index(L, k)
                             if fam.is_stable(M)}
 
 

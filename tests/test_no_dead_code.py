@@ -1,13 +1,15 @@
-"""Every function and class defined in the package is referenced somewhere.
+"""Every function and class defined in the package is referenced somewhere,
+and every name a package module imports is used in that module.
 
-A definition counts as referenced when its name occurs as a whole word in
-src/ or tests/ more often than it is defined, so a name that appears only
-at its own definitions is dead.  Dunder methods are called by the language
-and are exempt.
+References are read from the syntax trees of src/ and tests/: a name
+(`f(...)`), an attribute (`obj.f`), an imported name (`from m import f`)
+or a string constant that is an identifier (`monkeypatch.setattr(m, "f",
+...)`).  Comments and docstrings do not count, so a definition that only
+prose mentions is dead.  Dunder methods are called by the language and
+are exempt.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -15,21 +17,52 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fflab"
 
 
+def _trees(paths):
+    return [(p, ast.parse(p.read_text(), str(p))) for p in paths]
+
+
+def _package_trees():
+    return _trees(sorted(PACKAGE.glob("*.py")))
+
+
 def _definitions():
-    """name -> number of function and class definitions of that name."""
-    defs = Counter()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defs[node.name] += 1
-    return defs
+    """The names of the package's functions and classes, dunders excepted."""
+    return {node.name for _, tree in _package_trees() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _references(tree):
+    """The identifiers that tree refers to, one per occurrence."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
 
 
 def test_every_definition_is_referenced():
-    text = "\n".join(p.read_text() for top in ("src", "tests")
-                     for p in sorted((ROOT / top).rglob("*.py")))
-    words = Counter(re.findall(r"\w+", text))
-    dead = sorted(name for name, n in _definitions().items() if words[name] <= n)
+    paths = [p for top in ("src", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
+    refs = Counter(name for _, tree in _trees(paths) for name in _references(tree))
+    dead = sorted(name for name in _definitions() if not refs[name])
     assert dead == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in _package_trees():
+        if path.name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.stem}.{bound}")
+    assert unused == []
