@@ -9,14 +9,15 @@ index, chains with prescribed step indices, and module-stable lattices for
 a matrix satisfying an integral quadratic minimal polynomial.
 
 The field's precision N is a ceiling for the elimination kernels
-canonicalize, smith_exponents and smith_exponents_rectangular: they run at
-a certified working precision below it (entries truncated a few digits
-above their least valuation) and escalate on PrecisionExhausted, so each
-returns what the untruncated entries give or raises.  The fourth kernel,
-smith_form, returns the unimodular transforms as well; it runs at full N,
-because its callers invert a transform and lift vectors through it, which
-needs every digit and not just the pivot valuations.  All four certify
-each pivot against the undetermined entries it could hide behind.
+canonicalize, smith_exponents, smith_exponents_rectangular and span_index:
+they run at a certified working precision below it (entries truncated a
+few digits above their least valuation) and escalate on
+PrecisionExhausted, so each returns what the untruncated entries give or
+raises.  The fifth kernel, smith_form, returns the unimodular transforms as
+well; it runs at full N, because its callers invert a transform and lift
+vectors through it, which needs every digit and not just the pivot
+valuations.  All five certify each pivot against the undetermined entries
+it could hide behind.
 """
 
 import itertools
@@ -123,14 +124,16 @@ def _on_ladder(kernel, field, lines):
     return kernel([list(line) for line in lines])
 
 
-def _pivot(lines, start):
+def _pivot(lines, start, floor=None):
     """Certified least-valuation entry of the block line[start:], line in lines.
 
     Returns ((line, pos), hidden): the first entry of least valuation, or
     None when no entry has a certified digit, and the least k of an
     undetermined O(pi^k) in the block (inf if there is none).  Raises
     PrecisionExhausted when such an O(pi^k) with k <= the pivot's valuation
-    could hide a smaller pivot.
+    could hide a smaller pivot.  Given a floor, returns (None, inf), as for
+    an empty block, once every entry is certified to have valuation at
+    least floor.
     """
     best = None
     bval = hidden = INF
@@ -142,6 +145,8 @@ def _pivot(lines, start):
                     best, bval = (li, pos), x.val
             elif x.known_to < hidden:
                 hidden = x.known_to
+    if floor is not None and bval >= floor and hidden >= floor:
+        return None, INF
     if best is not None and hidden <= bval:
         raise PrecisionExhausted("pivot hidden behind an undetermined entry")
     return best, hidden
@@ -228,6 +233,15 @@ def order_span(mat, lat):
     return canonicalize(lat.field, lat.basis.hstack(mat * lat.basis))
 
 
+def span_gap(mat, stack):
+    """[L + mat L : L] for the lattice L spanned by the columns of a raw
+    generator stack, from the Smith exponents of the stack and of the
+    stack beside mat times it; no canonical form is taken."""
+    d_lat = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
+    span = stack.hstack(mat * stack)
+    return d_lat - sum(smith_exponents_rectangular(span, rank=span.nrows))
+
+
 def in_lattice(lat, vector):
     """Membership test by exact back substitution."""
     m = lat.rank
@@ -293,18 +307,20 @@ def smith_exponents_rectangular(mat, rank=None):
     return _on_ladder(lambda rows: _smith(rows, rank), mat.ring, mat.rows)
 
 
-def _smith(rows, rank, R=None, C=None):
+def _smith(rows, rank, R=None, C=None, floor=None):
     # Row sweeps alone give the exponents: once every entry below the pivot
     # that is not an exact zero is cleared (undetermined ones with an
     # O(pi^k) multiplier), the pivot's row is cleared by column operations
     # that change no other row, so the rest is the lower right block.
     # Given the rows of two identity matrices as R and C, the row
     # operations are recorded in R and the column operations (swaps, the
-    # sweep of the pivot's row, the pivot's unit) in C.
+    # sweep of the pivot's row, the pivot's unit) in C.  The pivots come in
+    # nondecreasing valuation, so with a floor the sweep stops before the
+    # first exponent >= floor and returns only those below it.
     n, m = len(rows), len(rows[0])
     out = []
     for top in range(min(n, m)):
-        best, hidden = _pivot(rows[top:], top)
+        best, hidden = _pivot(rows[top:], top, floor)
         if best is None:
             if hidden == INF or (rank is not None and top >= rank):
                 break
@@ -340,6 +356,19 @@ def _smith(rows, rank, R=None, C=None):
             for c in C:
                 c[top] = c[top] * unit_inv
     return out
+
+
+def span_index(mat):
+    """[O^m + mat O^m : O^m] for a square matrix over F, singular or not:
+    minus the sum of its negative elementary divisor exponents.
+
+    The Smith sweep stops once every entry left is certified integral, so
+    no rank is needed; an undetermined entry that could still be
+    non-integral raises PrecisionExhausted.  Runs on the working-precision
+    ladder.
+    """
+    return -sum(_on_ladder(lambda rows: _smith(rows, None, floor=0),
+                           mat.ring, mat.rows))
 
 
 def smith_form(mat):
@@ -528,8 +557,8 @@ class StableFamily:
             return (canonicalize(self.field, s) for s in self.neighbor_stacks(lat))
         return [lat for layer in _layers(self.base, moves, radius) for lat in layer]
 
-    def quotient(self, gamma):
-        return StackQuotient(self, gamma)
+    def quotient(self, gamma, A):
+        return StackQuotient(self, gamma, A)
 
     def stable_superlattices(self, lat, extra_index):
         """Stable superlattices with the given additional index over lat.
@@ -697,8 +726,8 @@ class SplitStableFamily:
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
 
-    def quotient(self, gamma):
-        return PairQuotient(self, gamma)
+    def quotient(self, gamma, A):
+        return PairQuotient(self, gamma, A)
 
     def split(self, lat):
         """The ComponentPair of a stable lattice, computed once per
@@ -834,18 +863,20 @@ class GammaGroup:
 
 
 # -- a stable family modulo Gamma, as the orbital traversal walks it -------------
-# A quotient gives the base as a raw move (start), a vertex's raw moves in
-# neighbor_stacks order (moves), a raw move's reduced vertex (reduce), a raw
-# move's span gap, given the route span_gap from a generator stack to it
-# (gap), and a vertex's canonical lattice (lattice).
+# A quotient is built with the pair's A, which commutes with Gamma.  It gives
+# the base as a raw move (start), a vertex's raw moves in neighbor_stacks
+# order (moves), a raw move's reduced vertex (reduce), a raw move's span gap
+# [L + A L : L] (gap), Gamma-invariant, and a vertex's canonical lattice
+# (lattice).
 
 
 class StackQuotient:
     """A StableFamily modulo Gamma, on neighbor stacks and reduced Lattices;
-    the gap is read off the raw stack, so a pruned move is never reduced."""
+    the gap is span_gap on the raw stack, so a pruned move is never
+    reduced."""
 
-    def __init__(self, fam, gamma):
-        self.fam, self.gamma = fam, gamma
+    def __init__(self, fam, gamma, A):
+        self.fam, self.gamma, self.A = fam, gamma, A
 
     def start(self):
         return self.fam.base.basis
@@ -856,8 +887,8 @@ class StackQuotient:
     def reduce(self, stack):
         return self.gamma.reduce_stack(stack)
 
-    def gap(self, stack, span_gap):
-        return span_gap(stack)
+    def gap(self, stack):
+        return span_gap(self.A, stack)
 
     def lattice(self, lat):
         return lat
@@ -874,12 +905,20 @@ class PairQuotient:
     wedge of bases of e W+ and e W-) read off the base.  So reduction moves
     and canonicalizes only the components; it is memoized per raw pair and
     runs before the span gap, taken, like the lattice, once per rep key.
+
+    The span gap is taken in component coordinates, with no generator
+    stack.  L = W D O^m for W = [W+ | W-] and D = diag(L+, L-), and an
+    index does not change when the F-linear map W D is applied to both
+    lattices, so [L + A L : L] = [O^m + M O^m : O^m] = span_index(M), where
+    M = D^-1 A' D and A' = W^-1 A W is taken once here.  Row block s of M
+    is L_s^-1 A'_s D, with L_s^-1 A'_s (L_s^-1 the component's cached
+    inverse) memoized per side and component key.
     """
 
-    def __init__(self, fam, gamma):
+    def __init__(self, fam, gamma, A):
         self.fam, self.gamma = fam, gamma
         self.terms, self.reduced, self.gaps, self.lattices = {}, {}, {}, {}
-        self.component_moves = {}
+        self.component_moves, self.halves = {}, {}
         sides = ((fam.W_plus, fam.proj_plus), (fam.W_minus, fam.proj_minus))
         self.parts = [[_eigenpart(g, W, proj) for W, proj in sides]
                       for g in gamma.gens]
@@ -887,6 +926,10 @@ class PairQuotient:
         self.consts = [gamma.functional(g, fam.base.basis)
                        - self._term(i, 0, lp) - self._term(i, 1, lm)
                        for i, g in enumerate(gamma.gens)]
+        W = fam.W_plus.hstack(fam.W_minus)
+        rows = (mat_inverse(W) * A * W).rows
+        cut = fam.W_plus.ncols
+        self.blocks = (Matrix(fam.field, rows[:cut]), Matrix(fam.field, rows[cut:]))
 
     def _term(self, i, side, comp):
         """phi of generator i on one component (side 0 plus, 1 minus)."""
@@ -930,12 +973,23 @@ class PairQuotient:
             self.reduced[k] = pair
         return self.reduced[k]
 
-    def gap(self, pair, span_gap):
+    def gap(self, pair):
         rep = self.reduce(pair)
         k = rep.key()
         if k not in self.gaps:
-            self.gaps[k] = span_gap(self.fam._stack(*rep))
+            field = self.fam.field
+            halves = [self._half(side, comp) for side, comp in enumerate(rep)]
+            m = Matrix(field, [row for h in halves for row in h.rows])
+            self.gaps[k] = span_index(
+                m * Matrix.block_diag(field, [comp.basis for comp in rep]))
         return self.gaps[k]
+
+    def _half(self, side, comp):
+        """L_s^-1 A'_s for one component (side 0 plus, 1 minus)."""
+        at = (side, comp.key())
+        if at not in self.halves:
+            self.halves[at] = comp.inverse() * self.blocks[side]
+        return self.halves[at]
 
     def lattice(self, pair):
         k = pair.key()

@@ -19,8 +19,7 @@ from fractions import Fraction
 from .errors import NotStable, WindowOverflow
 from .hecke import pi_twist, unit
 from .lattices import (_is_stable, from_generators, index, order_span,
-                       relative_position, smith_exponents_rectangular,
-                       stable_family, standard_lattice)
+                       relative_position, stable_family, standard_lattice)
 from .linalg import mat_det
 from .pairs import centralizer, direct_sum
 
@@ -229,9 +228,10 @@ class _PairState:
     what traversals have learned about the quotient, so that a later Hecke
     function repeats none of it:
 
-    - quotient: fam_b modulo Gamma, whose vertices are reduced Lattices,
-      or reduced ComponentPairs (L+, L-) when fam_b is split; a split
-      quotient keeps its own memos (lattices.PairQuotient);
+    - quotient: fam_b modulo Gamma, built with the pair's A for the span
+      gap, whose vertices are reduced Lattices, or reduced ComponentPairs
+      (L+, L-) when fam_b is split; a split quotient keeps its own memos
+      (lattices.PairQuotient);
     - start: the descent start (vertex, span gap) and whether it lies in
       the fundamental box;
     - moves: per expanded vertex key, one [gap, rep key] per raw move in
@@ -255,7 +255,7 @@ class _PairState:
     def __init__(self, pair, seed):
         self.gamma = centralizer(pair, seed=seed).gamma_group()
         self.fam_a, self.fam_b = _stable_families(pair)
-        self.quotient = self.fam_b.quotient(self.gamma)
+        self.quotient = self.fam_b.quotient(self.gamma, pair.A)
         self.ctx = None
         self.start = self.start_in_box = None
         self.moves = {}
@@ -312,7 +312,8 @@ class OrbitalProblem:
 
     def contribution(self, lb, gap):
         """The Hecke-weighted count over the stable superlattices of lb's
-        order span; gap is the span gap of lb (see gap_of_stack)."""
+        order span; gap is lb's span gap [lb + A lb : lb], as the quotient's
+        gap gives it."""
         total = OrbitalValue() if self.twisted else Fraction(0)
         positions = self.state.positions
         span = None
@@ -352,12 +353,12 @@ class OrbitalProblem:
         q = st.quotient
         base = q.start()
         cur = q.reduce(base)
-        g = q.gap(base, self.gap_of_stack)
+        g = q.gap(base)
         for _ in range(_DESCENT_STEPS):
             if g == 0:
                 break
             raws = q.moves(cur)
-            gaps = [q.gap(r, self.gap_of_stack) for r in raws]
+            gaps = [q.gap(r) for r in raws]
             if not gaps or min(gaps) >= g:
                 break
             g = min(gaps)
@@ -365,26 +366,19 @@ class OrbitalProblem:
         st.start = (cur, g)
         return st.start
 
-    def gap_of_stack(self, stack):
-        """Span gap [L + A L : L] of the lattice L spanned by a raw generator
-        stack: the one route to it.  Gamma-invariant, since the centralizer
-        commutes with A."""
-        d_lat = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
-        span = stack.hstack(self.pair.A * stack)
-        d_span = sum(smith_exponents_rectangular(span, rank=span.nrows))
-        return d_lat - d_span
-
     def evaluate(self, slack=1):
         """Support traversal in the centralizer quotient.
 
         Support vertices (span gap within the Hecke reach) are expanded;
         vertices just outside bridge for at most `slack` steps while their
         gap stays within _BRIDGE_GAP of the reach.  Off-support neighbors
-        are rejected by the quotient's invariant gap test: on the raw
-        stack, before any reduction, for a StableFamily; once per rep key,
-        after the cheap componentwise reduction, for a split family.  Gaps,
-        reps and superlattice positions already in the pair's state are
-        reused; the traversal itself is the same for every f.
+        are rejected by the quotient's invariant gap test: span_gap on the
+        raw stack, before any reduction, for a StableFamily; once per rep
+        key, after the cheap componentwise reduction and in component
+        coordinates (one Smith sweep of a square matrix), for a split
+        family.  Gaps, reps and superlattice positions already in the
+        pair's state are reused; the traversal itself is the same for
+        every f.
         """
         if not self.supp:
             return (OrbitalValue() if self.twisted else Fraction(0)), 0
@@ -426,7 +420,7 @@ class OrbitalProblem:
                 for i, move in enumerate(moves):
                     if move[0] is None:
                         raws = raws or q.moves(lb)
-                        move[0] = q.gap(raws[i], self.gap_of_stack)
+                        move[0] = q.gap(raws[i])
                     gg = move[0]
                     is_support = gg <= max_total
                     if not is_support and (next_depth > slack

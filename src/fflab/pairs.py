@@ -304,9 +304,9 @@ def _det_val_on_factor(mat, ej, ident):
 def _factor_uniformizer(field, x, ej, mj, ident):
     """Matrix acting as a uniformizer of the factor and identity elsewhere."""
     pi_cand = ej.scale(field.pi()) + (ident - ej)
-    v_pi = _det_val_on_factor(ident.scale(field.pi()), ej, ident)
     if mj.degree == 1:
         return pi_cand
+    v_pi = _det_val_on_factor(ident.scale(field.pi()), ej, ident)
     # best residue shift of the primitive element
     best = None
     for a in range(field.q):

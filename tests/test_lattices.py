@@ -4,15 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fflab.errors import SingularBasis, UnstableBase
+from fflab.errors import PrecisionExhausted, SingularBasis, UnstableBase
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
 from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
                             canonicalize, chains, column_space_basis,
                             count_chains, from_generators, in_lattice, index,
                             lattice_leq, lattices_at_position,
-                            relative_position, stable_family, stable_lattices,
-                            standard_lattice, sublattices_of_index,
-                            superlattices_of_index)
+                            relative_position, smith_exponents, span_index,
+                            stable_family, stable_lattices, standard_lattice,
+                            sublattices_of_index, superlattices_of_index)
 from fflab.linalg import Matrix, mat_det, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
@@ -277,3 +277,62 @@ def test_gamma_reduction():
     r1b = gg.reduce_stack(l2.basis)
     assert r1 == r1b  # same orbit, same representative
     assert gg.in_fundamental_box(r1)
+
+
+# -- the floor-stopped Smith sweep ----------------------------------------------
+
+
+def _laurent_matrix(field, rng, m):
+    """A seeded m x m matrix of exact entries of valuation -3..2, a quarter
+    of them exact zeros."""
+    return Matrix(field, [[field.zero if rng.random() < 0.25
+                           else field.random_element(rng, -3, 2)
+                           for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_span_index_of_invertible_matrices(q):
+    # minus the sum of the negative Smith exponents
+    field = LocalField(q)
+    rng = random.Random(q)
+    seen = set()
+    for trial in range(60):
+        mat = _laurent_matrix(field, rng, 1 + trial % 4)
+        try:
+            exps = smith_exponents(mat)
+        except (SingularBasis, PrecisionExhausted):
+            continue  # singular, or its zero remainder is not certified
+        want = -sum(min(0, d) for d in exps)
+        assert span_index(mat) == want
+        seen.add(want)
+    assert len(seen) > 3
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_span_index_of_singular_matrices(q):
+    # [O^m + M O^m : O^m] read off the canonical form of [I | M]
+    field = LocalField(q)
+    rng = random.Random(10 + q)
+    seen = set()
+    for trial in range(30):
+        m = 2 + trial % 3
+        d = [field.pi(rng.randint(-2, 2)) for _ in range(m - 1)] + [field.zero]
+        mat = (_laurent_matrix(field, rng, m) * Matrix.diagonal(field, d)
+               * _laurent_matrix(field, rng, m))
+        want = index(canonicalize(field, Matrix.identity(field, m).hstack(mat)),
+                     standard_lattice(field, m))
+        assert span_index(mat) == want
+        seen.add(want)
+    assert len(seen) > 3
+
+
+def test_span_index_raises_rather_than_stop_short():
+    o, z = F.one, F.zero
+    # an integral undetermined entry beside the pivot is no obstacle
+    assert span_index(Matrix(F, [[F.pi(-1), F.o_term(0)], [z, o]])) == 1
+    # after the pivot pi^-2, O(pi^-1) may hide a further negative exponent
+    with pytest.raises(PrecisionExhausted):
+        span_index(Matrix(F, [[F.pi(-2), z], [z, F.o_term(-1)]]))
+    # O(pi^-2) may hide a pivot below pi^-1
+    with pytest.raises(PrecisionExhausted):
+        span_index(Matrix(F, [[F.pi(-1), F.o_term(-2)], [z, o]]))

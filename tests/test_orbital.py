@@ -236,7 +236,7 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
     # the traversal takes span gaps and factor functionals on raw moves and
     # feeds a move's gap to contribution as the gap of its reduced rep; a
     # split family's moves are component pairs, checked here on their stacks
-    from fflab.lattices import ComponentPair, index, order_span
+    from fflab.lattices import ComponentPair, index, order_span, span_gap
     from fflab.orbital import OrbitalProblem
     pair, alpha, _ = _reuse_case(q)
     prob = OrbitalProblem(_fresh(alpha if twisted else pair), t_m(2, 2), twisted)
@@ -254,9 +254,9 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
     assert stacks
     for stack in stacks:
         lat = canonicalize(prob.field, stack)
-        gap = prob.gap_of_stack(stack)
+        gap = span_gap(prob.pair.A, stack)
         assert gap == index(order_span(prob.pair.A, lat), lat)
-        assert gap == prob.gap_of_stack(gamma.reduce_stack(stack).basis)
+        assert gap == span_gap(prob.pair.A, gamma.reduce_stack(stack).basis)
         for g in gamma.gens:
             assert gamma.functional(g, stack) == gamma.functional(g, lat.basis)
 
@@ -292,7 +292,7 @@ def test_split_traversal_matches_the_stack_route(case):
     # the 4 x 4 route (StackQuotient on the same family) is the oracle: same
     # value and radius per f, and per move of every expanded vertex the same
     # rep lattice as reduce_stack and the same gap as the raw stack's
-    from fflab.lattices import PairQuotient, StackQuotient
+    from fflab.lattices import PairQuotient, StackQuotient, span_gap
     from fflab.orbital import OrbitalProblem
     if case in (2, 3, 9):
         _, target, fs = _reuse_case(case)
@@ -302,7 +302,7 @@ def test_split_traversal_matches_the_stack_route(case):
     for f in fs:
         prob = OrbitalProblem(shared, f, twisted=True)
         slow = OrbitalProblem(oracle, f, twisted=True)
-        slow.state.quotient = StackQuotient(slow.fam_b, slow.gamma)
+        slow.state.quotient = StackQuotient(slow.fam_b, slow.gamma, slow.pair.A)
         assert prob.evaluate() == slow.evaluate()
     st, fam, gamma = prob.state, prob.fam_b, prob.gamma
     q = st.quotient
@@ -318,8 +318,8 @@ def test_split_traversal_matches_the_stack_route(case):
             stack = fam._stack(*raw)
             rep = q.reduce(raw)
             assert q.lattice(rep) == gamma.reduce_stack(stack)
-            raw_gap = prob.gap_of_stack(stack)
-            assert q.gap(raw, prob.gap_of_stack) == raw_gap
+            raw_gap = span_gap(prob.pair.A, stack)
+            assert q.gap(raw) == raw_gap
             assert gap in (None, raw_gap)
             assert rep_key in (None, rep.key())
 
@@ -331,11 +331,12 @@ def test_split_functional_is_additive(case):
     from fflab.orbital import OrbitalProblem
     if case == "congruent":
         fam, gamma = _congruent_eigenspaces()
+        A = Matrix.identity(F, 2)
     else:
         _, alpha, _ = _reuse_case(case)
         prob = OrbitalProblem(_fresh(alpha), unit(2), twisted=True)
-        fam, gamma = prob.fam_b, prob.gamma
-    q = fam.quotient(gamma)
+        fam, gamma, A = prob.fam_b, prob.gamma, prob.pair.A
+    q = fam.quotient(gamma, A)
     if case == "congruent":
         assert q.consts == [1]
     ball = fam.ball(2)
@@ -346,3 +347,24 @@ def test_split_functional_is_additive(case):
             assert (q.consts[i] + q._term(i, 0, pair[0]) + q._term(i, 1, pair[1])
                     == q.functional(i, pair) == gamma.functional(g, lat.basis))
         assert q.lattice(q.reduce(pair)) == gamma.reduce_stack(lat.basis)
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [0, 0]], [[0, 1], ["pi", 1]]])
+def test_split_gap_on_congruent_eigenspaces(rows):
+    # W = [W+ | W-] is not integral there (the eigenspaces meet modulo pi),
+    # so A' = W^-1 A W is not integral either: the component-coordinate gap
+    # of every lattice of the ball is the raw stack's, for a singular and
+    # an invertible integral A that do not commute with J
+    from fflab.lattices import span_gap
+    fam, gamma = _congruent_eigenspaces()
+    A = Matrix(F, [[F.pi() if x == "pi" else F.from_int(x) for x in row]
+                   for row in rows])
+    assert not (A * fam.J).same(fam.J * A)
+    q = fam.quotient(gamma, A)
+    gaps = set()
+    for lat in fam.ball(2):
+        pair = fam.split(lat)
+        gap = span_gap(A, fam._stack(*pair))
+        assert q.gap(pair) == gap
+        gaps.add(gap)
+    assert gaps == {0, 1, 2, 3, 4}
