@@ -233,15 +233,6 @@ def order_span(mat, lat):
     return canonicalize(lat.field, lat.basis.hstack(mat * lat.basis))
 
 
-def span_gap(mat, stack):
-    """[L + mat L : L] for the lattice L spanned by the columns of a raw
-    generator stack, from the Smith exponents of the stack and of the
-    stack beside mat times it; no canonical form is taken."""
-    d_lat = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
-    span = stack.hstack(mat * stack)
-    return d_lat - sum(smith_exponents_rectangular(span, rank=span.nrows))
-
-
 def in_lattice(lat, vector):
     """Membership test by exact back substitution."""
     m = lat.rank
@@ -865,18 +856,22 @@ class GammaGroup:
 # -- a stable family modulo Gamma, as the orbital traversal walks it -------------
 # A quotient is built with the pair's A, which commutes with Gamma.  It gives
 # the base as a raw move (start), a vertex's raw moves in neighbor_stacks
-# order (moves), a raw move's reduced vertex (reduce), a raw move's span gap
-# [L + A L : L] (gap), Gamma-invariant, and a vertex's canonical lattice
-# (lattice).
+# order (moves), a raw move's reduced vertex, its rep (reduce), a rep's span
+# gap [L + A L : L] (gap), memoized per rep key, and a vertex's canonical
+# lattice (lattice).  The gap is Gamma-invariant, so the traversal reduces
+# every move first and takes the gap of its rep.
 
 
 class StackQuotient:
-    """A StableFamily modulo Gamma, on neighbor stacks and reduced Lattices;
-    the gap is span_gap on the raw stack, so a pruned move is never
-    reduced."""
+    """A StableFamily modulo Gamma, on neighbor stacks and reduced Lattices.
+
+    A rep L is canonical, so its triangular inverse is exact and cached,
+    and [L + A L : L] = [O^m + L^-1 A L O^m : O^m] = span_index(L^-1 A L).
+    """
 
     def __init__(self, fam, gamma, A):
         self.fam, self.gamma, self.A = fam, gamma, A
+        self.gaps = {}
 
     def start(self):
         return self.fam.base.basis
@@ -887,8 +882,11 @@ class StackQuotient:
     def reduce(self, stack):
         return self.gamma.reduce_stack(stack)
 
-    def gap(self, stack):
-        return span_gap(self.A, stack)
+    def gap(self, rep):
+        k = rep.key()
+        if k not in self.gaps:
+            self.gaps[k] = span_index(rep.inverse() * self.A * rep.basis)
+        return self.gaps[k]
 
     def lattice(self, lat):
         return lat
@@ -903,8 +901,8 @@ class PairQuotient:
     exterior power splits: functional(g, L) = c_g + phi+(L+) + phi-(L-),
     phi+- the sum of the elementary divisors of e W+- L+-, c_g (from the
     wedge of bases of e W+ and e W-) read off the base.  So reduction moves
-    and canonicalizes only the components; it is memoized per raw pair and
-    runs before the span gap, taken, like the lattice, once per rep key.
+    and canonicalizes only the components; it is memoized per raw pair.
+    The span gap of a rep, like its lattice, is taken once per rep key.
 
     The span gap is taken in component coordinates, with no generator
     stack.  L = W D O^m for W = [W+ | W-] and D = diag(L+, L-), and an
@@ -973,8 +971,7 @@ class PairQuotient:
             self.reduced[k] = pair
         return self.reduced[k]
 
-    def gap(self, pair):
-        rep = self.reduce(pair)
+    def gap(self, rep):
         k = rep.key()
         if k not in self.gaps:
             field = self.fam.field

@@ -234,10 +234,11 @@ class _PairState:
       (lattices.PairQuotient);
     - start: the descent start (vertex, span gap) and whether it lies in
       the fundamental box;
-    - moves: per expanded vertex key, one [gap, rep key] per raw move in
-      the quotient's moves order; either slot stays None until a traversal
-      needs it, and the vertex's moves are rebuilt to fill it;
-    - reps: the reduced vertex of every rep key in moves;
+    - moves: per expanded vertex key, one (gap, rep key) per raw move in
+      the quotient's moves order, filled once by moves_of: each raw move
+      is reduced first and the gap is its rep's, memoized per rep key;
+    - reps: the reduced vertex of every rep key in moves, and of the
+      base;
     - positions: per (rep lattice key, extra index), one [mu, la, omega]
       per stable superlattice la of the rep's span, in
       stable_superlattices order; omega, the transfer factor
@@ -261,6 +262,20 @@ class _PairState:
         self.moves = {}
         self.reps = {}
         self.positions = {}
+
+    def moves_of(self, vertex):
+        """(gap, rep key) per raw move of vertex, in the quotient's moves
+        order; the vertex's raw moves are built once."""
+        moves = self.moves.get(vertex.key())
+        if moves is None:
+            q, moves = self.quotient, []
+            for raw in q.moves(vertex):
+                rep = q.reduce(raw)
+                # one vertex and one key object per rep
+                rep = self.reps.setdefault(rep.key(), rep)
+                moves.append((q.gap(rep), rep.key()))
+            self.moves[vertex.key()] = moves
+        return moves
 
 
 # most vertices one traversal may visit before it raises WindowOverflow
@@ -345,24 +360,22 @@ class OrbitalProblem:
         """Greedy walk from the base toward smaller span gap (remembered).
 
         Each step moves to the first neighbour of least gap when that gap
-        is smaller, and Gamma-reduces only that move.
+        is smaller.
         """
         st = self.state
         if st.start is not None:
             return st.start
         q = st.quotient
-        base = q.start()
-        cur = q.reduce(base)
-        g = q.gap(base)
+        cur = q.reduce(q.start())
+        cur = st.reps.setdefault(cur.key(), cur)
+        g = q.gap(cur)
         for _ in range(_DESCENT_STEPS):
             if g == 0:
                 break
-            raws = q.moves(cur)
-            gaps = [q.gap(r) for r in raws]
-            if not gaps or min(gaps) >= g:
+            best = min(st.moves_of(cur), key=lambda move: move[0], default=None)
+            if best is None or best[0] >= g:
                 break
-            g = min(gaps)
-            cur = q.reduce(raws[gaps.index(g)])
+            g, cur = best[0], st.reps[best[1]]
         st.start = (cur, g)
         return st.start
 
@@ -372,13 +385,12 @@ class OrbitalProblem:
         Support vertices (span gap within the Hecke reach) are expanded;
         vertices just outside bridge for at most `slack` steps while their
         gap stays within _BRIDGE_GAP of the reach.  Off-support neighbors
-        are rejected by the quotient's invariant gap test: span_gap on the
-        raw stack, before any reduction, for a StableFamily; once per rep
-        key, after the cheap componentwise reduction and in component
-        coordinates (one Smith sweep of a square matrix), for a split
-        family.  Gaps, reps and superlattice positions already in the
-        pair's state are reused; the traversal itself is the same for
-        every f.
+        are rejected by the quotient's invariant gap test: every raw move
+        is reduced first, and the gap is taken once per rep key as one
+        Smith sweep of a square matrix (L^-1 A L on the rep's canonical
+        lattice, or in component coordinates for a split family).  Gaps,
+        reps and superlattice positions already in the pair's state are
+        reused; the traversal itself is the same for every f.
         """
         if not self.supp:
             return (OrbitalValue() if self.twisted else Fraction(0)), 0
@@ -412,26 +424,11 @@ class OrbitalProblem:
                     next_depth = depth + 1
                 else:
                     continue
-                moves = st.moves.get(lb.key())
-                raws = None
-                if moves is None:
-                    raws = q.moves(lb)
-                    moves = st.moves[lb.key()] = [[None, None] for _ in raws]
-                for i, move in enumerate(moves):
-                    if move[0] is None:
-                        raws = raws or q.moves(lb)
-                        move[0] = q.gap(raws[i])
-                    gg = move[0]
+                for gg, k in st.moves_of(lb):
                     is_support = gg <= max_total
                     if not is_support and (next_depth > slack
                                            or gg > max_total + _BRIDGE_GAP):
                         continue
-                    if move[1] is None:
-                        raws = raws or q.moves(lb)
-                        rep = q.reduce(raws[i])
-                        # one vertex and one key object per rep
-                        move[1] = st.reps.setdefault(rep.key(), rep).key()
-                    k = move[1]
                     if k in seen:
                         continue
                     seen.add(k)

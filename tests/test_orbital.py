@@ -6,7 +6,8 @@ import pytest
 
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3
 from fflab.hecke import f_of_m, pi_twist, t_m, unit
-from fflab.lattices import canonicalize, relative_position, standard_lattice
+from fflab.lattices import (canonicalize, relative_position,
+                            smith_exponents_rectangular, standard_lattice)
 from fflab.linalg import Matrix, mat_det
 from fflab.localfield import LocalField
 from fflab.orbital import (OrbitalValue, TransferContext, abs_character,
@@ -230,13 +231,24 @@ def test_reuse_keeps_seeds_apart():
 # -- one route per lattice invariant ------------------------------------------------
 
 
+def span_gap(mat, stack):
+    """The raw-stack oracle for a quotient's gap: [L + mat L : L] for the
+    lattice L spanned by the columns of a generator stack, from the Smith
+    exponents of the stack and of the stack beside mat times it; no
+    canonical form is taken."""
+    d_lat = sum(smith_exponents_rectangular(stack, rank=stack.nrows))
+    span = stack.hstack(mat * stack)
+    return d_lat - sum(smith_exponents_rectangular(span, rank=span.nrows))
+
+
 @pytest.mark.parametrize("q", [2, 3, 9])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
-    # the traversal takes span gaps and factor functionals on raw moves and
-    # feeds a move's gap to contribution as the gap of its reduced rep; a
+    # the traversal reduces every raw move and takes the span gap of its
+    # rep, which contribution gets as the rep's gap: that is sound because
+    # the gap and the factor functionals of a raw move are its rep's; a
     # split family's moves are component pairs, checked here on their stacks
-    from fflab.lattices import ComponentPair, index, order_span, span_gap
+    from fflab.lattices import ComponentPair, index, order_span
     from fflab.orbital import OrbitalProblem
     pair, alpha, _ = _reuse_case(q)
     prob = OrbitalProblem(_fresh(alpha if twisted else pair), t_m(2, 2), twisted)
@@ -264,15 +276,17 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
 # -- split families walked as component pairs ---------------------------------------
 
 
-def _thm212_sum(kind_b):
-    """The alpha-side rank-4 direct sum of one suite_thm212 configuration."""
+def _thm212_sum(kind_b, twisted=True):
+    """The rank-4 direct sum of one suite_thm212 configuration, on the alpha
+    side, or on the beta side when not twisted."""
     from fflab.pairs import direct_sum
     e2 = build_quadratic(kind_b, F)
-    alphas = []
+    targets = []
     for seed in ((1, 3) if kind_b == UNRAMIFIED else (0, 1)):
-        _, inv, _ = random_pair(E1, e2, 1, seed=seed)
-        alphas.append(match_alpha(inv.delta, E0, inv.target)[0])
-    return direct_sum(*alphas), [f_of_m(4, (1,), F)]
+        pair, inv, _ = random_pair(E1, e2, 1, seed=seed)
+        targets.append(match_alpha(inv.delta, E0, inv.target)[0] if twisted
+                       else pair)
+    return direct_sum(*targets), [f_of_m(4, (1,), F)]
 
 
 def _congruent_eigenspaces():
@@ -292,7 +306,7 @@ def test_split_traversal_matches_the_stack_route(case):
     # the 4 x 4 route (StackQuotient on the same family) is the oracle: same
     # value and radius per f, and per move of every expanded vertex the same
     # rep lattice as reduce_stack and the same gap as the raw stack's
-    from fflab.lattices import PairQuotient, StackQuotient, span_gap
+    from fflab.lattices import PairQuotient, StackQuotient
     from fflab.orbital import OrbitalProblem
     if case in (2, 3, 9):
         _, target, fs = _reuse_case(case)
@@ -320,8 +334,43 @@ def test_split_traversal_matches_the_stack_route(case):
             assert q.lattice(rep) == gamma.reduce_stack(stack)
             raw_gap = span_gap(prob.pair.A, stack)
             assert q.gap(raw) == raw_gap
-            assert gap in (None, raw_gap)
-            assert rep_key in (None, rep.key())
+            assert (gap, rep_key) == (raw_gap, rep.key())
+
+
+@pytest.mark.parametrize("case", ["beta", "alpha", 2, 3, 9])
+def test_stack_traversal_moves_match_the_raw_stack(case):
+    # a non-split family's moves are reduced first and the gap is taken on
+    # the rep's canonical lattice: per move of every expanded vertex, the
+    # stored gap is the raw stack's and the rep is reduce_stack's; the
+    # start's moves are checked first, before a wrong gap can widen the
+    # traversal
+    from fflab.lattices import StackQuotient
+    from fflab.orbital import OrbitalProblem
+    if case in (2, 3, 9):
+        target, _, fs = _reuse_case(case)
+        twisted = False
+    else:
+        twisted = case == "alpha"
+        target, fs = _thm212_sum(RAMIFIED, twisted)
+    target = _fresh(target)
+    prob = OrbitalProblem(target, fs[0], twisted)
+    st = prob.state
+    q = st.quotient
+    assert isinstance(q, StackQuotient)
+
+    def check(vertex, moves):
+        raws = q.moves(vertex)
+        assert len(raws) == len(moves)
+        for move, raw in zip(moves, raws):
+            assert move == (span_gap(target.A, raw), st.gamma.reduce_stack(raw).key())
+
+    start, _ = prob._descend_start()
+    check(start, st.moves_of(start))
+    for f in fs:
+        OrbitalProblem(target, f, twisted).evaluate()
+    vertices = {v.key(): v for v in (start, *st.reps.values())}
+    for key, moves in st.moves.items():
+        check(vertices[key], moves)
 
 
 @pytest.mark.parametrize("case", ["congruent", 2, 3, 9])
@@ -355,7 +404,6 @@ def test_split_gap_on_congruent_eigenspaces(rows):
     # so A' = W^-1 A W is not integral either: the component-coordinate gap
     # of every lattice of the ball is the raw stack's, for a singular and
     # an invertible integral A that do not commute with J
-    from fflab.lattices import span_gap
     fam, gamma = _congruent_eigenspaces()
     A = Matrix(F, [[F.pi() if x == "pi" else F.from_int(x) for x in row]
                    for row in rows])

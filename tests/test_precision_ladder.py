@@ -304,3 +304,48 @@ def test_split_traversal_at_lower_precision_agrees_or_raises(q):
     for n in (6, 10, 16):
         for got, want in zip(_split_alpha_values(q, n, fs), ref):
             assert got is PrecisionExhausted or got == want
+
+
+# -- the stack traversal at low precision ------------------------------------------
+
+
+def _stack_values(q, n, fs):
+    """orbital_beta or orbital_alpha of each f (an outcome, as _outcome gives
+    it) on targets whose second family is not split, built at precision n:
+    at q = 3 the rank-4 direct sums of thm212's ramified configuration
+    (seeds 0 and 1), beta side and alpha side; at q = 2 or 9 the pair of
+    seed 5 on (E1, E1), beta side."""
+    from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
+    from fflab.lattices import StackQuotient
+    from fflab.orbital import OrbitalProblem
+    from fflab.pairs import direct_sum, match_alpha, random_pair
+    field = LocalField(q, n)
+    e0, e1 = build_quadratic(SPLIT, field), build_quadratic(UNRAMIFIED, field)
+    if q == 3:
+        e2 = build_quadratic(RAMIFIED, field)
+        pairs = [random_pair(e1, e2, 1, seed=seed) for seed in (0, 1)]
+        alphas = [match_alpha(inv.delta, e0, inv.target)[0] for _, inv, _ in pairs]
+        targets = [(direct_sum(*[p for p, _, _ in pairs]), False),
+                   (direct_sum(*alphas), True)]
+    else:
+        targets = [(random_pair(e1, e1, 1, seed=5)[0], False)]
+    out = []
+    for target, twisted in targets:
+        for f in fs(field, 2 * target.n):
+            prob = OrbitalProblem(target, f, twisted=twisted)
+            assert isinstance(prob.state.quotient, StackQuotient)
+            out.append(_outcome(lambda: prob.evaluate()[0]))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_stack_traversal_at_lower_precision_agrees_or_raises(q):
+    from fflab.hecke import f_of_m, t_m, unit
+
+    def fs(field, rank):
+        return [unit(rank), t_m(rank, 1), f_of_m(rank, (1,), field)]
+    ref = _stack_values(q, 40, fs)
+    assert PrecisionExhausted not in ref
+    for n in (6, 10, 16):
+        for got, want in zip(_stack_values(q, n, fs), ref):
+            assert got is PrecisionExhausted or got == want
