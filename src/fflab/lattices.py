@@ -14,10 +14,12 @@ they run at a certified working precision below it (entries truncated a
 few digits above their least valuation) and escalate on
 PrecisionExhausted, so each returns what the untruncated entries give or
 raises.  The fifth kernel, smith_form, returns the unimodular transforms as
-well; it runs at full N, because its callers invert a transform and lift
+well; it runs at full N, because its caller inverts a transform and lifts
 vectors through it, which needs every digit and not just the pivot
-valuations.  All five certify each pivot against the undetermined entries
-it could hide behind.
+valuations.  Its one caller is _stable_subspaces; lattices cut out of a
+subspace are duals taken by canonicalize (see reduction.lattice_in_subspace).
+All five certify each pivot against the undetermined entries it could hide
+behind.
 """
 
 import itertools

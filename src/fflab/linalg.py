@@ -520,7 +520,15 @@ def linear_solve(mat, rhs, zeroish_ok=False):
 
 
 def kernel_basis(mat, zeroish_ok=False):
-    """Basis of the right kernel of mat over F (list of vectors)."""
+    """Basis of the right kernel of mat over F (list of vectors).
+
+    One vector per free column: a column with no pivot in the elimination
+    record, which with zeroish_ok includes a column skipped for lack of a
+    certified pivot.  Each vector is an exact one at its own free column
+    and an exact zero at every other free column, so the free rows of the
+    basis, taken as columns of a matrix, form an identity block and a
+    vector of the span has its coordinates there.
+    """
     ring = mat.ring
     rec = row_echelon(mat, zeroish_ok)
     pivot_cols = {c: (rec.rows[r], piv_inv)

@@ -20,7 +20,6 @@ from .errors import NotStable, WindowOverflow
 from .hecke import pi_twist, unit
 from .lattices import (_is_stable, from_generators, index, order_span,
                        relative_position, stable_family, standard_lattice)
-from .linalg import mat_det
 from .pairs import centralizer, direct_sum
 
 
@@ -198,13 +197,6 @@ def transfer_factor(ctx, l0, l3):
     b = index(l3, span_m)
     sign = -1 if a % 2 else 1
     return OrbitalValue({b - a: sign})
-
-
-def abs_character(field, block_a, block_b):
-    """|det a / det b| as the exponent of q (a Fraction)."""
-    va = mat_det(block_a).valuation()
-    vb = mat_det(block_b).valuation()
-    return Fraction(vb - va)
 
 
 # -- enumeration core ----------------------------------------------------------------

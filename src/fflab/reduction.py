@@ -14,12 +14,12 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import MissingInput, SingularMap
+from .errors import MissingInput, NoSolution, SingularBasis, SingularMap
 from .etale import resultant
 from .hecke import f_of_m
-from .lattices import (_is_stable, chains, from_generators, in_lattice, index,
-                       lattice_leq, smith_exponents, smith_form)
-from .linalg import Matrix, kernel_basis, linear_solve, mat_det
+from .lattices import (_is_stable, canonicalize, chains, from_generators,
+                       in_lattice, index, lattice_leq, smith_exponents)
+from .linalg import Matrix, kernel_basis, mat_det
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
 from .pairs import direct_sum, invariant
 
@@ -221,14 +221,19 @@ def hom_lattice(field, m_top, m_bot):
 
 
 class SubspaceLattice:
-    """A full lattice inside a coordinate subspace of the Hom space."""
+    """A full lattice inside a coordinate subspace of the Hom space.
 
-    __slots__ = ("field", "W", "coords_lat")
+    W's free rows (_free_rows) form an identity block, so a vector's
+    subspace coordinates are its entries there.
+    """
+
+    __slots__ = ("field", "W", "coords_lat", "free")
 
     def __init__(self, field, W, coords_lat):
         self.field = field
         self.W = W                  # ambient x dim basis of the subspace
         self.coords_lat = coords_lat  # Lattice in subspace coordinates
+        self.free = _free_rows(W)
 
     @property
     def rank(self):
@@ -241,21 +246,42 @@ class SubspaceLattice:
         return out
 
     def coords(self, vec):
-        y = linear_solve(self.W, vec, zeroish_ok=True)
+        """vec's coordinates in the basis of coords_lat.
+
+        Raises NoSolution when vec - W y, y the entries of vec on the free
+        rows, has a certified nonzero digit: vec is off the subspace.
+        """
+        y = [vec[r] for r in self.free]
+        if any((x - wy).coeffs for x, wy in zip(vec, self.W.apply(y))):
+            raise NoSolution("vector is not in the subspace")
         return self.coords_lat.inverse().apply(y)
 
 
+def _free_rows(W):
+    """Per column k of W, the index of the first row that is exactly e_k.
+
+    kernel_basis puts an exact one at each basis vector's free column and
+    exact zeros at the other free columns, so its output has such rows.
+    """
+    try:
+        return [W.rows.index(e) for e in Matrix.identity(W.ring, W.ncols).rows]
+    except ValueError:
+        raise ValueError("subspace basis has no identity block") from None
+
+
 def lattice_in_subspace(field, lat, W):
-    """The lattice {y : W y in lat} in subspace coordinates, as SubspaceLattice."""
-    inv = lat.inverse()
-    # R (inv W) C = diag(pi^D): y lies in the lattice iff C^-1 y lies in
-    # the product of the pi^-D_k O
-    _, D, C = smith_form(inv * W)
-    dim = W.ncols
-    if len(D) != dim:
-        raise SingularMap("subspace basis is not full rank against the lattice")
-    cols = [[C.rows[i][k].shift(-D[k]) for i in range(dim)] for k in range(dim)]
-    return SubspaceLattice(field, W, from_generators(field, cols))
+    """The lattice {y : W y in lat} in subspace coordinates, as SubspaceLattice.
+
+    With M = lat^-1 W, W y lies in lat iff M y is integral, that is iff y
+    pairs integrally with every row of M: the lattice is the dual of the
+    one the rows of M span.
+    """
+    try:
+        row_span = canonicalize(field, (lat.inverse() * W).transpose())
+    except SingularBasis:
+        raise SingularMap(
+            "subspace basis is not full rank against the lattice") from None
+    return SubspaceLattice(field, W, row_span.dual())
 
 
 class HomSystem:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fflab.errors import NoSolution, PrecisionExhausted, SingularBasis
 from fflab.etale import SPLIT, UNRAMIFIED, build_quadratic
 from fflab.linalg import (Matrix, Poly, _dot, _nonzero, berkowitz_charpoly, kernel_basis,
-                          linear_solve, mat_det, mat_inverse, mat_rank)
+                          linear_solve, mat_det, mat_inverse, mat_rank, row_echelon)
 from fflab.localfield import LocalField
 
 F = LocalField(3)
@@ -276,3 +276,42 @@ def test_failed_elimination_is_not_served_as_a_success():
     with pytest.raises(PrecisionExhausted):
         mat_rank(m)
     assert mat_rank(m, zeroish_ok=True) == 0
+
+
+def _check_kernel_identity_block(mat, zeroish_ok):
+    """Each basis vector is an exact one at its free column and an exact
+    zero at the other free columns."""
+    basis = kernel_basis(mat, zeroish_ok)
+    pivot_cols = {c for _, c in row_echelon(mat, zeroish_ok).pivots}
+    free = [c for c in range(mat.ncols) if c not in pivot_cols]
+    assert len(basis) == len(free)
+    for v, fc in zip(basis, free):
+        for c in free:
+            if c == fc:
+                assert v[c] == mat.ring.one
+            else:
+                assert v[c].is_exact_zero
+
+
+def test_kernel_basis_has_an_identity_block_on_its_free_rows():
+    rng = random.Random(11)
+    for q in (2, 3, 9):
+        field = LocalField(q)
+        for shape in [(1, 3), (2, 4), (3, 5), (4, 8)] * 5:
+            nrows, ncols = shape
+            m = Matrix(field, [[_elim_entry(field, rng, "series") for _ in range(ncols)]
+                               for _ in range(nrows)])
+            _check_kernel_identity_block(m, zeroish_ok=True)
+            if row_echelon(m, zeroish_ok=True).certified:
+                _check_kernel_identity_block(m, zeroish_ok=False)
+
+
+def test_kernel_basis_identity_block_without_certified_pivots():
+    # column 0 holds only an O(pi^3) and an exact zero, so the zeroish_ok
+    # elimination skips it uncertified and it becomes a free column too
+    m = Matrix(F, [[F.o_term(3), one, pi, F.zero], [F.zero, F.zero, one, pi]])
+    assert not row_echelon(m, zeroish_ok=True).certified
+    with pytest.raises(PrecisionExhausted):
+        kernel_basis(m)
+    _check_kernel_identity_block(m, zeroish_ok=True)
+    assert len(kernel_basis(m, zeroish_ok=True)) == 2

@@ -10,10 +10,9 @@ from fflab.lattices import (canonicalize, relative_position,
                             smith_exponents_rectangular, standard_lattice)
 from fflab.linalg import Matrix, mat_det
 from fflab.localfield import LocalField
-from fflab.orbital import (OrbitalValue, TransferContext, abs_character,
-                           derivative_at_zero, functional_equation_probe,
-                           orbital_alpha, orbital_beta, transfer_factor,
-                           value_at_zero, vanishing_order_at_one)
+from fflab.orbital import (OrbitalValue, TransferContext, derivative_at_zero,
+                           functional_equation_probe, orbital_alpha, orbital_beta,
+                           transfer_factor, value_at_zero, vanishing_order_at_one)
 from fflab.pairs import invariant, match_alpha, random_pair
 
 F = LocalField(3)
@@ -92,12 +91,6 @@ def test_transfer_factor_trivial_and_law():
         eta_sign = -1 if mat_det(h3).valuation() % 2 else 1
         rhs = base.shift(-2 * (a_exp - b_exp)) * eta_sign
         assert lhs == rhs
-
-
-def test_abs_character():
-    ident = Matrix.identity(F, 1)
-    assert abs_character(F, ident, ident) == 0
-    assert abs_character(F, ident.scale(F.pi()), ident) == -1
 
 
 def test_fl_n1_unramified():

@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from fflab.errors import NoSolution
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
-from fflab.lattices import canonicalize, in_lattice, standard_lattice
-from fflab.linalg import Matrix
+from fflab.lattices import (canonicalize, from_generators, in_lattice, smith_form,
+                            standard_lattice)
+from fflab.linalg import Matrix, linear_solve
 from fflab.localfield import LocalField
 from fflab.pairs import direct_sum, invariant, random_pair
 from fflab.reduction import (Fibration, HomSystem, LatticeChain, PhiMap,
                              SplitScenario, closed_composite_exponent,
                              closed_pair_exponent, closed_phi_exponent,
                              evaluate_int_reduction_rhs, fiber_count_exponent,
-                             inclusion_degree, quasi_degree, random_chain,
-                             verify_reduction)
+                             inclusion_degree, lattice_in_subspace, quasi_degree,
+                             random_chain, verify_reduction)
 
 F = LocalField(3)
 E1 = build_quadratic(UNRAMIFIED, F)
@@ -239,3 +241,75 @@ def test_random_chain_panel_is_pinned():
     assert len(keys) == 24
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == (
         "ff79abaacda1952eb3f476cb484b7ca56bbf74fc08c8d0c0095d4d08267f663b")
+
+
+def _smith_subspace_lattice(lat, W):
+    """{y : W y in lat} through the Smith form of lat^-1 W: with
+    R (lat^-1 W) C = diag(pi^D), y lies in it iff C^-1 y lies in the
+    product of the pi^-D_k O."""
+    _, D, C = smith_form(lat.inverse() * W)
+    dim = W.ncols
+    assert len(D) == dim
+    cols = [[C.rows[i][k].shift(-D[k]) for i in range(dim)] for k in range(dim)]
+    return from_generators(F, cols)
+
+
+def _solved_coords(coords_lat, W, vec):
+    """Coordinates through an elimination of W."""
+    return coords_lat.inverse().apply(linear_solve(W, vec, zeroish_ok=True))
+
+
+def test_subspace_lattices_match_the_elimination_oracle(monkeypatch):
+    # the dual-on-the-ladder lattices and the coordinates read off the
+    # kernel basis agree with a Smith form and an elimination of W on
+    # unramified and ramified panel scenarios
+    from fflab import reduction
+    from fflab.suites import _DEGREE_PANEL, _scenario_for
+    seen = []
+    read_off = reduction.SubspaceLattice.coords
+
+    def recording(self, vec):
+        seen.append((self, vec))
+        return read_off(self, vec)
+
+    monkeypatch.setattr(reduction.SubspaceLattice, "coords", recording)
+    oracle = {}
+    for idx in (1, 4, 7, 9):
+        kind_b, m0, m1, seeds = _DEGREE_PANEL[idx]
+        sc, _, _ = _scenario_for(F, kind_b, m0, m1, seeds)
+        sys = HomSystem(sc)
+        phi = PhiMap(sys)
+        built = [(sys.Lambda[i], W[i], sys.Lambda_pm[(i, s)])
+                 for i in (1, 2) for s, W in (("+", sys.P_plus), ("-", sys.P_minus))]
+        built += [(phi.sources[0], sys.P_minus[2], phi.t_minus_b),
+                  (phi.sources[phi.r], sys.P_minus[1], phi.t_minus_a)]
+        for lat, W, sub in built:
+            want = _smith_subspace_lattice(lat, W)
+            assert sub.coords_lat.key() == want.key()
+            oracle[sub] = want
+        sys.deg_q_pair(1)
+        sys.deg_q_pair(2)
+        sys.deg_composite_lambda1_plus()
+        sys.deg_restricted(2, "-", (1, "+"), (2, "-"))
+        sys.deg_restricted(1, "+", (2, "-"), (1, "+"))
+        assert all(sys.q_image_equals_sublattice(i, s) for i in (1, 2) for s in "+-")
+        # a certified unit on a row off the identity block leaves the subspace
+        sub = sys.Lambda_pm[(1, "+")]
+        off = next(r for r in range(sub.W.nrows) if r not in sub.free)
+        vec = [x + (F.one if r == off else F.zero)
+               for r, x in enumerate(sub.basis_cols()[0])]
+        with pytest.raises(NoSolution):
+            read_off(sub, vec)
+        with pytest.raises(NoSolution):
+            _solved_coords(oracle[sub], sub.W, vec)
+    assert len(seen) > 100
+    for sub, vec in seen:
+        got = read_off(sub, vec)
+        want = _solved_coords(oracle[sub], sub.W, vec)
+        assert len(got) == len(want) and all(a.same(b) for a, b in zip(got, want))
+
+
+def test_subspace_basis_without_identity_block_is_refused():
+    W = Matrix(F, [[F.pi()], [F.from_int(2)]])
+    with pytest.raises(ValueError):
+        lattice_in_subspace(F, standard_lattice(F, 2), W)
