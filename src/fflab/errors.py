@@ -77,9 +77,5 @@ class WindowOverflow(FFLabError):
     """A derived enumeration window exceeded the configured cap."""
 
 
-class MissingInput(FFLabError):
-    """An externally supplied value required by an evaluator is absent."""
-
-
 class ConfigError(FFLabError):
     """Malformed run configuration."""

@@ -8,8 +8,6 @@ field extensions inside their tensor product is produced by compute_e3
 with the generator t = z1(x)z2 + z1^s(x)z2^s.
 """
 
-from fractions import Fraction
-
 from .errors import BothRamified, NotASquare, UnsupportedRamified
 from .factor import hensel_factor, poly_gcd, sqrt_in_F
 from .linalg import Matrix, Poly, det_berkowitz
@@ -80,16 +78,6 @@ class QuadraticEtale:
     def gen_minpoly(self):
         F = self.field
         return Poly(F, [self.nm, -self.tr, F.one])
-
-    # -- invariants -------------------------------------------------------------
-
-    def discriminant_abs(self):
-        """|Disc| as an exact power of q, returned as the exponent Fraction."""
-        return Fraction(-self.disc_valuation)
-
-    def gen_sigma_gap_abs(self):
-        """|z - z^sigma| = |Disc|^(1/2), returned as the exponent Fraction of q."""
-        return Fraction(-self.disc_valuation, 2)
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticEtale) and self.kind == other.kind
@@ -176,17 +164,6 @@ class EtaleElement:
         """(x, y) with z -> (r1, r2); split algebras only."""
         r1, r2 = self.algebra.split_roots
         return (self.a + self.b * r1, self.a + self.b * r2)
-
-    def val_half(self):
-        """Valuation of x in half-units of q: v(Nm(x))/2 as a Fraction.
-
-        |x|_F = q^(-val_half).
-        """
-        return Fraction(self.norm().valuation(), 2)
-
-    def abs_exponent_half(self):
-        """Exponent e (a Fraction) with |x|_F = q^e."""
-        return -self.val_half()
 
     def key(self):
         return (self.a.key(), self.b.key())
@@ -444,8 +421,3 @@ def eta(x):
     if not x.is_invertible():
         raise ValueError("eta of a non-invertible element")
     return -1 if x.norm().valuation() % 2 else 1
-
-
-def eta_gl(h):
-    """eta of det(h) for a square matrix over the etale algebra."""
-    return eta(det_berkowitz(h))

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import (FactorFail, NormalizationFail, NotFound, SearchTimeout,
                      WrongDimension)
-from .etale import (EtaleElement, cd_constants, is_regular_semisimple,
+from .etale import (cd_constants, is_regular_semisimple,
                     pair_target_algebra, poly_components, poly_sqrt,
                     sigma_poly, symmetry_check)
 from .factor import hensel_factor, poly_bezout
@@ -469,83 +469,3 @@ def match_alpha(delta, E0, E3):
     if not all(x.same(y) for x, y in zip(inv.delta.coeffs, delta.coeffs)):
         raise NotFound("constructed pair does not reproduce the invariant")
     return pair, inv
-
-
-# -- the fixed centralizer algebra of an invariant -------------------------------
-
-
-class FixedAlgebra:
-    """The reflection-fixed subalgebra of E3[T]/(delta) with its factor data."""
-
-    __slots__ = ("dim", "basis", "factors")
-
-    def __init__(self, dim, basis, factors):
-        self.dim = dim
-        self.basis = basis        # fixed vectors in the 2n-dim representation
-        self.factors = factors    # CentralizerFactor list (matrix model)
-
-
-def build_l_delta(delta, seed=0):
-    """The subalgebra of E3[T]/(delta) fixed by the twisted involution.
-
-    The involution conjugates coefficients and sends T to 1 - T; it is well
-    defined on the quotient exactly because delta has the reflection
-    symmetry.  Returns the fixed basis and the field factorization with one
-    uniformizer matrix per factor (in the regular representation).
-    """
-    alg = delta.ring
-    field = alg.field
-    n = delta.degree
-    if not symmetry_check(delta):
-        raise ValueError("invariant lacks the reflection symmetry")
-    dim = 2 * n
-
-    def to_flat(poly_coeffs):
-        out = [field.zero] * dim
-        for k, c in enumerate(poly_coeffs):
-            if k >= n:
-                break
-            out[2 * k] = c.a
-            out[2 * k + 1] = c.b
-        return out
-
-    def from_flat(vec):
-        return Poly(alg, [EtaleElement(alg, vec[2 * k], vec[2 * k + 1])
-                          for k in range(n)] or [alg.zero])
-
-    t_var = Poly(alg, [alg.zero, alg.one])
-    basis_polys = []
-    for k in range(n):
-        for a in (0, 1):
-            coeffs = [alg.zero] * n
-            coeffs[k] = alg.gen if a else alg.one
-            basis_polys.append(Poly(alg, coeffs))
-
-    def mult_matrix(p):
-        cols = []
-        for b in basis_polys:
-            prod = (p * b).monic_divmod(delta)[1]
-            cols.append(to_flat(list(prod.coeffs)))
-        return Matrix.from_columns(field, cols)
-
-    # the twisted involution as an F-linear map
-    one_minus_t = Poly(alg, [alg.one, -alg.one])
-    powers = [Poly(alg, [alg.one])]
-    for _ in range(n - 1):
-        powers.append((powers[-1] * one_minus_t).monic_divmod(delta)[1])
-    cols = []
-    for b in basis_polys:
-        img = Poly(alg, [alg.zero])
-        for k, c in enumerate(b.coeffs):
-            img = img + powers[k] * Poly(alg, [c.sigma()])
-        img = img.monic_divmod(delta)[1]
-        cols.append(to_flat(list(img.coeffs)))
-    sigma_mat = Matrix.from_columns(field, cols)
-    ident = Matrix.identity(field, dim)
-    fixed = kernel_basis(sigma_mat - ident, zeroish_ok=True)
-    if len(fixed) != n:
-        raise WrongDimension(
-            f"fixed subalgebra has dimension {len(fixed)}, expected {n}")
-    mult_mats = [mult_matrix(from_flat(v)) for v in fixed]
-    factors = decompose_commutative_algebra(field, mult_mats, dim, seed=seed)
-    return FixedAlgebra(len(fixed), [from_flat(v) for v in fixed], factors)

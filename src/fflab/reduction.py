@@ -1,4 +1,4 @@
-"""Lattice fibration, Hom-lattice systems and reduction-formula verification.
+"""Split scenarios, Hom-lattice systems and reduction-formula verification.
 
 A split scenario carries two complementary pairs on V = V0 (+) V1 together
 with lattice chains whose endpoints are stable under the respective
@@ -14,82 +14,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import MissingInput, NoSolution, SingularBasis, SingularMap
+from .errors import NoSolution, SingularBasis, SingularMap
 from .etale import resultant
 from .hecke import f_of_m
-from .lattices import (_is_stable, canonicalize, chains, from_generators,
-                       in_lattice, index, lattice_leq, smith_exponents)
+from .lattices import (_is_stable, canonicalize, chains, from_generators, index,
+                       lattice_leq, smith_exponents)
 from .linalg import Matrix, kernel_basis, mat_det
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
 from .pairs import direct_sum, invariant
-
-
-# -- fibration of single lattices ------------------------------------------------
-
-
-class Fibration:
-    """Coordinate split V = V0 (+) V1 with V0 the first dim0 coordinates."""
-
-    def __init__(self, field, dim0, dim1):
-        self.field = field
-        self.dim0 = dim0
-        self.dim1 = dim1
-
-    def fibrate(self, lat):
-        """(X0, X1, s-representative) for a lattice X in V.
-
-        X0 = X intersect V0 (as a lattice in F^dim0), X1 = projection to V1,
-        and s is represented by the list of V0-parts of the canonical lifts
-        of the X1 basis.
-        """
-        d0, d1 = self.dim0, self.dim1
-        b = lat.basis
-        x0_cols = [[b.rows[i][j] for i in range(d0)] for j in range(d0)]
-        x0 = from_generators(self.field, x0_cols)
-        x1_cols = [[b.rows[d0 + i][d0 + j] for i in range(d1)] for j in range(d1)]
-        x1 = from_generators(self.field, x1_cols)
-        lifts = [[b.rows[i][d0 + j] for i in range(d0)] for j in range(d1)]
-        return x0, x1, lifts
-
-    def rebuild(self, x0, x1_cols, lifts):
-        """Lattice from X0-generators plus lifted graph vectors."""
-        d0, d1 = self.dim0, self.dim1
-        cols = []
-        for j in range(x0.rank):
-            cols.append(list(x0.basis.column(j)) + [self.field.zero] * d1)
-        for lift, bot in zip(lifts, x1_cols):
-            cols.append(list(lift) + list(bot))
-        return from_generators(self.field, cols)
-
-    def refibrate_roundtrip(self, lat):
-        x0, x1, lifts = self.fibrate(lat)
-        x1_cols = [x1.basis.column(j) for j in range(x1.rank)]
-        return self.rebuild(x0, x1_cols, lifts)
-
-    def fibrate_chain(self, chain):
-        """Component chains of a lattice chain with the index decomposition."""
-        comps0, comps1 = [], []
-        for lat in chain.lattices:
-            x0, x1, _ = self.fibrate(lat)
-            comps0.append(x0)
-            comps1.append(x1)
-        ch0 = LatticeChain(comps0)
-        ch1 = LatticeChain(comps1)
-        if [a + b for a, b in zip(ch0.steps, ch1.steps)] != chain.steps:
-            raise ValueError("component step indices do not sum to the total")
-        return ch0, ch1
-
-    def inclusion_compatible(self, x, y):
-        """X <= Y iff componentwise inclusion plus the connecting square."""
-        x0, x1, sx = self.fibrate(x)
-        y0, y1, sy = self.fibrate(y)
-        if not (lattice_leq(x0, y0) and lattice_leq(x1, y1)):
-            return False
-        # s_X = s_Y mod Y0 on X1: check each lifted X1 basis vector lands in Y
-        for j in range(x.rank):
-            if not in_lattice(y, x.basis.column(j)):
-                return False
-        return True
 
 
 # -- scenarios ----------------------------------------------------------------------
@@ -387,11 +319,6 @@ def _det_valuation(mat):
     return d.valuation()
 
 
-def quasi_degree(source, target, map_matrix):
-    """[target : map(source)]: valuation of det in the two lattice bases."""
-    return _det_valuation(target.inverse() * map_matrix * source.basis)
-
-
 # -- the block map Phi -------------------------------------------------------------
 
 
@@ -568,35 +495,3 @@ def verify_reduction(p0, p1, ms, alpha_side=False):
         })
     return reports
 
-
-def evaluate_int_reduction_rhs(int0_values, p1, m, disc_exponent_alg_pair,
-                               delta0, n0):
-    """RHS of the intersection-number reduction, with the connected-side
-    numbers supplied externally.
-
-    int0_values maps tuples m0 to rationals; p1 is the etale-side pair whose
-    plain orbital integrals are computed here.  delta0 is the connected
-    invariant (over the shared target algebra) entering the resultant; for
-    n0 = 0 pass a degree-zero polynomial and the constant collapses to one.
-    """
-    field = p1.field
-    q = field.q
-    inv1 = invariant(p1)
-    n1 = p1.n
-    if n0 == 0:
-        const = Fraction(1)
-    else:
-        alg_a, alg_b = disc_exponent_alg_pair
-        const_exp = reduction_constants(alg_a, alg_b, delta0, inv1.delta, n0, n1)
-        const = _q_power_fraction(q, const_exp)
-    total = Fraction(0)
-    for m0 in itertools.product(*[range(mi + 1) for mi in m]):
-        m1 = tuple(mi - x for mi, x in zip(m, m0))
-        if n0 == 0 and any(m0):
-            continue
-        if tuple(m0) not in int0_values:
-            raise MissingInput(f"missing connected-side value for {m0}")
-        o1, _ = orbital_beta(p1, f_of_m(2 * n1, m1, field))
-        total += const * Fraction(q) ** (n1 * sum(m0) + n0 * sum(m1)) \
-            * Fraction(int0_values[tuple(m0)]) * o1
-    return total

@@ -1,14 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from fflab.errors import BothRamified, NotASquare, UnsupportedRamified
 from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
-                         cd_constants, compute_e3, eta, eta_gl,
-                         is_regular_semisimple, poly_components, poly_sqrt,
-                         resultant, sigma_poly, symmetry_check)
-from fflab.linalg import Matrix, Poly
+                         cd_constants, compute_e3, eta, is_regular_semisimple,
+                         poly_components, poly_sqrt, resultant, sigma_poly,
+                         symmetry_check)
+from fflab.linalg import Matrix, Poly, det_berkowitz
 from fflab.localfield import LocalField
 
 F = LocalField(3)
@@ -73,13 +72,13 @@ def test_e3_even_q():
 
 def test_discriminant_abs():
     E0, E1, E2 = algebras()
-    assert E0.discriminant_abs() == 0       # exponent of q: |Disc| = 1
-    assert E1.discriminant_abs() == 0
-    assert E2.discriminant_abs() == -1      # |Disc| = q^-1
+    assert E0.disc_valuation == 0       # |Disc| = 1
+    assert E1.disc_valuation == 0
+    assert E2.disc_valuation == 1       # |Disc| = q^-1
     # |z - z^s| = |Disc|^(1/2), derived: (z - z^s)^2 = 4 pi for T^2 - pi
     gap = E2.gen - E2.gen.sigma()
     assert (gap * gap).a.same(F.from_int(4) * F.pi())
-    assert E2.gen_sigma_gap_abs() == Fraction(-1, 2)
+    assert gap.norm().valuation() == E2.disc_valuation
 
 
 def test_cd_constants():
@@ -92,8 +91,8 @@ def test_cd_constants():
         dsq = d * d
         assert dsq.b.is_zeroish
         assert dsq.a.same(pair[0].disc * pair[1].disc)
-        assert d.abs_exponent_half() == (pair[0].gen_sigma_gap_abs()
-                                         + pair[1].gen_sigma_gap_abs())
+        assert d.norm().valuation() == (pair[0].disc_valuation
+                                        + pair[1].disc_valuation)
 
 
 def test_resultant_convention():
@@ -183,4 +182,4 @@ def test_eta():
 def test_eta_gl():
     E3 = compute_e3(build_quadratic(UNRAMIFIED, F), build_quadratic(UNRAMIFIED, F))
     h = Matrix.diagonal(E3, [E3.from_components(F.pi(), F.one), E3.one])
-    assert eta_gl(h) == -1
+    assert eta(det_berkowitz(h)) == -1

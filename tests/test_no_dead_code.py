@@ -1,5 +1,6 @@
 """Every function and class defined in the package is referenced somewhere,
-and every name a package module imports is used in that module.
+every name a package module imports is used in that module, and the
+definitions that only tests reference are the few the tests need.
 
 References are read from the syntax trees of src/ and tests/: a name
 (`f(...)`), an attribute (`obj.f`), an imported name (`from m import f`)
@@ -66,3 +67,18 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{path.stem}.{bound}")
     assert unused == []
+
+
+def test_test_only_definitions_are_the_public_api():
+    """Definitions that tests reference and no package code does.
+
+    Each one is a name tests need for a behaviour of their own: the pair
+    conjugation the invariance tests apply, and the basic element and
+    matrix API.  Anything else on tests alone is program code that no
+    suite, CLI path or export reaches.
+    """
+    in_src = {name for _, tree in _package_trees() for name in _references(tree)}
+    in_tests = {name for _, tree in _trees(sorted((ROOT / "tests").rglob("*.py")))
+                for name in _references(tree)}
+    test_only = {name for name in _definitions() if name in in_tests - in_src}
+    assert test_only == {"conjugate", "is_exact", "o_term", "trace"}

@@ -8,9 +8,9 @@ from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          symmetry_check)
 from fflab.linalg import Matrix
 from fflab.localfield import LocalField
-from fflab.pairs import (EmbeddingPair, build_l_delta, centralizer,
-                         direct_sum, invariant, match_alpha, random_pair,
-                         random_unimodular, standard_embedding, w_element)
+from fflab.pairs import (EmbeddingPair, centralizer, direct_sum, invariant,
+                         match_alpha, random_pair, random_unimodular,
+                         standard_embedding, w_element)
 
 F = LocalField(3)
 E0 = build_quadratic(SPLIT, F)
@@ -139,15 +139,3 @@ def test_match_alpha_family_relation():
     ident = Matrix.identity(F, 2)
     rel = C * C - C.scale(E3.tr) + ident.scale(E3.nm)
     assert rel.same(Matrix.zero(F, 2))
-
-
-def test_build_l_delta():
-    pair, inv, _ = random_pair(E1, E1, 1, seed=1)
-    L = build_l_delta(inv.delta)
-    assert L.dim == 1
-    assert [f.degree for f in L.factors] == [1]
-    p1, i1, _ = random_pair(E1, E1, 1, seed=3)
-    ds_inv = invariant(direct_sum(pair, p1))
-    L2 = build_l_delta(ds_inv.delta)
-    assert L2.dim == 2
-    assert sorted(f.degree for f in L2.factors) == [1, 1]

@@ -1,59 +1,23 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from fflab.errors import NoSolution
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
-from fflab.lattices import (canonicalize, from_generators, in_lattice, smith_form,
+from fflab.lattices import (canonicalize, from_generators, index, smith_form,
                             standard_lattice)
 from fflab.linalg import Matrix, linear_solve
 from fflab.localfield import LocalField
 from fflab.pairs import direct_sum, invariant, random_pair
-from fflab.reduction import (Fibration, HomSystem, LatticeChain, PhiMap,
-                             SplitScenario, closed_composite_exponent,
-                             closed_pair_exponent, closed_phi_exponent,
-                             evaluate_int_reduction_rhs, fiber_count_exponent,
-                             inclusion_degree, lattice_in_subspace, quasi_degree,
-                             random_chain, verify_reduction)
+from fflab.reduction import (HomSystem, LatticeChain, PhiMap, SplitScenario,
+                             closed_composite_exponent, closed_pair_exponent,
+                             closed_phi_exponent, fiber_count_exponent,
+                             inclusion_degree, lattice_in_subspace, random_chain,
+                             verify_reduction)
 
 F = LocalField(3)
 E1 = build_quadratic(UNRAMIFIED, F)
 E2R = build_quadratic(RAMIFIED, F)
-
-
-def test_fibration_roundtrip():
-    fib = Fibration(F, 2, 2)
-    rng = random.Random(0)
-    done = 0
-    while done < 10:
-        g = Matrix(F, [[F.random_element(rng, -1, 1, 2) for _ in range(4)]
-                       for _ in range(4)])
-        try:
-            lat = canonicalize(F, g)
-        except Exception:
-            continue
-        assert fib.refibrate_roundtrip(lat) == lat
-        done += 1
-
-
-def test_fibration_inclusion_functoriality():
-    fib = Fibration(F, 2, 2)
-    std = standard_lattice(F, 4)
-    from fflab.lattices import sublattices_of_index, lattice_leq
-    subs = list(sublattices_of_index(std, 2))
-    rng = random.Random(1)
-    rng.shuffle(subs)
-    for sub in subs[:10]:
-        assert fib.inclusion_compatible(sub, std)
-        assert fib.inclusion_compatible(sub, sub)
-    assert not fib.inclusion_compatible(std, subs[0])
-
-
-def test_quasi_degree():
-    std = standard_lattice(F, 2)
-    assert quasi_degree(std, std, Matrix.identity(F, 2)) == 0
-    assert quasi_degree(std, std, Matrix.identity(F, 2).scale(F.pi())) == 2
 
 
 def _scenario(kind_b, m0, m1, seeds):
@@ -157,32 +121,13 @@ def test_verify_reduction_builds_one_direct_sum(monkeypatch):
     assert len(sums) == 1 + len(ms)
 
 
-def test_int_reduction_rhs_degenerate():
-    # connected rank zero: the right side collapses to the plain integral
-    from fflab.hecke import f_of_m
-    from fflab.orbital import orbital_beta
-    p1, i1, _ = random_pair(E1, E1, 1, seed=1)
-    m = (1, 1)
-    rhs = evaluate_int_reduction_rhs({(0, 0): 1}, p1, m, None, None, 0)
-    direct, _ = orbital_beta(p1, f_of_m(2, m, F))
-    assert rhs == direct
-
-
-def test_int_reduction_rhs_linear():
-    p1, i1, _ = random_pair(E1, E1, 1, seed=1)
-    m = (1,)
-    a = evaluate_int_reduction_rhs({(0,): 1, (1,): 2}, p1, m, None, None, 0)
-    b = evaluate_int_reduction_rhs({(0,): 2, (1,): 4}, p1, m, None, None, 0)
-    assert b == 2 * a
-
-
-def test_missing_input():
-    from fflab.errors import MissingInput
-    p1, _, _ = random_pair(E1, E1, 1, seed=1)
-    eb = build_quadratic(UNRAMIFIED, F)
-    p0, i0, _ = random_pair(E1, eb, 1, seed=2)
-    with pytest.raises(MissingInput):
-        evaluate_int_reduction_rhs({}, p1, (1,), (E1, E1), i0.delta, 1)
+def _components(lat, d0=2):
+    """X meet V0 and the projection of X to V1, V0 the first d0 coordinates:
+    the two diagonal blocks of the canonical basis."""
+    rows = lat.basis.rows
+    blocks = (range(d0), range(d0, len(rows)))
+    return tuple(from_generators(F, [[rows[i][j] for i in block] for j in block])
+                 for block in blocks)
 
 
 def test_fibrate_chain_and_omega_multiplicativity():
@@ -197,7 +142,6 @@ def test_fibrate_chain_and_omega_multiplicativity():
     a0, _ = match_alpha(i0.delta, E0, E3)
     a1, _ = match_alpha(i1.delta, E0, E3)
     full = direct_sum(a0, a1)
-    fib = Fibration(F, 2, 2)
     ctx_full = TransferContext(full)
     ctx0 = TransferContext(a0)
     ctx1 = TransferContext(a1)
@@ -207,10 +151,11 @@ def test_fibrate_chain_and_omega_multiplicativity():
             chain = random_chain(full, (2,), seed=seed, window=1)
         except Exception:
             continue
-        ch0, ch1 = fib.fibrate_chain(chain)
+        (top0, top1), (bot0, bot1) = _components(chain.top), _components(chain.bottom)
+        assert index(top0, bot0) + index(top1, bot1) == chain.total()
         lhs = transfer_factor(ctx_full, chain.top, chain.bottom)
-        rhs = (transfer_factor(ctx0, ch0.top, ch0.bottom)
-               * transfer_factor(ctx1, ch1.top, ch1.bottom))
+        rhs = (transfer_factor(ctx0, top0, bot0)
+               * transfer_factor(ctx1, top1, bot1))
         assert lhs == rhs
         found += 1
         if found >= 3:
