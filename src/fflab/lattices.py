@@ -173,6 +173,7 @@ def _hermite(field, m, cols):
     # column operations with O_F multipliers preserve.  Taking the pivot of
     # least valuation in each row makes every multiplier integral.
     placed = [None] * m
+    inverses = [None] * m
     live = list(range(len(cols)))
     # Triangularize from the bottom row up.  Every live column whose entry
     # is not an exact zero is swept, an undetermined one with an O(pi^k)
@@ -192,13 +193,14 @@ def _hermite(field, m, cols):
                 for r in range(i):
                     c[r] = c[r] - f * pcol[r]
         placed[i] = pcol
+        inverses[i] = piv_inv
     # normalize pivots to exact powers of pi and clear sub-pivot noise
     zero = field.zero
     for i in range(m):
         col = placed[i]
-        piv = col[i]
-        a = piv.valuation()
-        unit_inv = piv.shift(-a).inv()
+        a = col[i].valuation()
+        # the inverse of the unit part, the pivot's inverse shifted back
+        unit_inv = inverses[i].shift(a)
         newcol = [x * unit_inv for x in col[:i]]
         newcol.append(field.pi(a) if a else field.one)
         newcol.extend([zero] * (m - i - 1))
@@ -345,7 +347,7 @@ def _smith(rows, rank, R=None, C=None, floor=None):
                     f = prow[j] * piv_inv
                     for c in C:
                         c[j] = c[j] - f * c[top]
-            unit_inv = piv.shift(-piv.val).inv()
+            unit_inv = piv_inv.shift(piv.val)
             for c in C:
                 c[top] = c[top] * unit_inv
     return out

@@ -7,6 +7,14 @@ carry known_to = +infinity; an "inexact zero" O(pi^K) has an empty
 coefficient vector and known_to = K.  Arithmetic never silently increases
 the claimed precision, and predicates that would need undetermined digits
 raise PrecisionExhausted instead of guessing.
+
+A product of two series of more than one digit each is one integer
+product (Kronecker substitution): both digit vectors are packed into
+Python ints, one slot group per digit, multiplied once and unpacked with
+``bytes.translate``.  Slots cannot overflow: each is wide enough for the
+largest value it can hold, (p - 1)^2 * e * min(len a, len b) at q = p^e,
+and the slot width is chosen from that bound on every product (see
+_Kronecker).  A series times a single digit is a table scale.
 """
 
 import math
@@ -28,6 +36,7 @@ class LocalField:
         self.q = q
         self.precision = precision
         self.gf = gf(q)
+        self._kronecker = _Kronecker(self.gf)
         self.zero = FieldElement(self, INF, (), INF)
         self.one = FieldElement(self, 0, (1,), INF)
 
@@ -78,6 +87,94 @@ def _strip(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return coeffs[:n]
+
+
+def _gather(raw, size, mult):
+    """Byte size - 1 of each group of size bytes of raw * mult.
+
+    With mult = sum_t m_t 256^(size-1-t), that byte is the weighted sum
+    sum_t m_t raw[i + t] over its group; the caller keeps every byte of
+    the product below 256, so no byte carries into the next.
+    """
+    prod = int.from_bytes(raw, "little") * mult
+    return prod.to_bytes(len(raw) + size - 1, "little")[size - 1::size]
+
+
+class _Kronecker:
+    """Series products over F_q, q = p^e, as one integer product each.
+
+    Digit c of F_q stands for the F_p-polynomial sum_j c_j x^j, where
+    c = sum_j c_j p^j.  Digit i of a series goes to group i of 2e - 1 slots
+    of w bytes in a little-endian integer, its coefficient c_j to slot j of
+    the group.  Slot j of group k of the product of two packed series then
+    holds the coefficient of x^j pi^k in their product as series over
+    F_p[x]: a sum of at most e * min(len a, len b) products of two values
+    below p, which w bytes hold by the choice of w.  Every j is at most
+    2e - 2, so no slot reaches into the next group, and as no slot
+    overflows, no carry crosses a slot.  Each slot is then reduced mod p,
+    and each group, a value below p^(2e - 1) <= 32 in base p, is mapped to
+    its residue mod the irreducible of F_q by one table.
+    """
+
+    # Gathering a slot's w bytes, each reduced mod p, with weights
+    # 256^k mod p stays carry-free while w (p - 1)^2 < 256, so w <= 7 at
+    # p <= 7; a slot wider than 7 bytes would need a series of more than
+    # 2^50 digits.
+    _MAX_WIDTH = 7
+
+    def __init__(self, g):
+        p, e, q = g.p, g.e, g.q
+        self.group = 2 * e - 1
+        self.pair_bound = (p - 1) ** 2 * e
+        self.planes = [bytes(c // p ** j % p if c < q else 0 for c in range(256))
+                       for j in range(e)]
+        self.mod = bytes(c % p for c in range(256))
+        # slot_mult[w] gathers the w bytes of a slot into its value mod p
+        self.slot_mult = [None] + [
+            sum(pow(256, k, p) << 8 * (w - 1 - k) for k in range(w))
+            for w in range(1, self._MAX_WIDTH + 1)]
+        # group_mult gathers a group of p-digits r_j into sum_j r_j p^j, and
+        # fold maps that to sum_j r_j x^j in F_q, where x is the digit p
+        self.group_mult = sum(p ** j << 8 * (self.group - 1 - j)
+                              for j in range(self.group))
+        self.fold = None
+        if e > 1:
+            add, mul = g.add_table, g.mul_table
+            xpow = [1]
+            for _ in range(self.group - 1):
+                xpow.append(mul[xpow[-1]][p])
+            fold = []
+            for d in range(p ** self.group):
+                acc = 0
+                for xj in xpow:
+                    acc = add[acc][mul[d % p][xj]]
+                    d //= p
+                fold.append(acc)
+            # bytes.translate takes a table of all 256 byte values
+            self.fold = bytes(fold).ljust(256, b"\0")
+
+    def _pack(self, digits, w):
+        raw = bytes(digits)
+        stride = self.group * w
+        if stride == 1:
+            return int.from_bytes(raw, "little")
+        buf = bytearray(len(raw) * stride)
+        for j, plane in enumerate(self.planes):
+            buf[j * w::stride] = raw.translate(plane)
+        return int.from_bytes(buf, "little")
+
+    def product(self, x, y, n):
+        """The first n digits of the product of the digit tuples x and y."""
+        w = ((self.pair_bound * min(len(x), len(y))).bit_length() + 7) // 8
+        stride = self.group * w
+        prod = self._pack(x, w) * self._pack(y, w)
+        raw = prod.to_bytes((len(x) + len(y) - 1) * stride, "little")
+        raw = raw[: n * stride].translate(self.mod)
+        if w > 1:
+            raw = _gather(raw, w, self.slot_mult[w]).translate(self.mod)
+        if self.fold is not None:
+            raw = _gather(raw, self.group, self.group_mult).translate(self.fold)
+        return raw
 
 
 class FieldElement:
@@ -192,29 +289,28 @@ class FieldElement:
             return f.zero
         # lower bound for the valuation of the product
         if a.coeffs and b.coeffs:
-            if len(a.coeffs) == 1 and len(b.coeffs) == 1 \
+            x, y = a.coeffs, b.coeffs
+            if len(x) == 1 and len(y) == 1 \
                     and a.known_to == INF and b.known_to == INF:
                 out = FieldElement.__new__(FieldElement)
                 out.field = f
                 out.val = a.val + b.val
-                out.coeffs = (f.gf.mul_table[a.coeffs[0]][b.coeffs[0]],)
+                out.coeffs = (f.gf.mul_table[x[0]][y[0]],)
                 out.known_to = INF
                 out._hash = None
                 return out
             know = min(a.val + b.known_to, b.val + a.known_to)
             va = a.val + b.val
-            g = f.gf
-            n = len(a.coeffs) + len(b.coeffs) - 1
+            n = len(x) + len(y) - 1
             if know != INF:
                 n = min(n, know - va)
-            out = [0] * n
-            add, mul = g.add_table, g.mul_table
-            for i, ca in enumerate(a.coeffs):
-                if ca and i < n:
-                    row = mul[ca]
-                    for j, cb in enumerate(b.coeffs):
-                        if cb and i + j < n:
-                            out[i + j] = add[out[i + j]][row[cb]]
+            if len(y) == 1:
+                x, y = y, x
+            if len(x) == 1:
+                row = f.gf.mul_table[x[0]]
+                out = [row[c] for c in y[:n]]
+            else:
+                out = f._kronecker.product(x[:n], y[:n], n)
             return FieldElement(f, va, out, know)
         know = min(a.val + b.known_to, b.val + a.known_to)
         return FieldElement(f, know, (), know)
@@ -250,17 +346,22 @@ class FieldElement:
         # relative precision available for the unit part
         rel = self.known_to - v if self.known_to != INF else f.precision
         rel = int(min(rel, f.precision + 8))
-        u = list(self.coeffs[:rel]) + [0] * max(0, rel - len(self.coeffs))
+        u = self.coeffs[:rel]
         inv0 = g.inv(u[0])
         out = [inv0] + [0] * (rel - 1)
         add, mul = g.add_table, g.mul_table
+        neg, row0 = g.neg_table, mul[inv0]
+        # the unit's nonzero digits past the first: no term of the sum
+        # below reaches past the unit's length
+        terms = [(i, mul[c]) for i, c in enumerate(u) if i and c]
         for k in range(1, rel):
             # coefficient k of u * out must vanish
             s = 0
-            for i in range(1, k + 1):
-                if i < len(u) and u[i]:
-                    s = add[s][mul[u[i]][out[k - i]]]
-            out[k] = mul[g.neg(s)][inv0]
+            for i, row in terms:
+                if i > k:
+                    break
+                s = add[s][row[out[k - i]]]
+            out[k] = row0[neg[s]]
         return FieldElement(f, -v, out, rel - v)
 
     def __truediv__(self, other):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflab.errors import DivisionByZero, PrecisionExhausted
-from fflab.localfield import INF, LocalField
+from fflab.localfield import INF, FieldElement, LocalField
 
 
 F = LocalField(3)
@@ -104,3 +104,129 @@ def test_even_q_field():
     a = F4.from_fq(g.generator)
     assert (a * a * a).same(F4.one)  # generator of F_4^x has order 3
     assert (a + a).is_exact_zero    # characteristic 2
+
+
+# -- the digit loops that products and inverses replaced, as oracles ----------
+
+
+def reference_mul(a, b):
+    """Schoolbook digit convolution, the product before packed products."""
+    f = a.field
+    if a.is_exact_zero or b.is_exact_zero:
+        return f.zero
+    # lower bound for the valuation of the product
+    if a.coeffs and b.coeffs:
+        know = min(a.val + b.known_to, b.val + a.known_to)
+        va = a.val + b.val
+        g = f.gf
+        n = len(a.coeffs) + len(b.coeffs) - 1
+        if know != INF:
+            n = min(n, know - va)
+        out = [0] * n
+        add, mul = g.add_table, g.mul_table
+        for i, ca in enumerate(a.coeffs):
+            if ca and i < n:
+                row = mul[ca]
+                for j, cb in enumerate(b.coeffs):
+                    if cb and i + j < n:
+                        out[i + j] = add[out[i + j]][row[cb]]
+        return FieldElement(f, va, out, know)
+    know = min(a.val + b.known_to, b.val + a.known_to)
+    return FieldElement(f, know, (), know)
+
+
+def reference_inv(x):
+    """The inverse recurrence with its inner sum running to k."""
+    if x.is_exact_zero:
+        raise DivisionByZero("inverse of exact zero")
+    if not x.coeffs:
+        raise PrecisionExhausted(
+            f"inverse of O(pi^{x.known_to}): nonzero not detectable")
+    f, g = x.field, x.field.gf
+    v = x.val
+    if len(x.coeffs) == 1 and x.known_to == INF:
+        return FieldElement(f, -v, (g.inv(x.coeffs[0]),), INF)
+    # relative precision available for the unit part
+    rel = x.known_to - v if x.known_to != INF else f.precision
+    rel = int(min(rel, f.precision + 8))
+    u = list(x.coeffs[:rel]) + [0] * max(0, rel - len(x.coeffs))
+    inv0 = g.inv(u[0])
+    out = [inv0] + [0] * (rel - 1)
+    add, mul = g.add_table, g.mul_table
+    for k in range(1, rel):
+        # coefficient k of u * out must vanish
+        s = 0
+        for i in range(1, k + 1):
+            if i < len(u) and u[i]:
+                s = add[s][mul[u[i]][out[k - i]]]
+        out[k] = mul[g.neg(s)][inv0]
+    return FieldElement(f, -v, out, rel - v)
+
+
+QS = (2, 3, 4, 5, 7, 8, 9)
+# precision 90 lets an exact operand's inverse run to 98 digits
+WIDE = {q: LocalField(q, 90) for q in QS}
+
+
+@st.composite
+def series(draw, field, zeros=True):
+    """An exact, truncated or (with zeros) O(pi^k) element of up to 90 digits."""
+    val = draw(st.integers(min_value=-5, max_value=5))
+    kinds = ("exact", "truncated", "o_term") if zeros else ("exact", "truncated")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "o_term":
+        return field.o_term(val)
+    n = draw(st.integers(min_value=1, max_value=90))
+    digit = st.integers(min_value=0, max_value=field.q - 1)
+    top = st.just(field.q - 1)
+    digits = draw(st.lists(st.one_of(digit, top), min_size=n, max_size=n))
+    digits[0] = draw(st.integers(min_value=1, max_value=field.q - 1))
+    known = INF if kind == "exact" else val + draw(st.integers(min_value=1, max_value=100))
+    return field.element(val, digits, known)
+
+
+@st.composite
+def operands(draw, count, zeros=True):
+    field = WIDE[draw(st.sampled_from(QS))]
+    return [draw(series(field, zeros)) for _ in range(count)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(operands(2))
+def test_product_matches_digit_convolution(pair):
+    a, b = pair
+    assert (a * b).key() == reference_mul(a, b).key()
+    assert (b * a).key() == reference_mul(b, a).key()
+
+
+@pytest.mark.parametrize("q", QS)
+def test_product_at_slot_width_bounds(q):
+    # all-top digits reach the largest slot value at every length, on both
+    # sides of each slot width's bound
+    field = WIDE[q]
+    for n in (2, 7, 8, 15, 16, 31, 32, 63, 64, 85, 86, 127, 128, 256):
+        a = field.element(0, [q - 1] * n)
+        b = field.element(-2, [q - 1] * (n // 2 + 1), known_to=n)
+        for x, y in ((a, a), (a, b), (b, b)):
+            assert (x * y).key() == reference_mul(x, y).key()
+    # 2,000 digits take 3-byte slots at q = 7; a sparse operand keeps the
+    # reference loop short
+    a = field.element(0, [q - 1] * 2000)
+    b = field.element(1, [1] + [0] * 1998 + [q - 1])
+    assert (a * b).key() == reference_mul(a, b).key()
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands(1, zeros=False))
+def test_inverse_matches_recurrence(one):
+    (x,) = one
+    assert x.inv().key() == reference_inv(x).key()
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands(1, zeros=False))
+def test_unit_inverse_is_the_inverse_shifted(one):
+    # _hermite and _smith take the inverse of a pivot's unit part this way
+    (x,) = one
+    a = x.valuation()
+    assert x.shift(-a).inv().key() == x.inv().shift(a).key()
