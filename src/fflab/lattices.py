@@ -8,24 +8,21 @@ as O_F-modules.  Enumeration covers sublattices and superlattices of given
 index, chains with prescribed step indices, and module-stable lattices for
 a matrix satisfying an integral quadratic minimal polynomial.
 
-The field's precision N is a ceiling for the elimination kernels
+The field's precision N is a ceiling for the four elimination kernels
 canonicalize, smith_exponents, smith_exponents_rectangular and span_index:
 they run at a certified working precision below it (entries truncated a
 few digits above their least valuation) and escalate on
 PrecisionExhausted, so each returns what the untruncated entries give or
-raises.  The fifth kernel, smith_form, returns the unimodular transforms as
-well; it runs at full N, because its caller inverts a transform and lifts
-vectors through it, which needs every digit and not just the pivot
-valuations.  Its one caller is _stable_subspaces; lattices cut out of a
+raises.  All four certify each pivot against the undetermined entries it
+could hide behind.  No lattice kernel runs at full N: _stable_subspaces
+reads the residue subspaces off a Hermite form, and lattices cut out of a
 subspace are duals taken by canonicalize (see reduction.lattice_in_subspace).
-All five certify each pivot against the undetermined entries it could hide
-behind.
 """
 
 import itertools
 
 from .errors import NonFreeAction, PrecisionExhausted, SingularBasis, UnstableBase
-from .linalg import Matrix, linear_solve, mat_det, mat_inverse, row_echelon
+from .linalg import Matrix, mat_det, mat_inverse, row_echelon
 from .localfield import INF
 
 
@@ -302,16 +299,14 @@ def smith_exponents_rectangular(mat, rank=None):
     return _on_ladder(lambda rows: _smith(rows, rank), mat.ring, mat.rows)
 
 
-def _smith(rows, rank, R=None, C=None, floor=None):
+def _smith(rows, rank, floor=None):
     # Row sweeps alone give the exponents: once every entry below the pivot
     # that is not an exact zero is cleared (undetermined ones with an
     # O(pi^k) multiplier), the pivot's row is cleared by column operations
-    # that change no other row, so the rest is the lower right block.
-    # Given the rows of two identity matrices as R and C, the row
-    # operations are recorded in R and the column operations (swaps, the
-    # sweep of the pivot's row, the pivot's unit) in C.  The pivots come in
-    # nondecreasing valuation, so with a floor the sweep stops before the
-    # first exponent >= floor and returns only those below it.
+    # that change no other row, so the rest is the lower right block.  The
+    # pivots come in nondecreasing valuation, so with a floor the sweep
+    # stops before the first exponent >= floor and returns only those
+    # below it.
     n, m = len(rows), len(rows[0])
     out = []
     for top in range(min(n, m)):
@@ -324,10 +319,6 @@ def _smith(rows, rank, R=None, C=None, floor=None):
         rows[top], rows[bi] = rows[bi], rows[top]
         for r in rows:
             r[top], r[bj] = r[bj], r[top]
-        if R is not None:
-            R[top], R[bi] = R[bi], R[top]
-            for c in C:
-                c[top], c[bj] = c[bj], c[top]
         prow = rows[top]
         piv = prow[top]
         out.append(piv.val)
@@ -339,17 +330,6 @@ def _smith(rows, rank, R=None, C=None, floor=None):
                 f = x * piv_inv
                 for j in range(top + 1, m):
                     r[j] = r[j] - f * prow[j]
-                if R is not None:
-                    R[i] = [a - f * b for a, b in zip(R[i], R[top])]
-        if C is not None:
-            for j in range(top + 1, m):
-                if not prow[j].is_exact_zero:
-                    f = prow[j] * piv_inv
-                    for c in C:
-                        c[j] = c[j] - f * c[top]
-            unit_inv = piv_inv.shift(piv.val)
-            for c in C:
-                c[top] = c[top] * unit_inv
     return out
 
 
@@ -364,20 +344,6 @@ def span_index(mat):
     """
     return -sum(_on_ladder(lambda rows: _smith(rows, None, floor=0),
                            mat.ring, mat.rows))
-
-
-def smith_form(mat):
-    """(R, D, C) with R * mat * C = diag(pi^D) zero-padded to mat's shape.
-
-    R and C are unimodular over O_F and D lists the finite exponents in
-    pivot order.  Runs at full precision (see the module docstring); raises
-    PrecisionExhausted when a pivot or a nonzero remainder is not certified.
-    """
-    field = mat.ring
-    R = [list(r) for r in Matrix.identity(field, mat.nrows).rows]
-    C = [list(r) for r in Matrix.identity(field, mat.ncols).rows]
-    D = _smith([list(r) for r in mat.rows], None, R, C)
-    return Matrix(field, R), D, Matrix(field, C)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -476,9 +442,8 @@ def count_chains(l0, lr, m):
 
 
 def column_space_basis(mat):
-    """A lattice basis of the column span of a (possibly singular) matrix,
-    as a list of independent columns (over F): the pivot columns of its
-    row echelon form."""
+    """An F-basis of the column span of a (possibly singular) matrix: the
+    columns of its row echelon form's pivots."""
     return [mat.column(c) for _, c in row_echelon(mat, zeroish_ok=True).pivots]
 
 
@@ -596,19 +561,30 @@ def _stable_subspaces(field, Cmat, Jmat, dims):
     """Per F_q-dimension in dims, the residue subspaces of that dimension in
     O^m / C O^m stable under Jmat, each as a basis (a list of O^m
     coordinate vectors) of lifts.
+
+    The quotient is elementary (pi O^m <= C O^m), so the Hermite form H of
+    C has pivots 1 and pi, and a column j of pivot pi is pi e_j.  The rows
+    of pivot pi are the torsion coordinates and the lifts combine their
+    unit vectors; a column j of pivot 1 gives e_j = -sum_i h_ij e_i modulo
+    C O^m, which folds row j of Jmat's residues into the torsion rows.
     """
     g = field.gf
     m = Cmat.nrows
-    R, D, _ = smith_form(Cmat)
-    if len(D) < m or any(e not in (0, 1) for e in D):
+    H = canonicalize(field, Cmat)
+    h = H.basis.rows
+    torsion = [i for i in range(m) if H.diag[i] == 1]
+    if (any(d not in (0, 1) for d in H.diag)
+            or any(not h[i][j].is_exact_zero for j in torsion for i in torsion if i < j)):
         raise UnstableBase("quotient by pi_E is not elementary")
-    torsion = [i for i in range(m) if D[i] == 1]
-    # R * Cmat O^m = diag(pi^D) O^m: in the basis of R^-1's columns the
-    # quotient is spanned by the torsion coordinates
-    Rinv = mat_inverse(R)
-    act = R * Jmat * Rinv
+    res = [[Jmat.rows[i][j].coeff(0) for j in torsion] for i in range(m)]
+    for j in range(m):
+        if H.diag[j] == 0:
+            for i in torsion:
+                c = h[i][j].coeff(0)
+                if c:
+                    res[i] = [g.sub(a, g.mul(c, b)) for a, b in zip(res[i], res[j])]
     # residue action on the torsion coordinates
-    A = [[act.rows[i][j].coeff(0) for j in torsion] for i in torsion]
+    A = [res[i] for i in torsion]
     out = []
     for dim in dims:
         subs = []
@@ -621,7 +597,7 @@ def _stable_subspaces(field, Cmat, Jmat, dims):
                 for pos, i in enumerate(torsion):
                     if w[pos]:
                         vec[i] = field.from_fq(w[pos])
-                cols.append(Rinv.apply(vec))
+                cols.append(vec)
             subs.append(cols)
         out.append(subs)
     return out
@@ -697,22 +673,23 @@ class SplitStableFamily:
     lattice is J-stable exactly when it is the direct sum of its two
     projections; the family identifies it with the ComponentPair (L+, L-)
     of its components in the eigenspace coordinates W_plus, W_minus.  A
-    neighbor move changes one component by an arbitrary index-one sub- or
-    superlattice (_moves, the one component-move generator, which the
-    orbital traversal walks on component pairs), so ball is the product of
-    the two component balls; _stack builds the generator matrix
-    W_plus L+ | W_minus L- that ball, neighbor_stacks and
-    stable_superlattices return or canonicalize.
+    vector v is proj+ v + proj- v with proj+- v in the span of W+-, so its
+    coordinates (x+, x-), W+- x+- = proj+- v, are W^-1 v for
+    W = W_plus | W_minus; W_inv is taken once.  A neighbor move changes one
+    component by an arbitrary index-one sub- or superlattice (_moves, the
+    one component-move generator, which the orbital traversal walks on
+    component pairs), so ball is the product of the two component balls;
+    _stack builds the generator matrix W_plus L+ | W_minus L- that ball and
+    stable_superlattices canonicalize.
     """
 
     def __init__(self, field, J, algebra, base):
         self.field = field
         self.J = J
-        self.proj_plus, self.proj_minus = algebra.eigen_projectors(J)
-        self.W_plus = Matrix.from_columns(
-            field, column_space_basis(self.proj_plus))
-        self.W_minus = Matrix.from_columns(
-            field, column_space_basis(self.proj_minus))
+        self.W_plus, self.W_minus = (
+            Matrix.from_columns(field, column_space_basis(proj))
+            for proj in algebra.eigen_projectors(J))
+        self.W_inv = mat_inverse(self.W_plus.hstack(self.W_minus))
         self.base = base
         if not self.is_stable(base):
             raise UnstableBase("base lattice is not stable under the action")
@@ -729,14 +706,17 @@ class SplitStableFamily:
         lattice key and kept on the family."""
         pair = self._splits.get(lat.key())
         if pair is None:
-            plus_cols = [linear_solve(self.W_plus, self.proj_plus.apply(v), zeroish_ok=True)
-                         for v in lat.basis.columns()]
-            minus_cols = [linear_solve(self.W_minus, self.proj_minus.apply(v), zeroish_ok=True)
-                          for v in lat.basis.columns()]
-            pair = self._splits[lat.key()] = ComponentPair((
-                from_generators(self.field, plus_cols),
-                from_generators(self.field, minus_cols)))
+            pair = self._splits[lat.key()] = ComponentPair(
+                canonicalize(self.field, half)
+                for half in self.coordinates(lat.basis))
         return pair
+
+    def coordinates(self, mat):
+        """The row blocks (plus, minus) of W^-1 mat: the eigenspace
+        coordinates of mat's columns."""
+        rows = (self.W_inv * mat).rows
+        cut = self.W_plus.ncols
+        return Matrix(self.field, rows[:cut]), Matrix(self.field, rows[cut:])
 
     def _stack(self, lp, lm):
         """Generator matrix of the stable lattice with components lp, lm."""
@@ -772,13 +752,6 @@ class SplitStableFamily:
                 for kp in range(extra_index + 1)
                 for sp in superlattices_of_index(lp, kp)
                 for sm in superlattices_of_index(lm, extra_index - kp)]
-
-    def neighbor_stacks(self, lat):
-        """Raw generator matrices of all single-component index-one moves:
-        those of the plus component, then those of the minus component."""
-        lp, lm = self.split(lat)
-        return ([self._stack(sp, lm) for sp in self._moves(lp)]
-                + [self._stack(lp, sm) for sm in self._moves(lm)])
 
 
 def stable_lattices(field, J, algebra, window, base):
@@ -859,7 +832,7 @@ class GammaGroup:
 
 # -- a stable family modulo Gamma, as the orbital traversal walks it -------------
 # A quotient is built with the pair's A, which commutes with Gamma.  It gives
-# the base as a raw move (start), a vertex's raw moves in neighbor_stacks
+# the base as a raw move (start), a vertex's raw moves in the family's move
 # order (moves), a raw move's reduced vertex, its rep (reduce), a rep's span
 # gap [L + A L : L] (gap), memoized per rep key, and a vertex's canonical
 # lattice (lattice).  The gap is Gamma-invariant, so the traversal reduces
@@ -900,7 +873,7 @@ class PairQuotient:
     """A SplitStableFamily modulo Gamma, on ComponentPairs.
 
     A generator g commutes with J, so g W+- = W+- g+-, with g+- the
-    coordinates of proj+- g W+- in W+- (certified here).  For e =
+    diagonal blocks of W^-1 g W for W = [W+ | W-] (certified here).  For e =
     g.idempotent, e L = e W+ L+ (+) e W- L-, so the content of e L's top
     exterior power splits: functional(g, L) = c_g + phi+(L+) + phi-(L-),
     phi+- the sum of the elementary divisors of e W+- L+-, c_g (from the
@@ -921,17 +894,20 @@ class PairQuotient:
         self.fam, self.gamma = fam, gamma
         self.terms, self.reduced, self.gaps, self.lattices = {}, {}, {}, {}
         self.component_moves, self.halves = {}, {}
-        sides = ((fam.W_plus, fam.proj_plus), (fam.W_minus, fam.proj_minus))
-        self.parts = [[_eigenpart(g, W, proj) for W, proj in sides]
-                      for g in gamma.gens]
+        W = fam.W_plus.hstack(fam.W_minus)
+        cut = fam.W_plus.ncols
+        self.parts = []
+        for g in gamma.gens:
+            # the diagonal blocks of W^-1 g W
+            gp, gm = fam.coordinates(g.matrix * W)
+            self.parts.append([
+                _eigenpart(g, fam.W_plus, Matrix(fam.field, [r[:cut] for r in gp.rows])),
+                _eigenpart(g, fam.W_minus, Matrix(fam.field, [r[cut:] for r in gm.rows]))])
         lp, lm = self.start()
         self.consts = [gamma.functional(g, fam.base.basis)
                        - self._term(i, 0, lp) - self._term(i, 1, lm)
                        for i, g in enumerate(gamma.gens)]
-        W = fam.W_plus.hstack(fam.W_minus)
-        rows = (mat_inverse(W) * A * W).rows
-        cut = fam.W_plus.ncols
-        self.blocks = (Matrix(fam.field, rows[:cut]), Matrix(fam.field, rows[cut:]))
+        self.blocks = fam.coordinates(A * W)
 
     def _term(self, i, side, comp):
         """phi of generator i on one component (side 0 plus, 1 minus)."""
@@ -951,7 +927,8 @@ class PairQuotient:
         return self.fam.split(self.fam.base)
 
     def moves(self, pair):
-        """The moves of neighbor_stacks, each component's built once."""
+        """The single-component moves: those of the plus component, then
+        those of the minus component, each component's built once."""
         lp, lm = pair
         return ([ComponentPair((sp, lm)) for sp in self._component_moves(lp)]
                 + [ComponentPair((lp, sm)) for sm in self._component_moves(lm)])
@@ -999,12 +976,11 @@ class PairQuotient:
         return self.lattices[k]
 
 
-def _eigenpart(g, W, proj):
+def _eigenpart(g, W, gc):
     """((g+-, g+-^-1), e W+-, rank of e W+-) of generator g on the
-    eigenspace with basis W and projector proj."""
+    eigenspace with basis W, given g+- = gc, the block of W^-1 g W on it;
+    raises unless g W = W gc, that is unless g is block-diagonal."""
     gW = g.matrix * W
-    gc = Matrix.from_columns(W.ring, [linear_solve(W, proj.apply(v), zeroish_ok=True)
-                                      for v in gW.columns()])
     if not (W * gc).same(gW):
         raise PrecisionExhausted("generator not certified block-diagonal")
     eW = g.idempotent * W

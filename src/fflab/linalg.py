@@ -8,15 +8,15 @@ pivots can be certified.
 
 A matrix is eliminated once per Matrix object.  The elimination records
 its pivots, row swaps and per-pivot sweep factors together with the final
-echelon rows; row_echelon, linear_solve, kernel_basis, mat_inverse and
-mat_rank read that record, and a right-hand side is reduced by replaying
-the recorded swaps and sweeps on it.  Pivot choice and sweep factors
-depend only on the matrix, so the replay does the same operations, in the
-same order, as eliminating the augmented matrix: every result is
+echelon rows; row_echelon, kernel_basis, mat_inverse and mat_rank read
+that record, and mat_inverse reduces the identity by replaying the
+recorded swaps and sweeps on it.  Pivot choice and sweep factors depend
+only on the matrix, so the replay does the same operations, in the same
+order, as eliminating the augmented matrix: every result is
 bit-identical, precision included, to a fresh elimination.
 """
 
-from .errors import NoSolution, PrecisionExhausted, SingularBasis
+from .errors import PrecisionExhausted, SingularBasis
 
 
 class Matrix:
@@ -499,24 +499,6 @@ def mat_det(mat):
                 factor = x * piv_inv
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return det if sign == 1 else -det
-
-
-def linear_solve(mat, rhs, zeroish_ok=False):
-    """One solution of mat * x = rhs over F, or NoSolution.
-
-    rhs is a vector; returns a vector.
-    """
-    rec = row_echelon(mat, zeroish_ok)
-    augr = rec.replay([x] for x in rhs)
-    for i in range(len(rec.pivots), mat.nrows):
-        if augr[i][0].coeffs:
-            raise NoSolution("inconsistent linear system")
-        if not augr[i][0].is_exact_zero and not zeroish_ok:
-            raise PrecisionExhausted("consistency of linear system not certified")
-    x = [mat.ring.zero] * mat.ncols
-    for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs()):
-        x[c] = augr[r][0] * piv_inv
-    return x
 
 
 def kernel_basis(mat, zeroish_ok=False):

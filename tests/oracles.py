@@ -1,0 +1,95 @@
+"""Slow, independent routes that the tests hold the package's routes to.
+
+- linear_solve: one solution of mat * x = rhs by replaying the elimination
+  record; the oracle for the eigenspace coordinates that
+  lattices.SplitStableFamily reads off one inverse W^-1;
+- smith_form: the Smith form with its unimodular transforms, at full
+  precision; the oracle for the residue subspaces that
+  lattices._stable_subspaces reads off a Hermite form;
+- split_neighbor_stacks: a split family's index-one moves as raw generator
+  stacks, plus moves first, then minus moves, the order of
+  lattices.PairQuotient.moves; the move generator of the stack-route
+  oracle for split families.
+"""
+
+from fflab.errors import NoSolution, PrecisionExhausted
+from fflab.lattices import _pivot
+from fflab.linalg import Matrix, row_echelon
+from fflab.localfield import INF
+
+
+def linear_solve(mat, rhs, zeroish_ok=False):
+    """One solution of mat * x = rhs over F, or NoSolution.
+
+    rhs is a vector; returns a vector.
+    """
+    rec = row_echelon(mat, zeroish_ok)
+    augr = rec.replay([x] for x in rhs)
+    for i in range(len(rec.pivots), mat.nrows):
+        if augr[i][0].coeffs:
+            raise NoSolution("inconsistent linear system")
+        if not augr[i][0].is_exact_zero and not zeroish_ok:
+            raise PrecisionExhausted("consistency of linear system not certified")
+    x = [mat.ring.zero] * mat.ncols
+    for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs()):
+        x[c] = augr[r][0] * piv_inv
+    return x
+
+
+def smith_form(mat):
+    """(R, D, C) with R * mat * C = diag(pi^D) zero-padded to mat's shape.
+
+    R and C are unimodular over O_F and D lists the finite exponents in
+    pivot order.  The pivots and row sweeps are those of lattices._smith
+    on the untruncated entries; the row operations are recorded in R and
+    the column operations (swaps, the sweep of the pivot's row, the
+    pivot's unit) in C.  Raises PrecisionExhausted when a pivot or a
+    nonzero remainder is not certified.
+    """
+    field = mat.ring
+    rows = [list(r) for r in mat.rows]
+    R = [list(r) for r in Matrix.identity(field, mat.nrows).rows]
+    C = [list(r) for r in Matrix.identity(field, mat.ncols).rows]
+    n, m = mat.nrows, mat.ncols
+    D = []
+    for top in range(min(n, m)):
+        best, hidden = _pivot(rows[top:], top)
+        if best is None:
+            if hidden == INF:
+                break
+            raise PrecisionExhausted("elementary divisor not certified")
+        bi, bj = best[0] + top, best[1]
+        rows[top], rows[bi] = rows[bi], rows[top]
+        R[top], R[bi] = R[bi], R[top]
+        for r in rows + C:
+            r[top], r[bj] = r[bj], r[top]
+        prow = rows[top]
+        piv = prow[top]
+        D.append(piv.val)
+        piv_inv = piv.inv()
+        for i in range(top + 1, n):
+            r = rows[i]
+            x = r[top]
+            if not x.is_exact_zero:
+                f = x * piv_inv
+                for j in range(top + 1, m):
+                    r[j] = r[j] - f * prow[j]
+                R[i] = [a - f * b for a, b in zip(R[i], R[top])]
+        for j in range(top + 1, m):
+            if not prow[j].is_exact_zero:
+                f = prow[j] * piv_inv
+                for c in C:
+                    c[j] = c[j] - f * c[top]
+        unit_inv = piv_inv.shift(piv.val)
+        for c in C:
+            c[top] = c[top] * unit_inv
+    return Matrix(field, R), D, Matrix(field, C)
+
+
+def split_neighbor_stacks(fam, lat):
+    """Raw generator matrices of a split family's single-component
+    index-one moves: those of the plus component, then those of the minus
+    component."""
+    lp, lm = fam.split(lat)
+    return ([fam._stack(sp, lm) for sp in fam._moves(lp)]
+            + [fam._stack(lp, sm) for sm in fam._moves(lm)])

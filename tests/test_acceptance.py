@@ -5,6 +5,7 @@ are no tolerances anywhere.  The heavy criteria enumerate rank-4 lattice
 sums; the reduction identity takes about 7 s.
 """
 
+import hashlib
 import json
 import time
 
@@ -105,3 +106,26 @@ def test_criterion_11_determinism_and_precision():
     print(line, flush=True)
     assert all(s for _, s in details), f"precision drift in: {[n for n, s in details if not s]}"
     assert threads_same, "thread-count variation changed the report"
+
+
+# SHA-256 of each suite's records at precision 40, precision stripped and
+# keys sorted.  A record can change without its identity failing (a
+# traversal radius in `windows`, a move order), so every record is pinned.
+_SUITE_DIGESTS = {
+    "satake-closed": "9478c78b44180f57396614c305dc3c284e0aa80ad4871541ca0daeadcd3c91bd",
+    "satake-hom": "663d6c23b393fbcfb027e1706f98db11ce74188c24af7644450a3cf887e05650",
+    "satake-partial": "e4f92e3ab12018f1c9b322d4db83588e9f06d30192465acb98537aee66309228",
+    "sym-identities": "0634ca1db714f05cec6753a3536aeea9e05929e8f836e6301f7501270f4762d0",
+    "transfer-law": "ac7f268b0fbcd1a86d71d643f9d1e90c32caaa52d0e7d719d7554699ef2cc6ce",
+    "degree-formulas": "2976309d359bd358dd5d6cbb82820cf351002741dc702bda8b5365e1b73e7f52",
+    "fiber-counts": "b443f00ddb18ea1bfa482525a6ecce4d108fd9a87bc3fac24ff0d449f7030350",
+    "thm212": "eb0ea2d06c27674ce5cad3b8ae3658a78197f72faf63f0029bf8dc10ea3347ad",
+    "fl-n1": "b613d543bac7e6369bac2bd3278be67c3b508a5c107a916f01bd3618fe12daa2",
+    "vanishing-sign": "d8127858c41c73a35c0d9002f6859c1a4482fc841c888233c7d578ffab2fd689",
+}
+
+
+def test_suite_records_are_pinned():
+    got = {name: hashlib.sha256(_strip(run_suite(name, precision=40)).encode()).hexdigest()
+           for name in SUITES}
+    assert got == _SUITE_DIGESTS

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fflab import lattices
 from fflab.errors import PrecisionExhausted, SingularBasis, UnstableBase
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
 from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
@@ -13,10 +14,11 @@ from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
                             relative_position, smith_exponents, span_index,
                             stable_family, stable_lattices, standard_lattice,
                             sublattices_of_index, superlattices_of_index)
-from fflab.linalg import Matrix, mat_det, row_echelon
+from fflab.linalg import Matrix, mat_det, mat_inverse, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
 from fflab.pairs import direct_sum, match_alpha, random_pair, standard_embedding
+from oracles import smith_form, split_neighbor_stacks
 
 F = LocalField(3)
 one, pi = F.one, F.pi()
@@ -217,7 +219,7 @@ def test_split_family_moves_match_brute_force(q, top):
     for fam in _stable_families(direct_sum(*alphas)):
         assert isinstance(fam, SplitStableFamily)
         L = fam.base
-        moves = [canonicalize(Fq, s) for s in fam.neighbor_stacks(L)]
+        moves = [canonicalize(Fq, s) for s in split_neighbor_stacks(fam, L)]
         brute = {M for M in itertools.chain(sublattices_of_index(L, 1),
                                             superlattices_of_index(L, 1))
                  if fam.is_stable(M)}
@@ -245,6 +247,70 @@ def test_stable_superlattices_match_brute_force(q, kind, n, top):
         assert len(set(ups)) == len(ups)
         assert set(ups) == {M for M in superlattices_of_index(L, k)
                             if fam.is_stable(M)}
+
+
+def _smith_stable_subspaces(field, Cmat, Jmat, dims):
+    """lattices._stable_subspaces through the Smith form R Cmat C of the
+    quotient: its torsion coordinates are the exponent-1 rows of R, the
+    residue action is that of R Jmat R^-1 there, and a subspace lifts
+    through R^-1."""
+    g = field.gf
+    m = Cmat.nrows
+    R, D, _ = smith_form(Cmat)
+    if len(D) < m or any(e not in (0, 1) for e in D):
+        raise UnstableBase("quotient by pi_E is not elementary")
+    torsion = [i for i in range(m) if D[i] == 1]
+    Rinv = mat_inverse(R)
+    act = R * Jmat * Rinv
+    A = [[act.rows[i][j].coeff(0) for j in torsion] for i in torsion]
+    out = []
+    for dim in dims:
+        subs = []
+        for W in lattices._subspaces_of_dim(g, len(torsion), dim):
+            if lattices._fq_subspace_stable(g, A, W):
+                subs.append([Rinv.apply([field.from_fq(w[torsion.index(i)])
+                                         if i in torsion else field.zero
+                                         for i in range(m)]) for w in W])
+        out.append(subs)
+    return out
+
+
+@pytest.mark.parametrize("q, kind, radius", [
+    (2, UNRAMIFIED, 1), (3, UNRAMIFIED, 1), (3, RAMIFIED, 2), (5, RAMIFIED, 2),
+    (9, RAMIFIED, 1)])
+def test_stable_moves_match_the_smith_route(q, kind, radius, monkeypatch):
+    # the residue subspaces read off the Hermite form give, on every lattice
+    # of a rank-2 ball and a rank-4 ball of the given radius, the moves of
+    # the Smith-form route; the order differs where the two routes take
+    # different residue coordinates (most lattices of a rank-4 ramified
+    # family)
+    Fq = LocalField(q)
+    E = build_quadratic(kind, Fq)
+    fams = [stable_family(Fq, standard_embedding(E, n), E, standard_lattice(Fq, 2 * n))
+            for n in (1, 2)]
+    balls = [fams[0].ball(2), fams[1].ball(radius)]
+    hermite = [[[canonicalize(Fq, s) for s in fam.neighbor_stacks(L)] for L in ball]
+               for fam, ball in zip(fams, balls)]
+    monkeypatch.setattr(lattices, "_stable_subspaces", _smith_stable_subspaces)
+    for fam, ball, moves in zip(fams, balls, hermite):
+        assert len(ball) > 1
+        for L, got in zip(ball, moves):
+            want = [canonicalize(Fq, s) for s in fam.neighbor_stacks(L)]
+            assert len(got) == len(want) == len(set(got))
+            assert set(got) == set(want)
+
+
+@pytest.mark.parametrize("rows, pivots", [([[1, 0], [0, "pi2"]], (0, 2)),
+                                          ([["pi", 1], [0, "pi"]], (1, 1))])
+def test_non_elementary_quotient_is_unstable(rows, pivots):
+    # Smith exponents (0, 2); in the second case the Hermite pivots are
+    # (1, 1), with a unit above the second pivot
+    entry = {0: F.zero, 1: one, "pi": pi, "pi2": F.pi(2)}
+    Cmat = Matrix(F, [[entry[x] for x in row] for row in rows])
+    assert smith_exponents(Cmat) == (2, 0)
+    assert canonicalize(F, Cmat).diag == pivots
+    with pytest.raises(UnstableBase):
+        lattices._stable_subspaces(F, Cmat, Matrix.identity(F, 2), (1,))
 
 
 def test_unstable_base_rejected():

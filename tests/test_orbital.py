@@ -14,6 +14,7 @@ from fflab.orbital import (OrbitalValue, TransferContext, derivative_at_zero,
                            functional_equation_probe, orbital_alpha, orbital_beta,
                            transfer_factor, value_at_zero, vanishing_order_at_one)
 from fflab.pairs import invariant, match_alpha, random_pair
+from oracles import linear_solve, split_neighbor_stacks
 
 F = LocalField(3)
 E0 = build_quadratic(SPLIT, F)
@@ -296,11 +297,17 @@ def _congruent_eigenspaces():
 
 @pytest.mark.parametrize("case", [2, 3, 9, UNRAMIFIED, RAMIFIED])
 def test_split_traversal_matches_the_stack_route(case):
-    # the 4 x 4 route (StackQuotient on the same family) is the oracle: same
-    # value and radius per f, and per move of every expanded vertex the same
-    # rep lattice as reduce_stack and the same gap as the raw stack's
+    # the 4 x 4 route (StackQuotient on the same family, on raw stacks of
+    # the same moves) is the oracle: same value and radius per f, and per
+    # move of every expanded vertex the same rep lattice as reduce_stack and
+    # the same gap as the raw stack's
     from fflab.lattices import PairQuotient, StackQuotient
     from fflab.orbital import OrbitalProblem
+
+    class SplitStackQuotient(StackQuotient):
+        def moves(self, lat):
+            return split_neighbor_stacks(self.fam, lat)
+
     if case in (2, 3, 9):
         _, target, fs = _reuse_case(case)
     else:
@@ -309,7 +316,8 @@ def test_split_traversal_matches_the_stack_route(case):
     for f in fs:
         prob = OrbitalProblem(shared, f, twisted=True)
         slow = OrbitalProblem(oracle, f, twisted=True)
-        slow.state.quotient = StackQuotient(slow.fam_b, slow.gamma, slow.pair.A)
+        stacks = StackQuotient if case == RAMIFIED else SplitStackQuotient
+        slow.state.quotient = stacks(slow.fam_b, slow.gamma, slow.pair.A)
         assert prob.evaluate() == slow.evaluate()
     st, fam, gamma = prob.state, prob.fam_b, prob.gamma
     q = st.quotient
@@ -409,3 +417,59 @@ def test_split_gap_on_congruent_eigenspaces(rows):
         assert q.gap(pair) == gap
         gaps.add(gap)
     assert gaps == {0, 1, 2, 3, 4}
+
+
+def _solved_split(fam, algebra, lat):
+    """The components of a stable lattice through linear_solve: each
+    column's projections solved in W_plus and W_minus."""
+    from fflab.lattices import from_generators
+    return tuple(
+        from_generators(F, [linear_solve(W, proj.apply(v), zeroish_ok=True)
+                            for v in lat.basis.columns()])
+        for W, proj in zip((fam.W_plus, fam.W_minus), algebra.eigen_projectors(fam.J)))
+
+
+@pytest.mark.parametrize("case", ["congruent", 2, 3, 9, UNRAMIFIED])
+def test_split_coordinates_match_the_linear_solve_route(case):
+    # the eigenspace coordinates read off W^-1 give the components, and the
+    # generator blocks, that solving in W_plus and W_minus gives; W is not
+    # integral on the congruent eigenspaces
+    from fflab.orbital import OrbitalProblem
+    if case == "congruent":
+        fam, gamma = _congruent_eigenspaces()
+        algebra, A, radius = E0, Matrix.identity(F, 2), 2
+    else:
+        if case == UNRAMIFIED:
+            target, fs = _thm212_sum(case)
+            radius = 1
+        else:
+            _, target, fs = _reuse_case(case)
+            radius = 2
+        prob = OrbitalProblem(_fresh(target), fs[0], twisted=True)
+        fam, gamma, A = prob.fam_b, prob.gamma, prob.pair.A
+        algebra = prob.pair.Eb
+    field = fam.field
+    ball = fam.ball(radius)
+    assert len(ball) > 20
+    for lat in ball:
+        assert fam.split(lat).key() == tuple(c.key() for c in _solved_split(fam, algebra, lat))
+    q = fam.quotient(gamma, A)
+    projs = algebra.eigen_projectors(fam.J)
+    for g, parts in zip(gamma.gens, q.parts):
+        for W, proj, ((gc, _), _, _) in zip((fam.W_plus, fam.W_minus), projs, parts):
+            solved = Matrix.from_columns(field, [linear_solve(W, proj.apply(v), zeroish_ok=True)
+                                                 for v in (g.matrix * W).columns()])
+            assert gc.same(solved)
+
+
+def test_generator_off_the_eigenspaces_is_refused():
+    # g does not commute with J, so W^-1 g W is not block-diagonal
+    from fflab.errors import PrecisionExhausted
+    from fflab.lattices import GammaGenerator, GammaGroup, SplitStableFamily
+    J = Matrix.diagonal(F, [F.one, F.zero])
+    fam = SplitStableFamily(F, J, E0, standard_lattice(F, 2))
+    g = Matrix(F, [[F.pi(), F.one], [F.zero, F.pi()]])
+    assert not (g * J).same(J * g)
+    gamma = GammaGroup(F, [GammaGenerator(g, Matrix.identity(F, 2))])
+    with pytest.raises(PrecisionExhausted, match="generator not certified block-diagonal"):
+        fam.quotient(gamma, Matrix.identity(F, 2))

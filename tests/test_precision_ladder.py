@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from fflab.errors import PrecisionExhausted, SingularBasis
 from fflab.lattices import (_FIRST_RUNG, _hermite, _smith, canonicalize,
-                            smith_exponents, smith_exponents_rectangular,
-                            smith_form)
+                            smith_exponents, smith_exponents_rectangular)
 from fflab.linalg import Matrix, mat_det, mat_inverse
 from fflab.localfield import INF, LocalField
+from oracles import smith_form
 
 QS = st.sampled_from([2, 3, 9])
 SEEDS = st.integers(min_value=0, max_value=2 ** 32)
@@ -171,7 +171,7 @@ def test_lower_precision_agrees_or_raises(q, seed, series):
             assert exps == ref_exps
 
 
-# -- Smith form with transforms (full precision) -----------------------------------
+# -- the Smith-form oracle with transforms (full precision) ------------------------
 
 
 @settings(max_examples=30, deadline=None)

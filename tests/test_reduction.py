@@ -4,9 +4,8 @@ import pytest
 
 from fflab.errors import NoSolution
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
-from fflab.lattices import (canonicalize, from_generators, index, smith_form,
-                            standard_lattice)
-from fflab.linalg import Matrix, linear_solve
+from fflab.lattices import canonicalize, from_generators, index, standard_lattice
+from fflab.linalg import Matrix
 from fflab.localfield import LocalField
 from fflab.pairs import direct_sum, invariant, random_pair
 from fflab.reduction import (HomSystem, LatticeChain, PhiMap, SplitScenario,
@@ -14,6 +13,7 @@ from fflab.reduction import (HomSystem, LatticeChain, PhiMap, SplitScenario,
                              closed_phi_exponent, fiber_count_exponent,
                              inclusion_degree, lattice_in_subspace, random_chain,
                              verify_reduction)
+from oracles import linear_solve, smith_form
 
 F = LocalField(3)
 E1 = build_quadratic(UNRAMIFIED, F)
