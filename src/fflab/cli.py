@@ -1,8 +1,11 @@
 """Batch front-end: configuration, seeded scenario runs, verification suites.
 
 Subcommands: invariant | orbital | satake | verify.  Every run is
-deterministic given (config, seed); verify reruns its suite at precision
-N+8 and with a second thread count and asserts byte-identical payloads.
+deterministic given (config, seed).  verify reruns its suite at precision
+N+8 and once more as a single job on a 2-worker thread pool, and reports
+whether each rerun's payload is byte-identical to the first run's; the
+thread-stability record thus compares two serial runs of the suite in
+one process, on different threads.
 Reports are JSON lines plus a CSV summary; exit codes: 0 pass, 1 assertion
 failure, 2 configuration error.
 """

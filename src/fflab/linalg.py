@@ -127,6 +127,16 @@ class Matrix:
         zero = self.ring.zero
         return [_dot(r, nz, zero) for r in self.rows]
 
+    def kron(self, other):
+        """Kronecker product: entry (i p + k, j r + l) is self[i][j] *
+        other[k][l], p x r other's shape.  An exact-zero factor gives an
+        exact zero without a multiply.  On row-major flattened matrices,
+        vec(A X B) = (A kron B^T) vec(X)."""
+        z = self.ring.zero
+        return Matrix(self.ring, [[z if a.is_exact_zero or b.is_exact_zero else a * b
+                                   for a in ra for b in rb]
+                                  for ra in self.rows for rb in other.rows])
+
     def scale(self, s):
         return Matrix(self.ring, [[a * s for a in r] for r in self.rows])
 
@@ -158,6 +168,14 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
         return f"[{body}]"
+
+
+def sylvester_map(a, b):
+    """The map X -> X b - a X on row-major flattened matrices, as the
+    matrix I kron b^T - a kron I."""
+    ring = a.ring
+    return (Matrix.identity(ring, a.nrows).kron(b.transpose())
+            - a.kron(Matrix.identity(ring, b.nrows)))
 
 
 class Poly:

@@ -19,7 +19,7 @@ from .etale import (cd_constants, is_regular_semisimple,
                     sigma_poly, symmetry_check)
 from .factor import hensel_factor, poly_bezout
 from .linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis, mat_det,
-                     mat_inverse, mat_rank)
+                     mat_inverse, mat_rank, sylvester_map)
 from .lattices import GammaGenerator, GammaGroup
 
 
@@ -155,26 +155,18 @@ def direct_sum(p0, p1):
 
 
 def _commutant_basis(field, mats, size):
-    """Basis of {X : XM = MX for all M}, as matrices."""
-    cols = size * size
-    rows = []
-    zero = field.zero
-    for M in mats:
-        for i in range(size):
-            for j in range(size):
-                row = [zero] * cols
-                # (XM - MX)_{ij} = sum_l X_il M_lj - sum_k M_ik X_kj
-                for l in range(size):
-                    row[i * size + l] = row[i * size + l] + M.rows[l][j]
-                for k in range(size):
-                    row[k * size + j] = row[k * size + j] - M.rows[i][k]
-                rows.append(row)
+    """Basis of {X : XM = MX for all M}, as matrices.
+
+    Row-major, vec(A X B) = (A kron B^T) vec(X), so vec(XM - MX) is
+    (I kron M^T - M kron I) vec(X): the commutant is the kernel of those
+    blocks stacked, one per M.
+    """
+    rows = [r for M in mats for r in sylvester_map(M, M).rows]
     ker = kernel_basis(Matrix(field, rows), zeroish_ok=True)
     out = []
     zero = Matrix.zero(field, size)
     for v in ker:
-        m = Matrix(field, [[v[i * size + j] for j in range(size)]
-                           for i in range(size)])
+        m = Matrix(field, [v[k:k + size] for k in range(0, len(v), size)])
         for M in mats:
             if not (m * M - M * m).same(zero):
                 raise WrongDimension("commutant candidate fails to commute")

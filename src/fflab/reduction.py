@@ -3,11 +3,13 @@
 A split scenario carries two complementary pairs on V = V0 (+) V1 together
 with lattice chains whose endpoints are stable under the respective
 algebra actions.  The machinery realizes the Hom-space P = Hom(V1, V0) as
-a flat coordinate space, builds the (conj-)linearity sublattices, the
-block map Phi whose kernel encodes compatible connecting maps, and checks
-the quasi-isogeny degree formulas and fiber counts against their closed
-forms.  The top-level verifier compares full orbital integrals with the
-Levi-factorized right-hand sides.
+row-major flattened matrices, where every linear map X -> A X B is the
+Kronecker product A kron B^T: the operators q_i^-, q_i^+ are Sylvester
+maps and each Hom lattice is spanned by one Kronecker product.  It builds
+the (conj-)linearity sublattices, the block map Phi whose kernel encodes
+compatible connecting maps, and checks the quasi-isogeny degree formulas
+and fiber counts against their closed forms.  The top-level verifier
+compares full orbital integrals with the Levi-factorized right-hand sides.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from .etale import resultant
 from .hecke import f_of_m
 from .lattices import (_is_stable, canonicalize, chains, from_generators, index,
                        lattice_leq, smith_exponents)
-from .linalg import Matrix, kernel_basis, mat_det
+from .linalg import Matrix, kernel_basis, mat_det, sylvester_map
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta
 from .pairs import direct_sum, invariant
 
@@ -49,9 +51,6 @@ class LatticeChain:
     @property
     def r(self):
         return len(self.lattices) - 1
-
-    def total(self):
-        return sum(self.steps)
 
 
 class SplitScenario:
@@ -106,50 +105,14 @@ def random_chain(pair, m, seed, window=2):
 # -- Hom-space machinery ---------------------------------------------------------------
 
 
-def _flatten(field, mat):
-    """Row-major flattening of a dim0 x dim1 matrix into a vector."""
-    return [mat.rows[i][j] for i in range(mat.nrows) for j in range(mat.ncols)]
-
-
-def _post_op(field, B0, dim1):
-    """Operator f -> B0 * f on flattened Hom(V1, V0)."""
-    d0 = B0.nrows
-    size = d0 * dim1
-    rows = [[field.zero] * size for _ in range(size)]
-    for a in range(d0):
-        for b in range(dim1):
-            for c in range(d0):
-                rows[a * dim1 + b][c * dim1 + b] = B0.rows[a][c]
-    return Matrix(field, rows)
-
-
-def _pre_op(field, B1, dim0):
-    """Operator f -> f * B1 on flattened Hom(V1, V0)."""
-    d1 = B1.nrows
-    size = dim0 * d1
-    rows = [[field.zero] * size for _ in range(size)]
-    for a in range(dim0):
-        for b in range(d1):
-            for c in range(d1):
-                rows[a * d1 + b][a * d1 + c] = B1.rows[c][b]
-    return Matrix(field, rows)
-
-
 def hom_lattice(field, m_top, m_bot):
-    """Hom_O(m_bot, m_top) as a lattice in the flattened Hom space.
+    """Hom_O(m_bot, m_top) as a lattice in the row-major flattened Hom space.
 
-    Maps f with f(m_bot) <= m_top; basis g_top E_ab g_bot^(-1).
+    Maps f with f(m_bot) <= m_top: f = g_top X g_bot^(-1) with X integral.
+    Row-major, vec(A X B) = (A kron B^T) vec(X), so the lattice is spanned
+    by the columns of g_top kron (g_bot^(-1))^T.
     """
-    g_top = m_top.basis
-    g_bot_inv = m_bot.inverse()
-    d0, d1 = m_top.rank, m_bot.rank
-    cols = []
-    for a in range(d0):
-        for b in range(d1):
-            e = Matrix(field, [[field.one if (i, j) == (a, b) else field.zero
-                                for j in range(d1)] for i in range(d0)])
-            cols.append(_flatten(field, g_top * e * g_bot_inv))
-    return from_generators(field, cols)
+    return canonicalize(field, m_top.basis.kron(m_bot.inverse().transpose()))
 
 
 class SubspaceLattice:
@@ -231,15 +194,14 @@ class HomSystem:
         self.B0, self.B1 = p0.B, p1.B    # second algebra
         tr_a, tr_b = p0.Ea.tr, p0.Eb.tr
         ident0 = Matrix.identity(field, self.d0)
+        # q_i^-: f -> f X_1 - X_0 f and q_i^+: f -> f X_1 - (tr - X_0) f
         self.q_minus = {
-            1: _pre_op(field, self.A1, self.d0) - _post_op(field, self.A0, self.d1),
-            2: _pre_op(field, self.B1, self.d0) - _post_op(field, self.B0, self.d1),
+            1: sylvester_map(self.A0, self.A1),
+            2: sylvester_map(self.B0, self.B1),
         }
         self.q_plus = {
-            1: _pre_op(field, self.A1, self.d0)
-               - _post_op(field, ident0.scale(tr_a) - self.A0, self.d1),
-            2: _pre_op(field, self.B1, self.d0)
-               - _post_op(field, ident0.scale(tr_b) - self.B0, self.d1),
+            1: sylvester_map(ident0.scale(tr_a) - self.A0, self.A1),
+            2: sylvester_map(ident0.scale(tr_b) - self.B0, self.B1),
         }
         # subspace bases: P_i^+ = ker q_i^-, P_i^- = ker q_i^+
         self.P_plus = {i: Matrix.from_columns(field, kernel_basis(self.q_minus[i],
@@ -263,17 +225,16 @@ class HomSystem:
             self.Lambda_pm[(i, "-")] = lattice_in_subspace(field, self.Lambda[i],
                                                            self.P_minus[i])
 
+    def q_op(self, i, sign):
+        """q_i^-, or q_i^+ when sign is "+"."""
+        return self.q_minus[i] if sign == "-" else self.q_plus[i]
+
     def q_image_equals_sublattice(self, i, sign):
         """Surjectivity of the projection onto the (conj-)linear sublattice."""
-        op = self.q_minus[i] if sign == "-" else self.q_plus[i]
-        target = self.Lambda_pm[(i, "-" if sign == "-" else "+")]
-        cols = []
         lam = self.Lambda[i]
-        for j in range(lam.rank):
-            img = op.apply(lam.basis.column(j))
-            cols.append(target.coords(img))
-        img_lat = from_generators(self.field, cols)
-        return img_lat.det_valuation == 0
+        cols = _image_coords(self.q_op(i, sign).apply, lam.basis.columns(),
+                             self.Lambda_pm[(i, sign)])
+        return from_generators(self.field, cols).det_valuation == 0
 
     def deg_lambda2_to_lambda1(self):
         """Degree of the inclusion-induced quasi-isogeny Lambda_2 -> Lambda_1."""
@@ -281,35 +242,30 @@ class HomSystem:
 
     def deg_q_pair(self, source_i):
         """deg((q_1^-, q_2^-) : Lambda_source -> Lambda_1^- x Lambda_2^-)."""
-        lam = self.Lambda[source_i]
-        t1 = self.Lambda_pm[(1, "-")]
-        t2 = self.Lambda_pm[(2, "-")]
-        cols = []
-        for j in range(lam.rank):
-            v = lam.basis.column(j)
-            c1 = t1.coords(self.q_minus[1].apply(v))
-            c2 = t2.coords(self.q_minus[2].apply(v))
-            cols.append(list(c1) + list(c2))
-        return _det_valuation(Matrix.from_columns(self.field, cols))
+        vecs = self.Lambda[source_i].basis.columns()
+        c1 = _image_coords(self.q_minus[1].apply, vecs, self.Lambda_pm[(1, "-")])
+        c2 = _image_coords(self.q_minus[2].apply, vecs, self.Lambda_pm[(2, "-")])
+        return _det_valuation(Matrix.from_columns(
+            self.field, [a + b for a, b in zip(c1, c2)]))
 
     def deg_restricted(self, i_op, sign_op, source_key, target_key):
         """deg(q_{i_op}^{sign} restricted: Lambda_source^{s} -> Lambda_target^{t})."""
-        op = self.q_minus[i_op] if sign_op == "-" else self.q_plus[i_op]
-        src = self.Lambda_pm[source_key]
-        tgt = self.Lambda_pm[target_key]
-        cols = []
-        for v in src.basis_cols():
-            cols.append(tgt.coords(op.apply(v)))
+        cols = _image_coords(self.q_op(i_op, sign_op).apply,
+                             self.Lambda_pm[source_key].basis_cols(),
+                             self.Lambda_pm[target_key])
         return _det_valuation(Matrix.from_columns(self.field, cols))
 
     def deg_composite_lambda1_plus(self):
         """deg(q_1^+ q_2^- restricted to Lambda_1^+, an endomorphism)."""
         src = self.Lambda_pm[(1, "+")]
-        cols = []
-        for v in src.basis_cols():
-            w = self.q_plus[1].apply(self.q_minus[2].apply(v))
-            cols.append(src.coords(w))
+        cols = _image_coords(lambda v: self.q_plus[1].apply(self.q_minus[2].apply(v)),
+                             src.basis_cols(), src)
         return _det_valuation(Matrix.from_columns(self.field, cols))
+
+
+def _image_coords(fn, vectors, target):
+    """target's coordinates of fn(v), for each v in vectors."""
+    return [target.coords(fn(v)) for v in vectors]
 
 
 def _det_valuation(mat):

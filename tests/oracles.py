@@ -9,11 +9,20 @@
 - split_neighbor_stacks: a split family's index-one moves as raw generator
   stacks, plus moves first, then minus moves, the order of
   lattices.PairQuotient.moves; the move generator of the stack-route
-  oracle for split families.
+  oracle for split families;
+- hom_lattice: Hom_O(m_bot, m_top) spanned by the flattened
+  g_top E_ab g_bot^-1, one matrix product pair per elementary matrix E_ab;
+  the oracle for reduction.hom_lattice, which spans it by the columns of
+  one Kronecker product;
+- pre_op, post_op: f -> f B1 and f -> B0 f on flattened Hom(V1, V0),
+  placed entry by entry; the oracle for the Kronecker-product operators
+  q_i^- and q_i^+ of reduction.HomSystem;
+- commutator_rows: the linear forms (XM - MX)_ij in vec(X), placed entry
+  by entry; the oracle for the rows pairs._commutant_basis stacks.
 """
 
 from fflab.errors import NoSolution, PrecisionExhausted
-from fflab.lattices import _pivot
+from fflab.lattices import _pivot, from_generators
 from fflab.linalg import Matrix, row_echelon
 from fflab.localfield import INF
 
@@ -93,3 +102,60 @@ def split_neighbor_stacks(fam, lat):
     lp, lm = fam.split(lat)
     return ([fam._stack(sp, lm) for sp in fam._moves(lp)]
             + [fam._stack(lp, sm) for sm in fam._moves(lm)])
+
+
+def hom_lattice(field, m_top, m_bot):
+    """Maps f with f(m_bot) <= m_top, spanned by g_top E_ab g_bot^(-1)."""
+    g_top = m_top.basis
+    g_bot_inv = m_bot.inverse()
+    d0, d1 = m_top.rank, m_bot.rank
+    cols = []
+    for a in range(d0):
+        for b in range(d1):
+            e = Matrix(field, [[field.one if (i, j) == (a, b) else field.zero
+                                for j in range(d1)] for i in range(d0)])
+            f = g_top * e * g_bot_inv
+            cols.append([x for row in f.rows for x in row])
+    return from_generators(field, cols)
+
+
+def post_op(field, B0, dim1):
+    """Operator f -> B0 * f on flattened Hom(V1, V0)."""
+    d0 = B0.nrows
+    size = d0 * dim1
+    rows = [[field.zero] * size for _ in range(size)]
+    for a in range(d0):
+        for b in range(dim1):
+            for c in range(d0):
+                rows[a * dim1 + b][c * dim1 + b] = B0.rows[a][c]
+    return Matrix(field, rows)
+
+
+def pre_op(field, B1, dim0):
+    """Operator f -> f * B1 on flattened Hom(V1, V0)."""
+    d1 = B1.nrows
+    size = dim0 * d1
+    rows = [[field.zero] * size for _ in range(size)]
+    for a in range(dim0):
+        for b in range(d1):
+            for c in range(d1):
+                rows[a * d1 + b][a * d1 + c] = B1.rows[c][b]
+    return Matrix(field, rows)
+
+
+def commutator_rows(field, mats, size):
+    """One row per M in mats and (i, j): (XM - MX)_ij as a form in vec(X)."""
+    cols = size * size
+    rows = []
+    zero = field.zero
+    for M in mats:
+        for i in range(size):
+            for j in range(size):
+                row = [zero] * cols
+                # (XM - MX)_{ij} = sum_l X_il M_lj - sum_k M_ik X_kj
+                for l in range(size):
+                    row[i * size + l] = row[i * size + l] + M.rows[l][j]
+                for k in range(size):
+                    row[k * size + j] = row[k * size + j] - M.rows[i][k]
+                rows.append(row)
+    return Matrix(field, rows)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fflab.errors import NoSolution, PrecisionExhausted, SingularBasis
 from fflab.etale import SPLIT, UNRAMIFIED, build_quadratic
 from fflab.linalg import (Matrix, Poly, _dot, _nonzero, berkowitz_charpoly, kernel_basis,
-                          mat_det, mat_inverse, mat_rank, row_echelon)
+                          mat_det, mat_inverse, mat_rank, row_echelon, sylvester_map)
 from fflab.localfield import LocalField
 from oracles import linear_solve
 
@@ -82,6 +82,47 @@ def test_inverse_and_singular():
 def test_rank():
     assert mat_rank(Matrix(F, [[one, one], [one, one]])) == 1
     assert mat_rank(Matrix.identity(F, 3)) == 3
+
+
+def test_kron_layout_zeros_and_undetermined_entries():
+    two = F.from_int(2)
+    a = Matrix(F, [[one, F.zero, pi], [F.o_term(2), two, F.pi(-1)]])    # 2 x 3
+    b = Matrix(F, [[pi, F.zero], [F.o_term(1), one], [two, pi + one]])  # 3 x 2
+    k = a.kron(b)
+    assert (k.nrows, k.ncols) == (6, 6)
+    for i in range(2):
+        for j in range(3):
+            for p in range(3):
+                for r in range(2):
+                    x, y = a[i, j], b[p, r]
+                    got = k[i * 3 + p, j * 2 + r]
+                    if x.is_exact_zero or y.is_exact_zero:
+                        assert got.is_exact_zero
+                    else:
+                        assert got.key() == (x * y).key()
+    # O(pi^2) * pi is O(pi^3); O(pi^2) * O(pi^1) is O(pi^3); a zero factor wins
+    assert k[3, 0].key() == F.o_term(3).key()
+    assert k[4, 0].key() == F.o_term(3).key()
+    assert k[3, 1].is_exact_zero and k[1, 2].is_exact_zero
+
+
+def test_kron_is_the_row_major_vec_identity():
+    # vec(A X B) = (A kron B^T) vec(X), and sylvester_map(a, b) is X -> X b - a X
+    rng = random.Random(5)
+
+    def mat(n, m):
+        return Matrix(F, [[F.random_element(rng, vmin=-1) for _ in range(m)]
+                          for _ in range(n)])
+
+    def vec(m):
+        return [x.key() for r in m.rows for x in r]
+
+    A, X, B = mat(2, 3), mat(3, 4), mat(4, 2)
+    flat = [x for r in X.rows for x in r]
+    assert [x.key() for x in A.kron(B.transpose()).apply(flat)] == vec(A * X * B)
+    a, b, Y = mat(2, 2), mat(3, 3), mat(2, 3)
+    got = sylvester_map(a, b).apply([x for r in Y.rows for x in r])
+    assert [x.key() for x in got] == vec(Y * b - a * Y)
 
 
 # -- the elimination record against fresh objects and the augmented loop ------

@@ -6,11 +6,12 @@ from fflab.errors import NotFound, WrongDimension
 from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          compute_e3, is_regular_semisimple, resultant,
                          symmetry_check)
-from fflab.linalg import Matrix
+from fflab.linalg import Matrix, kernel_basis, sylvester_map
 from fflab.localfield import LocalField
-from fflab.pairs import (EmbeddingPair, centralizer, direct_sum, invariant,
-                         match_alpha, random_pair, random_unimodular,
+from fflab.pairs import (EmbeddingPair, _commutant_basis, centralizer, direct_sum,
+                         invariant, match_alpha, random_pair, random_unimodular,
                          standard_embedding, w_element)
+from oracles import commutator_rows
 
 F = LocalField(3)
 E0 = build_quadratic(SPLIT, F)
@@ -87,6 +88,32 @@ def test_centralizer_dimension_and_gamma():
     w = w_element(pair)
     for b in cent.basis:
         assert (b * w - w * b).same(Matrix.zero(F, 2))
+
+
+def _commutant_pair(q, kind_b):
+    """An n = 1 pair over F_q((pi)), or for kind_b None the rank-4 direct sum
+    of two n = 1 pairs at q = 3."""
+    if kind_b is None:
+        return direct_sum(*(random_pair(E1, E1, 1, seed=s)[0] for s in (1, 3)))
+    field = LocalField(q)
+    e1 = build_quadratic(UNRAMIFIED, field)
+    return random_pair(e1, build_quadratic(kind_b, field), 1, seed=q)[0]
+
+
+@pytest.mark.parametrize("q, kind_b", [(2, UNRAMIFIED), (3, UNRAMIFIED), (3, RAMIFIED),
+                                       (9, UNRAMIFIED), (9, RAMIFIED), (3, None)])
+def test_commutant_matches_the_index_oracle(q, kind_b):
+    pair = _commutant_pair(q, kind_b)
+    field, size = pair.field, 2 * pair.n
+    mats = [pair.A, pair.B]
+    rows = commutator_rows(field, mats, size)
+    stacked = [r for M in mats for r in sylvester_map(M, M).rows]
+    assert [[x.key() for x in r] for r in stacked] == \
+        [[x.key() for x in r] for r in rows.rows]
+    basis = _commutant_basis(field, mats, size)
+    assert len(basis) == pair.n
+    assert [[x.key() for r in m.rows for x in r] for m in basis] == \
+        [[x.key() for x in v] for v in kernel_basis(rows, zeroish_ok=True)]
 
 
 def test_centralizer_wrong_dimension_on_degenerate():

@@ -10,10 +10,12 @@ from fflab.localfield import LocalField
 from fflab.pairs import direct_sum, invariant, random_pair
 from fflab.reduction import (HomSystem, LatticeChain, PhiMap, SplitScenario,
                              closed_composite_exponent, closed_pair_exponent,
-                             closed_phi_exponent, fiber_count_exponent,
+                             closed_phi_exponent, fiber_count_exponent, hom_lattice,
                              inclusion_degree, lattice_in_subspace, random_chain,
                              verify_reduction)
-from oracles import linear_solve, smith_form
+from fflab.suites import _DEGREE_PANEL, _scenario_for
+from oracles import linear_solve, post_op, pre_op, smith_form
+from oracles import hom_lattice as elementary_hom_lattice
 
 F = LocalField(3)
 E1 = build_quadratic(UNRAMIFIED, F)
@@ -152,7 +154,7 @@ def test_fibrate_chain_and_omega_multiplicativity():
         except Exception:
             continue
         (top0, top1), (bot0, bot1) = _components(chain.top), _components(chain.bottom)
-        assert index(top0, bot0) + index(top1, bot1) == chain.total()
+        assert index(top0, bot0) + index(top1, bot1) == sum(chain.steps)
         lhs = transfer_factor(ctx_full, chain.top, chain.bottom)
         rhs = (transfer_factor(ctx0, top0, bot0)
                * transfer_factor(ctx1, top1, bot1))
@@ -177,7 +179,6 @@ def test_random_chain_panel_is_pinned():
     # random_chain picks, so its choice is pinned here by a SHA-256 of the
     # lattice keys of the 24 _DEGREE_PANEL chains
     import hashlib
-    from fflab.suites import _DEGREE_PANEL, _scenario_for
     keys = []
     for kind_b, m0, m1, seeds in _DEGREE_PANEL:
         sc, _, _ = _scenario_for(F, kind_b, m0, m1, seeds)
@@ -209,7 +210,6 @@ def test_subspace_lattices_match_the_elimination_oracle(monkeypatch):
     # kernel basis agree with a Smith form and an elimination of W on
     # unramified and ramified panel scenarios
     from fflab import reduction
-    from fflab.suites import _DEGREE_PANEL, _scenario_for
     seen = []
     read_off = reduction.SubspaceLattice.coords
 
@@ -258,3 +258,39 @@ def test_subspace_basis_without_identity_block_is_refused():
     W = Matrix(F, [[F.pi()], [F.from_int(2)]])
     with pytest.raises(ValueError):
         lattice_in_subspace(F, standard_lattice(F, 2), W)
+
+
+def _keys(mat):
+    return [[x.key() for x in r] for r in mat.rows]
+
+
+@pytest.mark.parametrize("idx", [4, 9])
+def test_hom_lattices_match_the_elementary_matrix_oracle(idx):
+    # an unramified and a ramified panel scenario, each chain of length 2:
+    # Hom between every two lattices of the chains.  The unramified chain
+    # bases are diagonal; the ramified ones are not, so a transposed factor
+    # shows there
+    kind_b, m0, m1, seeds = _DEGREE_PANEL[idx]
+    sc, _, _ = _scenario_for(F, kind_b, m0, m1, seeds)
+    assert sc.chain0.r == sc.chain1.r == 2
+    lats = sc.chain0.lattices + sc.chain1.lattices
+    for top in lats:
+        for bot in lats:
+            got = hom_lattice(F, top, bot)
+            assert got.key() == elementary_hom_lattice(F, top, bot).key()
+
+
+def test_hom_operators_match_the_index_oracle():
+    # every entry of q_i^- and q_i^+, on every panel scenario
+    ops = 0
+    for kind_b, m0, m1, seeds in _DEGREE_PANEL:
+        sc, _, _ = _scenario_for(F, kind_b, m0, m1, seeds)
+        sys = HomSystem(sc)
+        ident0 = Matrix.identity(F, sys.d0)
+        for i, x0, x1, tr in ((1, sys.A0, sys.A1, sc.p0.Ea.tr),
+                              (2, sys.B0, sys.B1, sc.p0.Eb.tr)):
+            for op, left in ((sys.q_minus[i], x0), (sys.q_plus[i], ident0.scale(tr) - x0)):
+                want = pre_op(F, x1, sys.d0) - post_op(F, left, sys.d1)
+                assert _keys(op) == _keys(want)
+                ops += 1
+    assert ops == 4 * len(_DEGREE_PANEL)
