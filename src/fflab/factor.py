@@ -3,10 +3,11 @@
 The driver handles monic squarefree polynomials with integral coefficients.
 Residue factorization over F_q is by trial division against the (small)
 list of monic irreducibles; factors with coprime residues are separated by
-quadratic Hensel lifting.  A pure-power residue is resolved by root
-shifting plus Newton-polygon segmentation; quadratics are decided by a
-discriminant square test.  Degrees beyond what desk-scale invariants
-produce raise FactorFail rather than guessing.
+linear Hensel lifting, one pi-adic digit per step (hensel_split).  A
+pure-power residue is resolved by root shifting plus Newton-polygon
+segmentation; quadratics are decided by a discriminant square test.
+Degrees beyond what desk-scale invariants produce raise FactorFail rather
+than guessing.
 """
 
 from functools import lru_cache

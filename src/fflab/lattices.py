@@ -818,12 +818,19 @@ class GammaGroup:
         return sum(smith_exponents_rectangular(gen.idempotent * stack,
                                                rank=gen.rank))
 
-    def reduce_stack(self, stack):
-        """Canonical box representative of the lattice spanned by a raw stack."""
+    def reduce(self, lat):
+        """Canonical box representative of a canonical lattice.
+
+        Each functional is read off a square basis of the lattice moved so
+        far; a generator is applied only with a nonzero exponent, and a
+        lattice already in the box is returned itself.
+        """
+        basis = lat.basis
         for g in self.gens:
-            e = -(self.functional(g, stack) // g.shift)
-            stack = _power_times(g.matrix, g.inverse, e, stack)
-        return canonicalize(self.field, stack)
+            e = -(self.functional(g, basis) // g.shift)
+            if e:
+                basis = _power_times(g.matrix, g.inverse, e, basis)
+        return lat if basis is lat.basis else canonicalize(self.field, basis)
 
     def in_fundamental_box(self, lat):
         return all(0 <= self.functional(g, lat.basis) < g.shift
@@ -836,19 +843,27 @@ class GammaGroup:
 # order (moves), a raw move's reduced vertex, its rep (reduce), a rep's span
 # gap [L + A L : L] (gap), memoized per rep key, and a vertex's canonical
 # lattice (lattice).  The gap is Gamma-invariant, so the traversal reduces
-# every move first and takes the gap of its rep.
+# every move first and takes the gap of its rep.  Each quotient reduces a
+# lattice once: a raw move is canonicalized (or, split, is its canonical
+# components) and its rep is memoized per that key, and Gamma acts on the
+# canonical lattice, never on a raw stack.  The memos live on the quotient,
+# so they are freed with the pair's orbital state.
 
 
 class StackQuotient:
     """A StableFamily modulo Gamma, on neighbor stacks and reduced Lattices.
 
+    reduce canonicalizes a raw stack once and memoizes its rep per
+    canonical key (reduced), so a lattice reached from several vertices is
+    reduced once; GammaGroup.reduce reads each functional off the square
+    canonical basis and returns a lattice already in the box itself.
     A rep L is canonical, so its triangular inverse is exact and cached,
     and [L + A L : L] = [O^m + L^-1 A L O^m : O^m] = span_index(L^-1 A L).
     """
 
     def __init__(self, fam, gamma, A):
         self.fam, self.gamma, self.A = fam, gamma, A
-        self.gaps = {}
+        self.reduced, self.gaps = {}, {}
 
     def start(self):
         return self.fam.base.basis
@@ -857,7 +872,11 @@ class StackQuotient:
         return self.fam.neighbor_stacks(lat)
 
     def reduce(self, stack):
-        return self.gamma.reduce_stack(stack)
+        lat = canonicalize(self.fam.field, stack)
+        k = lat.key()
+        if k not in self.reduced:
+            self.reduced[k] = self.gamma.reduce(lat)
+        return self.reduced[k]
 
     def gap(self, rep):
         k = rep.key()
@@ -878,8 +897,11 @@ class PairQuotient:
     exterior power splits: functional(g, L) = c_g + phi+(L+) + phi-(L-),
     phi+- the sum of the elementary divisors of e W+- L+-, c_g (from the
     wedge of bases of e W+ and e W-) read off the base.  So reduction moves
-    and canonicalizes only the components; it is memoized per raw pair.
-    The span gap of a rep, like its lattice, is taken once per rep key.
+    and canonicalizes only the components; it is memoized per raw pair,
+    and each component power g+-^e L+- per (generator, side, exponent,
+    component key) (powers), so a component that stays fixed while the
+    other one moves is powered and canonicalized once.  The span gap of a
+    rep, like its lattice, is taken once per rep key.
 
     The span gap is taken in component coordinates, with no generator
     stack.  L = W D O^m for W = [W+ | W-] and D = diag(L+, L-), and an
@@ -893,7 +915,7 @@ class PairQuotient:
     def __init__(self, fam, gamma, A):
         self.fam, self.gamma = fam, gamma
         self.terms, self.reduced, self.gaps, self.lattices = {}, {}, {}, {}
-        self.component_moves, self.halves = {}, {}
+        self.component_moves, self.halves, self.powers = {}, {}, {}
         W = fam.W_plus.hstack(fam.W_minus)
         cut = fam.W_plus.ncols
         self.parts = []
@@ -939,18 +961,26 @@ class PairQuotient:
         return self.component_moves[comp.key()]
 
     def reduce(self, pair):
-        """As reduce_stack: one generator after another, reading the
+        """As GammaGroup.reduce: one generator after another, reading the
         functional after each power."""
         k = pair.key()
         if k not in self.reduced:
-            for i, (g, parts) in enumerate(zip(self.gamma.gens, self.parts)):
+            for i, g in enumerate(self.gamma.gens):
                 e = -(self.functional(i, pair) // g.shift)
                 if e:
-                    pair = ComponentPair(
-                        canonicalize(self.fam.field, _power_times(*mats, e, comp.basis))
-                        for (mats, _, _), comp in zip(parts, pair))
+                    pair = ComponentPair(self._power(i, side, e, comp)
+                                         for side, comp in enumerate(pair))
             self.reduced[k] = pair
         return self.reduced[k]
+
+    def _power(self, i, side, e, comp):
+        """g+-^e times one component (side 0 plus, 1 minus), canonical."""
+        at = (i, side, e, comp.key())
+        if at not in self.powers:
+            mats, _, _ = self.parts[i][side]
+            self.powers[at] = canonicalize(self.fam.field,
+                                           _power_times(*mats, e, comp.basis))
+        return self.powers[at]
 
     def gap(self, rep):
         k = rep.key()

@@ -222,7 +222,9 @@ class _PairState:
 
     - quotient: fam_b modulo Gamma, built with the pair's A for the span
       gap, whose vertices are reduced Lattices, or reduced ComponentPairs
-      (L+, L-) when fam_b is split; a split quotient keeps its own memos
+      (L+, L-) when fam_b is split; the quotient keeps its own memos: the
+      rep per canonical key of a raw move (lattices.StackQuotient) or per
+      raw pair, with each Gamma-power of a component
       (lattices.PairQuotient);
     - start: the descent start (vertex, span gap) and whether it lies in
       the fundamental box;

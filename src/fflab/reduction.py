@@ -289,19 +289,17 @@ class PhiMap:
         if sc.chain1.r != r:
             raise ValueError("chains must have equal length")
         self.r = r
-        # source lattices: Hom(X_i^1, X_i^0); targets: minus parts and C_i
-        self.sources = []
-        for i in range(r + 1):
-            self.sources.append(hom_lattice(field, sc.chain0.lattices[i],
-                                            sc.chain1.lattices[i]))
-        self.c_lattices = []
-        for i in range(1, r + 1):
-            self.c_lattices.append(hom_lattice(field, sc.chain0.lattices[i],
-                                               sc.chain1.lattices[i - 1]))
-        self.t_minus_b = lattice_in_subspace(field, self.sources[0],
-                                             sys.P_minus[2])
-        self.t_minus_a = lattice_in_subspace(field, self.sources[r],
-                                             sys.P_minus[1])
+        # source lattices: Hom(X_i^1, X_i^0), the chain bottoms' Lambda_2 and
+        # the tops' Lambda_1 as the system holds them; targets: C_i and the
+        # minus parts Lambda_2^-, Lambda_1^-
+        x0, x1 = sc.chain0.lattices, sc.chain1.lattices
+        self.sources = [sys.Lambda[1] if i == r else sys.Lambda[2] if i == 0
+                        else hom_lattice(field, x0[i], x1[i])
+                        for i in range(r + 1)]
+        self.c_lattices = [hom_lattice(field, x0[i], x1[i - 1])
+                           for i in range(1, r + 1)]
+        self.t_minus_b = sys.Lambda_pm[(2, "-")]
+        self.t_minus_a = sys.Lambda_pm[(1, "-")]
         self.matrix = Matrix.from_columns(field, self._matrix_cols())
 
     def degree(self):

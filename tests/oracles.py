@@ -10,6 +10,11 @@
   stacks, plus moves first, then minus moves, the order of
   lattices.PairQuotient.moves; the move generator of the stack-route
   oracle for split families;
+- reduce_stack: the canonical box representative of the lattice a raw
+  generator stack spans, with every functional read off the stack moved so
+  far and one canonical form at the end; the oracle for the reps that
+  lattices.StackQuotient and lattices.PairQuotient memoize, which
+  GammaGroup.reduce takes on a canonical lattice;
 - hom_lattice: Hom_O(m_bot, m_top) spanned by the flattened
   g_top E_ab g_bot^-1, one matrix product pair per elementary matrix E_ab;
   the oracle for reduction.hom_lattice, which spans it by the columns of
@@ -22,7 +27,7 @@
 """
 
 from fflab.errors import NoSolution, PrecisionExhausted
-from fflab.lattices import _pivot, from_generators
+from fflab.lattices import _pivot, _power_times, canonicalize, from_generators
 from fflab.linalg import Matrix, row_echelon
 from fflab.localfield import INF
 
@@ -102,6 +107,14 @@ def split_neighbor_stacks(fam, lat):
     lp, lm = fam.split(lat)
     return ([fam._stack(sp, lm) for sp in fam._moves(lp)]
             + [fam._stack(lp, sm) for sm in fam._moves(lm)])
+
+
+def reduce_stack(gamma, stack):
+    """Canonical box representative of the lattice spanned by a raw stack."""
+    for g in gamma.gens:
+        e = -(gamma.functional(g, stack) // g.shift)
+        stack = _power_times(g.matrix, g.inverse, e, stack)
+    return canonicalize(gamma.field, stack)
 
 
 def hom_lattice(field, m_top, m_bot):

@@ -1,7 +1,8 @@
 import pytest
 
 from fflab.errors import NotASquare
-from fflab.factor import hensel_factor, newton_slopes, poly_gcd, sqrt_in_F
+from fflab.factor import (hensel_factor, hensel_split, newton_slopes, poly_gcd,
+                          poly_residue, sqrt_in_F)
 from fflab.linalg import Poly
 from fflab.localfield import LocalField
 
@@ -82,3 +83,30 @@ def test_poly_gcd():
     p = a * Poly(F, [one, one])
     g = poly_gcd(p, a)
     assert g.degree == 1 and g.coeffs[0].same(-one)
+
+
+@pytest.mark.parametrize("q, known_to", [(2, None), (3, None), (3, 12)])
+def test_hensel_split_lifts_to_the_target(q, known_to):
+    # (T^2 + T + 1)(T + 1) + pi (T^2 + 2 T + 1) + pi^3 at q = 2, and
+    # (T^2 + 1)(T + 1) + pi (T^2 + 2 T + 1) + pi^3 at q = 3: residue factors
+    # T^2 + T + 1 (or T^2 + 1) and T + 1 are coprime and the lift is not
+    # the residue's.  A and B are monic lifts of them, and poly - A B has
+    # no digit below pi^target, target the field's precision for exact
+    # coefficients, else the least known_to
+    field = LocalField(q)
+    o, p1 = field.one, field.pi()
+    res_a = (1, 1, 1) if q == 2 else (1, 0, 1)
+    res_b = (1, 1)
+    poly = (Poly(field, [field.from_fq(c) for c in res_a])
+            * Poly(field, [field.from_fq(c) for c in res_b])
+            + Poly(field, [p1 + field.pi(3), p1 * field.from_int(2), p1]))
+    target = field.precision
+    if known_to is not None:
+        poly = Poly(field, [c.truncate(known_to) for c in poly.coeffs])
+        target = known_to
+    A, B = hensel_split(poly, res_a)
+    assert A.coeffs[-1].same(o) and B.coeffs[-1].same(o)
+    assert (poly_residue(A), poly_residue(B)) == (res_a, res_b)
+    assert any(c.coeff(k) for c in A.coeffs for k in range(1, target))
+    err = poly - A * B
+    assert all(c.coeff(k) == 0 for c in err.coeffs for k in range(target))

@@ -14,7 +14,7 @@ from fflab.orbital import (OrbitalValue, TransferContext, derivative_at_zero,
                            functional_equation_probe, orbital_alpha, orbital_beta,
                            transfer_factor, value_at_zero, vanishing_order_at_one)
 from fflab.pairs import invariant, match_alpha, random_pair
-from oracles import linear_solve, split_neighbor_stacks
+from oracles import linear_solve, reduce_stack, split_neighbor_stacks
 
 F = LocalField(3)
 E0 = build_quadratic(SPLIT, F)
@@ -262,7 +262,7 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
         lat = canonicalize(prob.field, stack)
         gap = span_gap(prob.pair.A, stack)
         assert gap == index(order_span(prob.pair.A, lat), lat)
-        assert gap == span_gap(prob.pair.A, gamma.reduce_stack(stack).basis)
+        assert gap == span_gap(prob.pair.A, reduce_stack(gamma, stack).basis)
         for g in gamma.gens:
             assert gamma.functional(g, stack) == gamma.functional(g, lat.basis)
 
@@ -332,7 +332,7 @@ def test_split_traversal_matches_the_stack_route(case):
         for (gap, rep_key), raw in zip(moves, raws):
             stack = fam._stack(*raw)
             rep = q.reduce(raw)
-            assert q.lattice(rep) == gamma.reduce_stack(stack)
+            assert q.lattice(rep) == reduce_stack(gamma, stack)
             raw_gap = span_gap(prob.pair.A, stack)
             assert q.gap(raw) == raw_gap
             assert (gap, rep_key) == (raw_gap, rep.key())
@@ -363,7 +363,7 @@ def test_stack_traversal_moves_match_the_raw_stack(case):
         raws = q.moves(vertex)
         assert len(raws) == len(moves)
         for move, raw in zip(moves, raws):
-            assert move == (span_gap(target.A, raw), st.gamma.reduce_stack(raw).key())
+            assert move == (span_gap(target.A, raw), reduce_stack(st.gamma, raw).key())
 
     start, _ = prob._descend_start()
     check(start, st.moves_of(start))
@@ -374,13 +374,67 @@ def test_stack_traversal_moves_match_the_raw_stack(case):
         check(vertices[key], moves)
 
 
-@pytest.mark.parametrize("case", ["congruent", 2, 3, 9])
+@pytest.mark.parametrize("cell", [UNRAMIFIED, RAMIFIED, 2, 3, 9])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_memoized_reps_match_the_raw_stack_oracle(cell, twisted):
+    # the four rank-4 thm212 cells and the n = 1 cells: after every f, the
+    # rep memoized for each raw move of every expanded vertex (and for the
+    # start) is the oracle's on the move's raw stack, every memo entry is
+    # one of them, and another raw stack of a lattice already reduced gets
+    # the memoized object back
+    from fflab.lattices import ComponentPair, PairQuotient
+    from fflab.orbital import OrbitalProblem
+    if cell in (2, 3, 9):
+        pair, alpha, fs = _reuse_case(cell)
+        target = alpha if twisted else pair
+    else:
+        target, fs = _thm212_sum(cell, twisted)
+    target = _fresh(target)
+    for f in fs:
+        prob = OrbitalProblem(target, f, twisted)
+        prob.evaluate()
+    st, fam, gamma = prob.state, prob.fam_b, prob.gamma
+    q = st.quotient
+    split = isinstance(q, PairQuotient)
+    vertices = {v.key(): v for v in (st.start[0], *st.reps.values())}
+    raws = [q.start()] + [raw for key in st.moves for raw in q.moves(vertices[key])]
+    assert st.moves and len(raws) > 1
+    keys = set()
+    for raw in raws:
+        rep = q.reduce(raw)
+        if split:
+            stack, again = fam._stack(*raw), ComponentPair(
+                canonicalize(fam.field, c.basis.hstack(c.basis)) for c in raw)
+            keys.add(raw.key())
+        else:
+            stack, again = raw, Matrix.from_columns(fam.field, raw.columns()[::-1])
+            keys.add(canonicalize(fam.field, raw).key())
+        assert q.lattice(rep).key() == reduce_stack(gamma, stack).key()
+        assert q.reduce(again) is rep
+    assert keys == set(q.reduced)
+
+
+def _one_sided_generator():
+    """A split family on F^2 (J = diag(1, 0)) with Gamma generated by
+    diag(pi, 1): g+ = pi and g- = 1 differ, and the components are rank-one
+    lattices, so a plus and a minus component often share a key."""
+    from fflab.lattices import GammaGenerator, GammaGroup, SplitStableFamily
+    fam = SplitStableFamily(F, Matrix.diagonal(F, [F.one, F.zero]), E0,
+                            standard_lattice(F, 2))
+    gen = GammaGenerator(Matrix.diagonal(F, [F.pi(), F.one]),
+                         Matrix.diagonal(F, [F.one, F.zero]))
+    return fam, GammaGroup(F, [gen])
+
+
+@pytest.mark.parametrize("case", ["congruent", "one-sided", 2, 3, 9])
 def test_split_functional_is_additive(case):
     # c_g + phi+(L+) + phi-(L-) is GammaGroup.functional on the split ball,
-    # and the componentwise reduction is reduce_stack's
+    # and the componentwise reduction is reduce_stack's; with g+ != g-, a
+    # component power is memoized per side
     from fflab.orbital import OrbitalProblem
-    if case == "congruent":
-        fam, gamma = _congruent_eigenspaces()
+    if case in ("congruent", "one-sided"):
+        fam, gamma = (_congruent_eigenspaces() if case == "congruent"
+                      else _one_sided_generator())
         A = Matrix.identity(F, 2)
     else:
         _, alpha, _ = _reuse_case(case)
@@ -396,7 +450,11 @@ def test_split_functional_is_additive(case):
         for i, g in enumerate(gamma.gens):
             assert (q.consts[i] + q._term(i, 0, pair[0]) + q._term(i, 1, pair[1])
                     == q.functional(i, pair) == gamma.functional(g, lat.basis))
-        assert q.lattice(q.reduce(pair)) == gamma.reduce_stack(lat.basis)
+        assert q.lattice(q.reduce(pair)) == reduce_stack(gamma, lat.basis)
+    if case == "one-sided":
+        plus, minus = ({(i, e, k) for i, s, e, k in q.powers if s == side}
+                       for side in (0, 1))
+        assert plus & minus
 
 
 @pytest.mark.parametrize("rows", [[[1, 1], [0, 0]], [[0, 1], ["pi", 1]]])
