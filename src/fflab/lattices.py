@@ -262,18 +262,10 @@ def index(l1, l2):
     return l2.det_valuation - l1.det_valuation
 
 
-def coords_in(lat, vectors):
-    """Columns of the coordinate matrix of the vectors in lat's basis (exact)."""
-    inv = lat.inverse()
-    return [inv.apply(v) for v in vectors]
-
-
 def relative_position(l1, l2):
-    """Decreasing elementary-divisor exponents of l2 relative to l1."""
-    field = l1.field
-    cols = coords_in(l1, [l2.basis.column(j) for j in range(l2.rank)])
-    mat = Matrix.from_columns(field, cols)
-    return smith_exponents(mat)
+    """Decreasing elementary-divisor exponents of l2 relative to l1: those
+    of l1^-1 l2, the coordinates of l2's basis in l1's (exact)."""
+    return smith_exponents(l1.inverse() * l2.basis)
 
 
 def smith_exponents(mat):
@@ -484,23 +476,19 @@ class StableFamily:
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
 
-    def scale_pi_e(self, lat):
-        return canonicalize(self.field, self.pi_e_mat * lat.basis)
-
     def _residue_stacks(self, lat, dims):
         """Raw generator stacks of the stable lattices M with
         pi_E*lat <= M <= lat, one list per F_q-dimension (of M's residue
-        image) in dims."""
-        field = self.field
-        scaled = self.scale_pi_e(lat)
-        c_cols = coords_in(lat, [scaled.basis.column(j) for j in range(self.rank)])
-        jc_cols = coords_in(lat, [self.J.apply(lat.basis.column(j)) for j in range(self.rank)])
-        Cmat = Matrix.from_columns(field, c_cols)
-        Jmat = Matrix.from_columns(field, jc_cols)
-        return [[Matrix.from_columns(field, scaled.basis.columns()
-                                     + [lat.basis.apply(v) for v in sub_basis])
+        image) in dims.  H, the Hermite form of lat^-1 pi_E lat, is taken
+        once: lat*H generates pi_E*lat, and _stable_subspaces reads the
+        residue subspaces off H."""
+        field, L = self.field, lat.basis
+        inv = lat.inverse()
+        H = canonicalize(field, inv * (self.pi_e_mat * L))
+        scaled = (L * H.basis).columns()
+        return [[Matrix.from_columns(field, scaled + [L.apply(v) for v in sub_basis])
                  for sub_basis in subs]
-                for subs in _stable_subspaces(field, Cmat, Jmat, dims)]
+                for subs in _stable_subspaces(field, H, inv * (self.J * L), dims)]
 
     def neighbor_stacks(self, lat):
         """Raw generator matrices of all index-one moves: the stable
@@ -519,6 +507,13 @@ class StableFamily:
 
     def quotient(self, gamma, A):
         return StackQuotient(self, gamma, A)
+
+    def superlattice_positions(self, lat, lb, extra_index):
+        """(relative_position(la, lb), la) per stable superlattice la of
+        lat with the given additional index, in stable_superlattices
+        order."""
+        return [(relative_position(la, lb), la)
+                for la in self.stable_superlattices(lat, extra_index)]
 
     def stable_superlattices(self, lat, extra_index):
         """Stable superlattices with the given additional index over lat.
@@ -557,20 +552,19 @@ def _layers(center, moves, radius):
     return layers
 
 
-def _stable_subspaces(field, Cmat, Jmat, dims):
+def _stable_subspaces(field, H, Jmat, dims):
     """Per F_q-dimension in dims, the residue subspaces of that dimension in
-    O^m / C O^m stable under Jmat, each as a basis (a list of O^m
-    coordinate vectors) of lifts.
+    O^m / H O^m stable under Jmat, each as a basis (a list of O^m
+    coordinate vectors) of lifts; H is a canonical Lattice.
 
-    The quotient is elementary (pi O^m <= C O^m), so the Hermite form H of
-    C has pivots 1 and pi, and a column j of pivot pi is pi e_j.  The rows
-    of pivot pi are the torsion coordinates and the lifts combine their
-    unit vectors; a column j of pivot 1 gives e_j = -sum_i h_ij e_i modulo
-    C O^m, which folds row j of Jmat's residues into the torsion rows.
+    The quotient is elementary (pi O^m <= H O^m), so H has pivots 1 and pi,
+    and a column j of pivot pi is pi e_j.  The rows of pivot pi are the
+    torsion coordinates and the lifts combine their unit vectors; a column
+    j of pivot 1 gives e_j = -sum_i h_ij e_i modulo H O^m, which folds row j
+    of Jmat's residues into the torsion rows.
     """
     g = field.gf
-    m = Cmat.nrows
-    H = canonicalize(field, Cmat)
+    m = H.rank
     h = H.basis.rows
     torsion = [i for i in range(m) if H.diag[i] == 1]
     if (any(d not in (0, 1) for d in H.diag)
@@ -679,8 +673,11 @@ class SplitStableFamily:
     component by an arbitrary index-one sub- or superlattice (_moves, the
     one component-move generator, which the orbital traversal walks on
     component pairs), so ball is the product of the two component balls;
-    _stack builds the generator matrix W_plus L+ | W_minus L- that ball and
-    stable_superlattices canonicalize.
+    _stack builds the generator matrix W_plus L+ | W_minus L- that ball
+    canonicalizes.  A stable superlattice is likewise a pair of component
+    superlattices, so stable_superlattices gives ComponentPairs and never
+    builds a lattice of the full rank; each component's superlattices of
+    each index are kept on the family (_supers), as its splits are.
     """
 
     def __init__(self, field, J, algebra, base):
@@ -693,7 +690,7 @@ class SplitStableFamily:
         self.base = base
         if not self.is_stable(base):
             raise UnstableBase("base lattice is not stable under the action")
-        self._splits = {}
+        self._splits, self._supers = {}, {}
 
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
@@ -746,12 +743,42 @@ class SplitStableFamily:
         return [canonicalize(self.field, self._stack(lp, lm)) for lp, lm in pairs]
 
     def stable_superlattices(self, lat, extra_index):
-        """Stable superlattices with the given additional index over lat."""
+        """Stable superlattices with the given additional index over lat, as
+        ComponentPairs: plus index 0, 1, ..., extra_index, and within one
+        split the plus superlattice varying slowest."""
         lp, lm = self.split(lat)
-        return [canonicalize(self.field, self._stack(sp, sm))
+        return [ComponentPair((sp, sm))
                 for kp in range(extra_index + 1)
-                for sp in superlattices_of_index(lp, kp)
-                for sm in superlattices_of_index(lm, extra_index - kp)]
+                for sp in self._superlattices(lp, kp)
+                for sm in self._superlattices(lm, extra_index - kp)]
+
+    def _superlattices(self, comp, k):
+        """superlattices_of_index(comp, k) as a list, kept per (component
+        key, k)."""
+        at = (comp.key(), k)
+        sups = self._supers.get(at)
+        if sups is None:
+            sups = self._supers[at] = list(superlattices_of_index(comp, k))
+        return sups
+
+    def superlattice_positions(self, lat, lb, extra_index):
+        """(relative_position(la, lb), la) per stable superlattice la of
+        lat with the given additional index, in stable_superlattices order,
+        la as a ComponentPair (sp, sm).
+
+        la = W D O^m for W = [W+ | W-] and D = diag(sp, sm), so
+        (W D)^-1 lb = D^-1 W^-1 lb, whose row blocks are sp^-1 X+ and
+        sm^-1 X- for (X+, X-) = coordinates(lb.basis), taken once here; its
+        elementary divisors are those of la^-1 lb, since two bases of la
+        differ by a unimodular matrix.
+        """
+        xp, xm = self.coordinates(lb.basis)
+        out = []
+        for pair in self.stable_superlattices(lat, extra_index):
+            sp, sm = pair
+            rows = (sp.inverse() * xp).rows + (sm.inverse() * xm).rows
+            out.append((smith_exponents(Matrix(self.field, rows)), pair))
+        return out
 
 
 def stable_lattices(field, J, algebra, window, base):
@@ -773,9 +800,14 @@ def stable_family(field, J, algebra, base):
 
 class GammaGenerator:
     """One centralizer-factor generator: matrix, factor idempotent, and the
-    index functional used for canonical orbit representatives."""
+    index functional used for canonical orbit representatives.
 
-    __slots__ = ("matrix", "inverse", "idempotent", "rank", "shift")
+    scalar is k when the matrix is c*I for one c of valuation k (exact
+    zeros off the diagonal), else None: its e-th power maps a lattice L to
+    pi^(k e) L, so L.scale(k e) is that lattice's canonical form.
+    """
+
+    __slots__ = ("matrix", "inverse", "idempotent", "rank", "shift", "scalar")
 
     def __init__(self, matrix, idempotent):
         self.matrix = matrix
@@ -784,6 +816,10 @@ class GammaGenerator:
         # dimension of the factor's eigenspace
         self.rank = len(column_space_basis(idempotent))
         self.shift = None  # filled by GammaGroup
+        c = matrix.rows[0][0]
+        self.scalar = c.val if c.coeffs and all(
+            x.key() == c.key() if i == j else x.is_exact_zero
+            for i, row in enumerate(matrix.rows) for j, x in enumerate(row)) else None
 
 
 def _power_times(matrix, inverse, e, stack):
@@ -823,12 +859,19 @@ class GammaGroup:
 
         Each functional is read off a square basis of the lattice moved so
         far; a generator is applied only with a nonzero exponent, and a
-        lattice already in the box is returned itself.
+        lattice already in the box is returned itself.  While only scalar
+        generators have moved it, the lattice stays canonical (scale), so
+        no canonical form is taken.
         """
         basis = lat.basis
         for g in self.gens:
             e = -(self.functional(g, basis) // g.shift)
-            if e:
+            if not e:
+                continue
+            if g.scalar is not None and basis is lat.basis:
+                lat = lat.scale(g.scalar * e)
+                basis = lat.basis
+            else:
                 basis = _power_times(g.matrix, g.inverse, e, basis)
         return lat if basis is lat.basis else canonicalize(self.field, basis)
 
@@ -977,9 +1020,14 @@ class PairQuotient:
         """g+-^e times one component (side 0 plus, 1 minus), canonical."""
         at = (i, side, e, comp.key())
         if at not in self.powers:
-            mats, _, _ = self.parts[i][side]
-            self.powers[at] = canonicalize(self.fam.field,
-                                           _power_times(*mats, e, comp.basis))
+            scalar = self.gamma.gens[i].scalar
+            if scalar is not None:
+                # g = c*I, so g+- = c*I as well
+                self.powers[at] = comp.scale(scalar * e)
+            else:
+                mats, _, _ = self.parts[i][side]
+                self.powers[at] = canonicalize(self.fam.field,
+                                               _power_times(*mats, e, comp.basis))
         return self.powers[at]
 
     def gap(self, rep):

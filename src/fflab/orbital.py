@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .errors import NotStable, WindowOverflow
 from .hecke import pi_twist, unit
-from .lattices import (_is_stable, from_generators, index, order_span,
-                       relative_position, stable_family, standard_lattice)
+from .lattices import (_is_stable, from_generators, order_span, stable_family,
+                       standard_lattice)
 from .pairs import centralizer, direct_sum
 
 
@@ -148,66 +148,66 @@ def functional_equation_probe(v):
 
 
 class TransferContext:
-    """Precomputed idempotent and module data for a pair on (split, E3)."""
+    """The transfer factor's data for a pair on (split, E3).
 
-    def __init__(self, pair):
+    fam is the split stable family of the first action, whose eigenspace
+    coordinates (W+-, W^-1) the factor is read in; the orbital state passes
+    its own, so the two share them, and one is built from the pair
+    otherwise.  For a lattice la with components (sp, sm), p+ la = W+ sp,
+    so the O_E3-span of p+ la is [W+ | C W+] diag(sp, sp) O^2n (C the
+    second action) and [l3 : O_E3 p+ la] = v+ + 2 v(det sp) - v(det l3),
+    v+ = v(det [W+ | C W+]) taken once here; the minus side is the same.
+    """
+
+    def __init__(self, pair, fam=None):
         if pair.Ea.split_roots is None:
             raise ValueError("first algebra of the pair must be split")
-        self.field = pair.field
-        self.n = pair.n
         # projectors onto the eigenspaces of the first action
         self.p_plus, self.p_minus = pair.Ea.eigen_projectors(pair.A)
-        self.C = pair.B
-        self.E3 = pair.Eb
-        # regular semisimplicity: O_E3-span of each eigenpart is full
-        std = standard_lattice(self.field, 2 * pair.n)
-        for proj in (self.p_plus, self.p_minus):
-            self.eigenpart_span(std, proj)  # raises if rank deficient
-        self._spans = {}
-
-    def eigenpart_span(self, lat, proj):
-        """O_E3 * (proj lat) as a full lattice."""
-        cols = []
-        for j in range(lat.rank):
-            v = proj.apply(lat.basis.column(j))
-            cols.append(v)
-            cols.append(self.C.apply(v))
-        return from_generators(self.field, cols)
+        self.fam = fam if fam is not None else _stable_family(pair, pair.A, pair.Ea)
+        # regular semisimplicity: the O_E3-span of each eigenspace is full
+        # (from_generators raises SingularBasis otherwise)
+        self.v_plus, self.v_minus = (
+            from_generators(pair.field, W.columns() + (pair.B * W).columns()).det_valuation
+            for W in (self.fam.W_plus, self.fam.W_minus))
 
     def is_zero_stable(self, lat):
         """Stability under both idempotent images."""
         return all(_is_stable(proj, lat) for proj in (self.p_plus, self.p_minus))
 
-    def eigenpart_spans(self, lat):
-        """The two eigenpart spans of a zero-stable lat (NotStable
-        otherwise), computed once per lattice key and kept on the context."""
-        spans = self._spans.get(lat.key())
-        if spans is None:
-            if not self.is_zero_stable(lat):
-                raise NotStable("first lattice is not stable under the idempotents")
-            spans = self._spans[lat.key()] = (self.eigenpart_span(lat, self.p_plus),
-                                              self.eigenpart_span(lat, self.p_minus))
-        return spans
+    def omega(self, pair, l3):
+        """Omega(la, l3, s) = (-1)^a Q^(b-a) for the stable lattice la with
+        components pair = (sp, sm): a and b are [l3 : O_E3 p+- la], read
+        off the determinant valuations."""
+        sp, sm = pair
+        a = self.v_plus + 2 * sp.det_valuation - l3.det_valuation
+        b = self.v_minus + 2 * sm.det_valuation - l3.det_valuation
+        return OrbitalValue({b - a: -1 if a % 2 else 1})
 
 
 def transfer_factor(ctx, l0, l3):
-    """Omega(l0, l3, s) = (-1)^a Q^(b-a) from the two eigenpart indices."""
-    span_p, span_m = ctx.eigenpart_spans(l0)
-    a = index(l3, span_p)
-    b = index(l3, span_m)
-    sign = -1 if a % 2 else 1
-    return OrbitalValue({b - a: sign})
+    """Omega(l0, l3, s) = (-1)^a Q^(b-a) from the two eigenpart indices
+    (TransferContext.omega on l0's components); NotStable unless l0 is
+    stable under both idempotents."""
+    if not ctx.is_zero_stable(l0):
+        raise NotStable("first lattice is not stable under the idempotents")
+    return ctx.omega(ctx.fam.split(l0), l3)
 
 
 # -- enumeration core ----------------------------------------------------------------
 
 
+def _stable_family(pair, J, algebra):
+    """The stable family of one of the pair's actions, based at the order
+    span of the standard lattice."""
+    std = standard_lattice(pair.field, J.nrows)
+    return stable_family(pair.field, J, algebra, order_span(J, std))
+
+
 def _stable_families(pair):
-    """The stable families of the pair's two actions, based at the order
-    spans of the standard lattice."""
-    std = standard_lattice(pair.field, pair.A.nrows)
-    return (stable_family(pair.field, pair.A, pair.Ea, order_span(pair.A, std)),
-            stable_family(pair.field, pair.B, pair.Eb, order_span(pair.B, std)))
+    """The stable families of the pair's two actions."""
+    return (_stable_family(pair, pair.A, pair.Ea),
+            _stable_family(pair, pair.B, pair.Eb))
 
 
 class _PairState:
@@ -235,10 +235,13 @@ class _PairState:
       base;
     - positions: per (rep lattice key, extra index), one [mu, la, omega]
       per stable superlattice la of the rep's span, in
-      stable_superlattices order; omega, the transfer factor
-      Omega(la, rep), is computed only once a Hecke function has mu in its
-      support, from la's eigenpart spans, which ctx keeps per la key (a
-      split fam_a likewise keeps the components of each span it splits).
+      stable_superlattices order (fam_a.superlattice_positions).  When
+      fam_a is split (every twisted integral), la is a ComponentPair
+      (sp, sm) and mu is read in component coordinates, so no lattice of
+      the full rank is built; fam_a keeps the components of each span it
+      splits and each component's superlattices.  omega, the transfer
+      factor Omega(la, rep), is computed only once a Hecke function has mu
+      in its support, from determinant valuations (TransferContext.omega).
 
     Every entry is a function of its key alone, so two threads filling the
     state of one pair at worst repeat work.
@@ -308,7 +311,7 @@ class OrbitalProblem:
         if st is None:
             st = pair._orbital[seed] = _PairState(pair, seed)
         if twisted and st.ctx is None:
-            st.ctx = TransferContext(pair)
+            st.ctx = TransferContext(pair, st.fam_a)
         self.state = st
         self.gamma = st.gamma
         self.fam_a = st.fam_a
@@ -336,15 +339,15 @@ class OrbitalProblem:
                 if span is None:
                     span = order_span(self.pair.A, lb)
                 found = positions[at] = [
-                    [relative_position(la, lb), la, None]
-                    for la in self.fam_a.stable_superlattices(span, extra)]
+                    [mu, la, None]
+                    for mu, la in self.fam_a.superlattice_positions(span, lb, extra)]
             for pos in found:
                 coeff = self.supp.get(pos[0])
                 if not coeff:
                     continue
                 if self.twisted:
                     if pos[2] is None:
-                        pos[2] = transfer_factor(self.ctx, pos[1], lb)
+                        pos[2] = self.ctx.omega(pos[1], lb)
                     total = total + pos[2] * coeff
                 else:
                     total = total + coeff

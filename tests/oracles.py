@@ -23,13 +23,25 @@
   placed entry by entry; the oracle for the Kronecker-product operators
   q_i^- and q_i^+ of reduction.HomSystem;
 - commutator_rows: the linear forms (XM - MX)_ij in vec(X), placed entry
-  by entry; the oracle for the rows pairs._commutant_basis stacks.
+  by entry; the oracle for the rows pairs._commutant_basis stacks;
+- stable_superlattices, superlattice_positions: a split family's stable
+  superlattices as canonical lattices of the full rank, one canonical form
+  of W_plus sp | W_minus sm per component pair, and their relative
+  positions over lb from the full-rank lattices; the oracle for the
+  ComponentPairs and component-coordinate positions of
+  lattices.SplitStableFamily.superlattice_positions;
+- eigenpart_span, eigenpart_transfer_factor: the transfer factor from the indices of
+  l3 in the canonical O_E3-spans of the two eigenparts of l0; the oracle
+  for the determinant formula of orbital.TransferContext.omega.
 """
 
-from fflab.errors import NoSolution, PrecisionExhausted
-from fflab.lattices import _pivot, _power_times, canonicalize, from_generators
+from fflab.errors import NoSolution, NotStable, PrecisionExhausted
+from fflab.lattices import (_is_stable, _pivot, _power_times, canonicalize,
+                            from_generators, index, relative_position,
+                            superlattices_of_index)
 from fflab.linalg import Matrix, row_echelon
 from fflab.localfield import INF
+from fflab.orbital import OrbitalValue
 
 
 def linear_solve(mat, rhs, zeroish_ok=False):
@@ -172,3 +184,40 @@ def commutator_rows(field, mats, size):
                     row[k * size + j] = row[k * size + j] - M.rows[i][k]
                 rows.append(row)
     return Matrix(field, rows)
+
+
+def stable_superlattices(fam, lat, extra_index):
+    """A split family's stable superlattices of the given additional index
+    over lat, each canonicalized from its generator stack, in the order of
+    SplitStableFamily.stable_superlattices."""
+    lp, lm = fam.split(lat)
+    return [canonicalize(fam.field, fam._stack(sp, sm))
+            for kp in range(extra_index + 1)
+            for sp in superlattices_of_index(lp, kp)
+            for sm in superlattices_of_index(lm, extra_index - kp)]
+
+
+def superlattice_positions(fam, lat, lb, extra_index):
+    """(relative_position(la, lb), la) per stable superlattice la above."""
+    return [(relative_position(la, lb), la)
+            for la in stable_superlattices(fam, lat, extra_index)]
+
+
+def eigenpart_span(C, lat, proj):
+    """O_E3 * (proj lat) as a full lattice: spanned by proj v and C proj v
+    for the basis vectors v of lat."""
+    cols = []
+    for v in lat.basis.columns():
+        w = proj.apply(v)
+        cols += [w, C.apply(w)]
+    return from_generators(lat.field, cols)
+
+
+def eigenpart_transfer_factor(pair, l0, l3):
+    """Omega(l0, l3, s) = (-1)^a Q^(b-a), a and b the indices of l3 in the
+    eigenpart spans of l0 for the projectors of pair.A."""
+    projs = pair.Ea.eigen_projectors(pair.A)
+    if not all(_is_stable(proj, l0) for proj in projs):
+        raise NotStable("first lattice is not stable under the idempotents")
+    a, b = (index(l3, eigenpart_span(pair.B, l0, proj)) for proj in projs)
+    return OrbitalValue({b - a: -1 if a % 2 else 1})

@@ -225,7 +225,8 @@ def test_split_family_moves_match_brute_force(q, top):
                  if fam.is_stable(M)}
         assert len(set(moves)) == len(moves) == 2 * 2 * (q + 1)
         assert set(moves) == brute
-        ups = fam.stable_superlattices(L, top)
+        ups = [canonicalize(Fq, fam._stack(*pair))
+               for pair in fam.stable_superlattices(L, top)]
         assert len(set(ups)) == len(ups)
         assert set(ups) == {M for M in superlattices_of_index(L, top)
                             if fam.is_stable(M)}
@@ -249,14 +250,14 @@ def test_stable_superlattices_match_brute_force(q, kind, n, top):
                             if fam.is_stable(M)}
 
 
-def _smith_stable_subspaces(field, Cmat, Jmat, dims):
-    """lattices._stable_subspaces through the Smith form R Cmat C of the
+def _smith_stable_subspaces(field, H, Jmat, dims):
+    """lattices._stable_subspaces through the Smith form R H C of the
     quotient: its torsion coordinates are the exponent-1 rows of R, the
     residue action is that of R Jmat R^-1 there, and a subspace lifts
     through R^-1."""
     g = field.gf
-    m = Cmat.nrows
-    R, D, _ = smith_form(Cmat)
+    m = H.rank
+    R, D, _ = smith_form(H.basis)
     if len(D) < m or any(e not in (0, 1) for e in D):
         raise UnstableBase("quotient by pi_E is not elementary")
     torsion = [i for i in range(m) if D[i] == 1]
@@ -310,7 +311,7 @@ def test_non_elementary_quotient_is_unstable(rows, pivots):
     assert smith_exponents(Cmat) == (2, 0)
     assert canonicalize(F, Cmat).diag == pivots
     with pytest.raises(UnstableBase):
-        lattices._stable_subspaces(F, Cmat, Matrix.identity(F, 2), (1,))
+        lattices._stable_subspaces(F, canonicalize(F, Cmat), Matrix.identity(F, 2), (1,))
 
 
 def test_unstable_base_rejected():
@@ -345,6 +346,35 @@ def test_gamma_reduction():
     assert gg.in_fundamental_box(r1)
     assert gg.reduce(l) == gg.reduce(l2) == r1
     assert gg.reduce(r1) is r1  # a lattice in the box is its own rep
+
+
+def test_scalar_generators_reduce_without_a_canonical_form(monkeypatch):
+    # a generator c*I moves a canonical lattice to a scaled canonical one,
+    # so reduce takes no canonical form, and gives reduce_stack's rep; a
+    # generator that is not scalar is flagged None and still canonicalizes
+    ident = Matrix.identity(F, 2)
+    unit_pi = F.from_int(2) * pi
+    cases = [(GammaGenerator(ident.scale(pi), ident), 1),
+             (GammaGenerator(ident.scale(unit_pi * unit_pi), ident), 2),
+             (GammaGenerator(Matrix.diagonal(F, [pi, F.pi(2)]), ident), None),
+             (GammaGenerator(Matrix(F, [[pi, pi], [F.zero, pi]]), ident), None)]
+    lats = [L.scale(s) for L in sublattices_of_index(std2, 2) for s in (-3, 0, 4)]
+    real, calls = lattices.canonicalize, []
+
+    def counting(field, basis):
+        calls.append(basis)
+        return real(field, basis)
+
+    for gen, k in cases:
+        assert gen.scalar == k
+        gg = GammaGroup(F, [gen])
+        want = [reduce_stack(gg, L.basis) for L in lats]
+        monkeypatch.setattr(lattices, "canonicalize", counting)
+        got = [gg.reduce(L) for L in lats]
+        monkeypatch.setattr(lattices, "canonicalize", real)
+        assert [r.key() for r in got] == [r.key() for r in want]
+        assert bool(calls) == (k is None)
+        calls.clear()
 
 
 # -- the floor-stopped Smith sweep ----------------------------------------------

@@ -14,7 +14,8 @@ from fflab.orbital import (OrbitalValue, TransferContext, derivative_at_zero,
                            functional_equation_probe, orbital_alpha, orbital_beta,
                            transfer_factor, value_at_zero, vanishing_order_at_one)
 from fflab.pairs import invariant, match_alpha, random_pair
-from oracles import linear_solve, reduce_stack, split_neighbor_stacks
+from oracles import (eigenpart_span, eigenpart_transfer_factor, linear_solve,
+                     reduce_stack, split_neighbor_stacks, superlattice_positions)
 
 F = LocalField(3)
 E0 = build_quadratic(SPLIT, F)
@@ -69,7 +70,7 @@ def test_transfer_factor_trivial_and_law():
     pair, alpha = _matched(0)
     ctx = TransferContext(alpha)
     l0 = standard_lattice(F, 2)
-    span = ctx.eigenpart_span(l0, ctx.p_plus)
+    span = eigenpart_span(alpha.B, l0, ctx.p_plus)
     # at the span itself the plus index vanishes
     omega = transfer_factor(ctx, l0, span)
     assert list(omega.c.values())[0] in (1, -1)
@@ -92,6 +93,27 @@ def test_transfer_factor_trivial_and_law():
         eta_sign = -1 if mat_det(h3).valuation() % 2 else 1
         rhs = base.shift(-2 * (a_exp - b_exp)) * eta_sign
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transfer_factor_matches_the_eigenpart_oracle(seed):
+    # the determinant formula against the indices in the eigenpart spans,
+    # on every lattice of the radius-2 ball of the first family and, as l3,
+    # the transfer law's O_E3-span of the standard lattice (which its h3
+    # images leave fixed) and the radius-1 ball of the second family;
+    # v+ != v- at seeds 1 and 2
+    from fflab.orbital import _stable_families
+    _, alpha = _matched(seed)
+    ctx = TransferContext(alpha)
+    l0 = standard_lattice(F, 2)
+    l3s = [canonicalize(F, l0.basis.hstack(alpha.B * l0.basis))]
+    l3s += _stable_families(alpha)[1].ball(1)
+    ball = ctx.fam.ball(2)
+    assert len(ball) == 25 and len({l3.det_valuation for l3 in l3s}) > 1
+    assert (ctx.v_plus != ctx.v_minus) == (seed != 0)
+    for la in ball:
+        for l3 in l3s:
+            assert transfer_factor(ctx, la, l3) == eigenpart_transfer_factor(alpha, la, l3)
 
 
 def test_fl_n1_unramified():
@@ -174,17 +196,19 @@ def _fresh(pair):
 @pytest.mark.parametrize("q", [2, 3, 9])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_reuse_matches_fresh_pairs(q, twisted, monkeypatch):
-    import fflab.orbital as orbital
     pair, alpha, fs = _reuse_case(q)
     target = alpha if twisted else pair
     integral = orbital_alpha if twisted else orbital_beta
     calls = []
+    omega = TransferContext.omega
 
-    def recording(ctx, l0, l3):
-        calls.append((l0, l3))
-        return transfer_factor(ctx, l0, l3)
+    def recording(ctx, components, l3):
+        # the traversal asks for a factor on la's components; la is rebuilt
+        la = canonicalize(ctx.fam.field, ctx.fam._stack(*components))
+        calls.append((la, l3))
+        return omega(ctx, components, l3)
 
-    monkeypatch.setattr(orbital, "transfer_factor", recording)
+    monkeypatch.setattr(TransferContext, "omega", recording)
 
     def run(on, f):
         calls.clear()
@@ -197,6 +221,8 @@ def test_reuse_matches_fresh_pairs(q, twisted, monkeypatch):
         return value, {(la.key(), lb.key()) for la, lb in calls}
 
     fresh = [run(_fresh(target), f) for f in fs]
+    # on a fresh pair every twisted integral asks for its factors
+    assert all(asked for _, asked in fresh) == twisted
     forward = list(range(len(fs)))
     for order in (forward, forward[::-1]):
         shared = _fresh(target)
@@ -531,3 +557,46 @@ def test_generator_off_the_eigenspaces_is_refused():
     gamma = GammaGroup(F, [GammaGenerator(g, Matrix.identity(F, 2))])
     with pytest.raises(PrecisionExhausted, match="generator not certified block-diagonal"):
         fam.quotient(gamma, Matrix.identity(F, 2))
+
+
+@pytest.mark.parametrize("case", [2, 3, 9, UNRAMIFIED, RAMIFIED])
+def test_superlattice_positions_match_the_full_rank_oracle(case):
+    # every position a twisted traversal filled, per (lb, extra index), and
+    # the start's positions two indices up: the same mu and the same
+    # superlattice, in order, as the full-rank route
+    # (each superlattice canonicalized from its stack, mu from la^-1 lb),
+    # and the determinant formula's Omega(la, lb) is the eigenpart spans'
+    from fflab.lattices import order_span
+    from fflab.orbital import OrbitalProblem
+    if case in (2, 3, 9):
+        _, target, fs = _reuse_case(case)
+    else:
+        target, fs = _thm212_sum(case)
+    target = _fresh(target)
+    for f in fs:
+        prob = OrbitalProblem(target, f, twisted=True)
+        prob.evaluate()
+    st, fam = prob.state, prob.fam_a
+    q = st.quotient
+    lbs = {lb.key(): lb for lb in map(q.lattice, (st.start[0], *st.reps.values()))}
+    assert st.positions
+    filled = 0
+    for (key, extra), found in st.positions.items():
+        lb = lbs[key]
+        want = superlattice_positions(fam, order_span(target.A, lb), lb, extra)
+        assert len(found) == len(want)
+        for (mu, pair, omega), (mu0, la) in zip(found, want):
+            assert mu == mu0
+            assert canonicalize(fam.field, fam._stack(*pair)).key() == la.key()
+            expect = eigenpart_transfer_factor(target, la, lb)
+            assert st.ctx.omega(pair, lb) == expect
+            assert omega in (None, expect)
+            filled += omega is not None
+    assert filled
+    # two extra steps, so that on rank 4 both components move within one
+    # split of the index
+    lb = q.lattice(st.start[0])
+    span = order_span(target.A, lb)
+    got = [(mu, canonicalize(fam.field, fam._stack(*pair)).key())
+           for mu, pair in fam.superlattice_positions(span, lb, 2)]
+    assert got == [(mu, la.key()) for mu, la in superlattice_positions(fam, span, lb, 2)]
