@@ -3,11 +3,14 @@
 The driver handles monic squarefree polynomials with integral coefficients.
 Residue factorization over F_q is by trial division against the (small)
 list of monic irreducibles; factors with coprime residues are separated by
-linear Hensel lifting, one pi-adic digit per step (hensel_split).  A
-pure-power residue is resolved by root shifting plus Newton-polygon
-segmentation; quadratics are decided by a discriminant square test.
-Degrees beyond what desk-scale invariants produce raise FactorFail rather
-than guessing.
+linear Hensel lifting (hensel_split), which corrects only the digits where
+the product is off and stops as soon as it is exact.  A pure-power residue
+is resolved by root shifting plus Newton-polygon segmentation; quadratics
+are decided by a discriminant square test.  Degrees beyond what desk-scale
+invariants produce raise FactorFail rather than guessing.
+
+A factor or root is exact only when it reproduces its input exactly;
+otherwise its coefficients carry the precision they were lifted to.
 """
 
 from functools import lru_cache
@@ -158,8 +161,12 @@ def _fq_bezout(g, a, b):
 def hensel_split(poly, res_a):
     """Split monic integral poly as A*B where A lifts the monic residue factor res_a.
 
-    Requires gcd(res_a, residue/res_a) = 1.  Lifts linearly digit by digit to
-    the precision available in the coefficients (or the field default).
+    Requires gcd(res_a, residue/res_a) = 1.  Lifts linearly, correcting the
+    lowest nonzero digit of poly - A*B at each step, and returns as soon as
+    poly - A*B is exactly zero: A and B are then exact.  Otherwise the lift
+    stops at the precision available in the coefficients (or the field
+    default), target, and every non-leading coefficient of A and B carries
+    known_to = target.
     """
     F = poly.ring
     g = F.gf
@@ -174,17 +181,27 @@ def hensel_split(poly, res_a):
     target = F.precision if known is None or known > F.precision + 8 else int(known)
     A = fq_poly_lift(F, res_a)
     B = fq_poly_lift(F, res_b)
-    for k in range(1, target):
+    while True:
         err = poly - A * B
-        # digit of the error at pi^k, over the residue field
+        if all(c.is_exact_zero for c in err.coeffs):
+            return A, B
+        # the lowest certified nonzero digit of the error; every digit
+        # below it is zero, and a correction at pi^k leaves none at or
+        # below pi^k
+        k = min((c.val for c in err.coeffs if c.coeffs), default=target)
+        if k >= target:
+            break
         err_k = _fq_strip([c.coeff(k) if c.known_to > k else 0 for c in err.coeffs])
-        if not err_k:
-            continue
         da = _fq_divmod(g, _fq_mul(g, v, err_k), res_a)[1]
         db = _fq_divmod(g, _fq_mul(g, u, err_k), res_b)[1]
         A = A + Poly(F, [F.zero if c == 0 else F.element(k, (c,)) for c in da] or [F.zero])
         B = B + Poly(F, [F.zero if c == 0 else F.element(k, (c,)) for c in db] or [F.zero])
-    return A, B
+    return _truncate_tail(A, target), _truncate_tail(B, target)
+
+
+def _truncate_tail(f, k):
+    """f with every non-leading coefficient certified only below pi^k."""
+    return Poly(f.ring, [c.truncate(k) for c in f.coeffs[:-1]] + [f.coeffs[-1]])
 
 
 # -- square roots -----------------------------------------------------------------
@@ -397,7 +414,7 @@ def _factor_quadratic(poly):
         r2 = (-c1 - root) * two_inv
         return [(Poly(F, [-r1, F.one]), 1), (Poly(F, [-r2, F.one]), 1)]
     # char 2: T^2 + c1 T + c0
-    if c1.is_zeroish and not c1.coeffs:
+    if c1.is_exact_zero:
         root = sqrt_in_F(c0)
         if root is None:
             return [(poly, 1)]
@@ -419,7 +436,10 @@ def _artin_schreier_root(F, a):
 
     Solvable iff a can be written x^2 + x; digits are solved from the bottom.
     Requires val(a) >= 0 after reduction; negative odd valuation is unsolvable,
-    negative even valuation is shifted out recursively.
+    negative even valuation is shifted out recursively.  The root is exact
+    only when S^2 + S + a is exactly zero; otherwise it is certified below
+    pi^rel, the digits solved: a's known_to, or the field default when a is
+    exact, and at most the field default + 8.
     """
     g = F.gf
     if a.is_exact_zero:
@@ -459,9 +479,9 @@ def _artin_schreier_root(F, a):
             term = F.element(k, (ck,))
         s = s + term
         cur = a + s * s + s
-    if not cur.is_zeroish:
-        return None
-    return s
+    # every digit past the residue one is solvable, so only the digits
+    # from rel on are left open
+    return s if cur.is_exact_zero else s.truncate(rel)
 
 
 # -- polynomial gcd and Bezout coefficients over F ----------------------------------

@@ -481,14 +481,17 @@ class StableFamily:
         pi_E*lat <= M <= lat, one list per F_q-dimension (of M's residue
         image) in dims.  H, the Hermite form of lat^-1 pi_E lat, is taken
         once: lat*H generates pi_E*lat, and _stable_subspaces reads the
-        residue subspaces off H."""
+        residue subspaces off H.  A ramified pi_E is J itself, so
+        lat^-1 J lat is taken once for both."""
         field, L = self.field, lat.basis
         inv = lat.inverse()
-        H = canonicalize(field, inv * (self.pi_e_mat * L))
+        j_in_lat = inv * (self.J * L)
+        H = canonicalize(field, j_in_lat if self.pi_e_mat is self.J
+                         else inv * (self.pi_e_mat * L))
         scaled = (L * H.basis).columns()
         return [[Matrix.from_columns(field, scaled + [L.apply(v) for v in sub_basis])
                  for sub_basis in subs]
-                for subs in _stable_subspaces(field, H, inv * (self.J * L), dims)]
+                for subs in _stable_subspaces(field, H, j_in_lat, dims)]
 
     def neighbor_stacks(self, lat):
         """Raw generator matrices of all index-one moves: the stable
