@@ -164,7 +164,7 @@ def canonicalize(field, basis):
 
 
 def _hermite(field, m, cols):
-    # Its own loop rather than the Echelon record or _smith: the record's
+    # Its own loop rather than row_echelon or _smith: row_echelon's
     # row operations over F and _smith's row-and-column operations keep the
     # rank and the elementary divisors but not the lattice, which only
     # column operations with O_F multipliers preserve.  Taking the pivot of
@@ -465,9 +465,14 @@ class StableFamily:
             raise UnstableBase("base lattice is not stable under the action")
         if algebra.kind == "unramified":
             self.pi_e_mat = Matrix.identity(field, self.rank).scale(field.pi())
+            # lat^-1 pi lat = pi I for every lat, and pi I is its own
+            # Hermite form
+            self._pi_e_hermite = Lattice(field, self.pi_e_mat, (1,) * self.rank,
+                                         _basis_key(self.pi_e_mat))
             self.residue_f = 2
         else:
             self.pi_e_mat = J  # the generator is a uniformizer
+            self._pi_e_hermite = None
             self.residue_f = 1
         self._inv_pi_e = mat_inverse(self.pi_e_mat)
         # F_q-dimension of lat / pi_E lat (independent of the lattice)
@@ -479,15 +484,14 @@ class StableFamily:
     def _residue_stacks(self, lat, dims):
         """Raw generator stacks of the stable lattices M with
         pi_E*lat <= M <= lat, one list per F_q-dimension (of M's residue
-        image) in dims.  H, the Hermite form of lat^-1 pi_E lat, is taken
-        once: lat*H generates pi_E*lat, and _stable_subspaces reads the
-        residue subspaces off H.  A ramified pi_E is J itself, so
-        lat^-1 J lat is taken once for both."""
+        image) in dims.  H is the Hermite form of lat^-1 pi_E lat: lat*H
+        generates pi_E*lat, and _stable_subspaces reads the residue
+        subspaces off H.  An unramified family's H is the constant pi I;
+        a ramified pi_E is J itself, so H is the Hermite form of the
+        lat^-1 J lat that _stable_subspaces also reads."""
         field, L = self.field, lat.basis
-        inv = lat.inverse()
-        j_in_lat = inv * (self.J * L)
-        H = canonicalize(field, j_in_lat if self.pi_e_mat is self.J
-                         else inv * (self.pi_e_mat * L))
+        j_in_lat = lat.inverse() * (self.J * L)
+        H = self._pi_e_hermite or canonicalize(field, j_in_lat)
         scaled = (L * H.basis).columns()
         return [[Matrix.from_columns(field, scaled + [L.apply(v) for v in sub_basis])
                  for sub_basis in subs]
@@ -525,17 +529,12 @@ class StableFamily:
         moves, rest = divmod(extra_index, self.residue_f)
         if rest:
             return []
-        layer = {lat.key(): lat}
-        for _ in range(moves):
-            nxt = {}
-            for l in layer.values():
-                # the superlattice half of neighbor_stacks
-                (lines,) = self._residue_stacks(l, (self.residue_f,))
-                for s in lines:
-                    nb = canonicalize(self.field, self._inv_pi_e * s)
-                    nxt[nb.key()] = nb
-            layer = nxt
-        return list(layer.values())
+
+        def up(l):
+            # the superlattice half of neighbor_stacks
+            (lines,) = self._residue_stacks(l, (self.residue_f,))
+            return (canonicalize(self.field, self._inv_pi_e * s) for s in lines)
+        return _layers(lat, up, moves)[moves]
 
 
 def _layers(center, moves, radius):

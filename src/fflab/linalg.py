@@ -6,31 +6,18 @@ algorithms (Berkowitz) are used wherever the ring may fail to be a field;
 Gaussian elimination with valuation pivoting is used over F itself, where
 pivots can be certified.
 
-A matrix is eliminated once per Matrix object.  The elimination records
-its pivots, row swaps and per-pivot sweep factors together with the final
-echelon rows; row_echelon, kernel_basis, mat_inverse and mat_rank read
-that record, and mat_inverse reduces the identity by replaying the
-recorded swaps and sweeps on it.  Pivot choice and sweep factors depend
-only on the matrix, so the replay does the same operations, in the same
-order, as eliminating the augmented matrix: every result is
-bit-identical, precision included, to a fresh elimination.
+Each call eliminates afresh; nothing is kept on a Matrix.  Right-hand
+sides ride along as augment columns that never hold a pivot, so
+mat_inverse eliminates [M | I] in one pass.
 """
 
 from .errors import PrecisionExhausted, SingularBasis
 
 
 class Matrix:
-    """Immutable dense matrix over a coefficient ring.
+    """Immutable dense matrix over a coefficient ring."""
 
-    The first elimination of a Matrix object (row_echelon and the solvers
-    built on it) is recorded in the _echelon slot and replayed for every
-    later right-hand side.  The record is built in full before it is
-    stored and never changes afterwards, so two threads eliminating the
-    same object at worst both build it.  It takes no part in equality or
-    hashing.
-    """
-
-    __slots__ = ("ring", "rows", "nrows", "ncols", "_echelon")
+    __slots__ = ("ring", "rows", "nrows", "ncols")
 
     def __init__(self, ring, rows):
         self.ring = ring
@@ -39,7 +26,6 @@ class Matrix:
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged matrix")
-        self._echelon = None
 
     # -- constructors --------------------------------------------------------
 
@@ -398,100 +384,75 @@ def _pivot_scan(rows, r, c):
 
 
 class Echelon:
-    """The elimination of one matrix (see row_echelon), recorded so it can
-    be replayed on right-hand sides.
-
-    steps holds, per pivot, (r, best, sweeps): rows r and best were swapped,
-    then each (i, factor) in sweeps did row_i -= factor * row_r.  rows are
-    the final echelon rows and pivots the (row, col) pairs.  certified is
-    false when some column had no certified pivot but an undetermined
-    entry; such a column is skipped, which only zeroish_ok callers accept.
+    """The result of row_echelon: rows are the final echelon rows, the
+    augment's columns included, and pivots the (row, col) pairs.
+    certified is false when some column had no certified pivot but an
+    undetermined entry; such a column is skipped, which only zeroish_ok
+    callers accept.
     """
 
-    __slots__ = ("steps", "rows", "pivots", "certified", "_pivot_invs")
+    __slots__ = ("rows", "pivots", "certified")
 
-    def __init__(self, mat):
-        rows = [list(r) for r in mat.rows]
-        nrows = mat.nrows
-        steps, pivots = [], []
-        certified = True
-        r = 0
-        for c in range(mat.ncols):
-            best, undet = _pivot_scan(rows, r, c)
-            if best is None:
-                certified = certified and not undet
-                continue
-            rows[r], rows[best] = rows[best], rows[r]
-            piv_inv = rows[r][c].inv()
-            sweeps = []
-            for i in range(nrows):
-                if i != r:
-                    x = rows[i][c]
-                    if not x.is_exact_zero:
-                        factor = x * piv_inv
-                        rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-                        sweeps.append((i, factor))
-            steps.append((r, best, tuple(sweeps)))
-            pivots.append((r, c))
-            r += 1
-            if r == nrows:
-                break
-        self.steps = tuple(steps)
-        self.rows = tuple(tuple(row) for row in rows)
-        self.pivots = tuple(pivots)
+    def __init__(self, rows, pivots, certified):
+        self.rows = rows
+        self.pivots = pivots
         self.certified = certified
-        self._pivot_invs = None
-
-    def pivot_invs(self):
-        """Inverses of the final pivot entries, in pivot order."""
-        if self._pivot_invs is None:
-            self._pivot_invs = tuple(self.rows[r][c].inv() for r, c in self.pivots)
-        return self._pivot_invs
-
-    def replay(self, lines):
-        """The recorded swaps and sweeps applied to a copy of lines (one
-        per row of the matrix): the same operations, in the same order, as
-        eliminating the matrix augmented by them."""
-        aug = [list(line) for line in lines]
-        for r, best, sweeps in self.steps:
-            aug[r], aug[best] = aug[best], aug[r]
-            for i, factor in sweeps:
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        return aug
 
 
-def row_echelon(mat, zeroish_ok=False):
-    """Row echelon form of mat over F, as mat's Echelon record.
+def row_echelon(mat, zeroish_ok=False, augment=None):
+    """Row echelon form of mat over F, as an Echelon.
 
     Valuation pivoting without column swaps, so pivot columns may be
     scattered.  Every entry that is not an exact zero is swept, an
     undetermined one with an O(pi^k) multiplier, so the precision lost is
     carried along.  A column with no certified pivot but an undetermined
     entry raises PrecisionExhausted; with zeroish_ok it is skipped instead
-    and callers must verify the result.  The elimination runs once per
-    Matrix object and is kept on it; zeroish_ok only decides whether such
-    a column raises, so one record serves both kinds of caller.  Apply the
-    same row operations to right-hand sides with the record's replay.
+    and callers must verify the result.  augment, one line per row of mat,
+    is swept along as extra columns that never hold a pivot, so the
+    returned rows carry mat's row operations applied to it.
     """
-    rec = mat._echelon
-    if rec is None:
-        rec = mat._echelon = Echelon(mat)
-    if not (rec.certified or zeroish_ok):
-        raise PrecisionExhausted("pivot valuations cannot be certified")
-    return rec
+    rows = [list(r) for r in mat.rows]
+    if augment is not None:
+        for row, line in zip(rows, augment):
+            row.extend(line)
+    nrows = mat.nrows
+    pivots = []
+    certified = True
+    r = 0
+    for c in range(mat.ncols):
+        best, undet = _pivot_scan(rows, r, c)
+        if best is None:
+            if undet:
+                if not zeroish_ok:
+                    raise PrecisionExhausted("pivot valuations cannot be certified")
+                certified = False
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        piv_inv = rows[r][c].inv()
+        for i in range(nrows):
+            if i != r:
+                x = rows[i][c]
+                if not x.is_exact_zero:
+                    factor = x * piv_inv
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return Echelon(tuple(tuple(row) for row in rows), tuple(pivots), certified)
 
 
 def mat_det(mat):
     """Determinant over F via elimination with valuation pivoting; every
     entry below a pivot that is not an exact zero is swept."""
-    # Its own forward sweep rather than the product of the Echelon record's
-    # pivots: the record also sweeps the rows above each pivot, which took
+    # Its own forward sweep rather than the product of row_echelon's
+    # pivots: row_echelon also sweeps the rows above each pivot, which took
     # 1.6x the field multiplies on random 2x2 matrices and 2x on 8x8 (most
     # calls here are 2x2).  The two agree bit for bit wherever both return
     # (3,653 of 6,000 random 2x2-5x5 matrices over q in {2, 3, 9}, with zero
     # and O(pi^k) entries; both raised on 2,342), except that a column of
     # exact zeros ahead of an undetermined one is an exact 0 here, while
-    # the record, which skips that column, raises (5 matrices).
+    # row_echelon, which skips that column, raises (5 matrices).
     if mat.nrows != mat.ncols:
         raise ValueError("square matrix required")
     ring = mat.ring
@@ -522,8 +483,8 @@ def mat_det(mat):
 def kernel_basis(mat, zeroish_ok=False):
     """Basis of the right kernel of mat over F (list of vectors).
 
-    One vector per free column: a column with no pivot in the elimination
-    record, which with zeroish_ok includes a column skipped for lack of a
+    One vector per free column: a column with no pivot in row_echelon,
+    which with zeroish_ok includes a column skipped for lack of a
     certified pivot.  Each vector is an exact one at its own free column
     and an exact zero at every other free column, so the free rows of the
     basis, taken as columns of a matrix, form an identity block and a
@@ -531,8 +492,7 @@ def kernel_basis(mat, zeroish_ok=False):
     """
     ring = mat.ring
     rec = row_echelon(mat, zeroish_ok)
-    pivot_cols = {c: (rec.rows[r], piv_inv)
-                  for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs())}
+    pivot_cols = {c: (rec.rows[r], rec.rows[r][c].inv()) for r, c in rec.pivots}
     free_cols = [c for c in range(mat.ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
@@ -548,14 +508,14 @@ def mat_inverse(mat):
     """Inverse over F (raises SingularBasis when singular)."""
     ring = mat.ring
     n = mat.nrows
-    rec = row_echelon(mat)
+    rec = row_echelon(mat, augment=Matrix.identity(ring, n).rows)
     if len(rec.pivots) < n:
         raise SingularBasis("matrix is singular over F")
-    aug = rec.replay(Matrix.identity(ring, n).rows)
-    out = [[ring.zero] * n for _ in range(n)]
-    for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs()):
-        for j in range(n):
-            out[c][j] = aug[r][j] * piv_inv
+    out = [None] * n
+    for r, c in rec.pivots:
+        row = rec.rows[r]
+        piv_inv = row[c].inv()
+        out[c] = [x * piv_inv for x in row[n:]]
     return Matrix(ring, out)
 
 

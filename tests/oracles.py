@@ -1,8 +1,9 @@
 """Slow, independent routes that the tests hold the package's routes to.
 
-- linear_solve: one solution of mat * x = rhs by replaying the elimination
-  record; the oracle for the eigenspace coordinates that
-  lattices.SplitStableFamily reads off one inverse W^-1;
+- linear_solve: one solution of mat * x = rhs, read off the augment
+  column that row_echelon sweeps along with mat; the oracle for the
+  eigenspace coordinates that lattices.SplitStableFamily reads off one
+  inverse W^-1;
 - smith_form: the Smith form with its unimodular transforms, at full
   precision; the oracle for the residue subspaces that
   lattices._stable_subspaces reads off a Hermite form;
@@ -49,16 +50,16 @@ def linear_solve(mat, rhs, zeroish_ok=False):
 
     rhs is a vector; returns a vector.
     """
-    rec = row_echelon(mat, zeroish_ok)
-    augr = rec.replay([x] for x in rhs)
-    for i in range(len(rec.pivots), mat.nrows):
-        if augr[i][0].coeffs:
+    rec = row_echelon(mat, zeroish_ok, augment=[[y] for y in rhs])
+    n = mat.ncols
+    for row in rec.rows[len(rec.pivots):]:
+        if row[n].coeffs:
             raise NoSolution("inconsistent linear system")
-        if not augr[i][0].is_exact_zero and not zeroish_ok:
+        if not row[n].is_exact_zero and not zeroish_ok:
             raise PrecisionExhausted("consistency of linear system not certified")
-    x = [mat.ring.zero] * mat.ncols
-    for (r, c), piv_inv in zip(rec.pivots, rec.pivot_invs()):
-        x[c] = augr[r][0] * piv_inv
+    x = [mat.ring.zero] * n
+    for r, c in rec.pivots:
+        x[c] = rec.rows[r][n] * rec.rows[r][c].inv()
     return x
 
 

@@ -94,6 +94,22 @@ def test_orbital_ok_is_the_matching_identity(tmp_path, seed):
     assert rc == (0 if rec["ok"] else 1)
 
 
+@pytest.mark.parametrize("seed, alpha", [
+    (0, {"-2": "7", "0": "-14", "2": "7"}),
+    (2, {"-2": "8", "0": "-16", "2": "8"})])
+def test_orbital_n2_pair_with_a_degree_two_centralizer(tmp_path, seed, alpha):
+    # random_pair(E1, E1, 2, seed) at q = 3 has a centralizer that is one
+    # field of degree 2 (ramified at seed 0, unramified at seed 2)
+    out = tmp_path / "o.jsonl"
+    rc = main(["orbital", "--n", "2", "--q", "3", "--seed", str(seed),
+               "--hecke", "T_1", "--out", str(out)])
+    assert rc == 0
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec == {"alpha": alpha, "alpha_at_zero": "0", "beta": "0",
+                   "id": f"orbital/seed{seed}/T_1", "ok": True, "precision": 40,
+                   "windows": [2, 5]}
+
+
 @pytest.mark.parametrize("command,spec", [
     ("satake", "f(a)"),
     ("satake", "T_x"),

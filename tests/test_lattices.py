@@ -301,6 +301,22 @@ def test_stable_moves_match_the_smith_route(q, kind, radius, monkeypatch):
             assert set(got) == set(want)
 
 
+@pytest.mark.parametrize("q, n, radius", [
+    (2, 1, 2), (3, 1, 2), (9, 1, 2), (2, 2, 2), (3, 2, 2), (9, 2, 1)])
+def test_unramified_pi_e_hermite_form_is_a_constant(q, n, radius):
+    # L^-1 pi_E L = pi I on every lattice of an unramified family, so the
+    # family keeps its Hermite form once instead of canonicalizing it per
+    # lattice (the rank-4 ball at q = 9 has 20,093 lattices at radius 2)
+    Fq = LocalField(q)
+    E = build_quadratic(UNRAMIFIED, Fq)
+    fam = stable_family(Fq, standard_embedding(E, n), E, standard_lattice(Fq, 2 * n))
+    ball = fam.ball(radius)
+    assert len(ball) > 1
+    for L in ball:
+        H = canonicalize(Fq, L.inverse() * (fam.pi_e_mat * L.basis))
+        assert H.key() == fam._pi_e_hermite.key()
+
+
 @pytest.mark.parametrize("rows, pivots", [([[1, 0], [0, "pi2"]], (0, 2)),
                                           ([["pi", 1], [0, "pi"]], (1, 1))])
 def test_non_elementary_quotient_is_unstable(rows, pivots):

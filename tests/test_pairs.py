@@ -131,6 +131,20 @@ def test_centralizer_n2():
     assert sorted(g.shift for g in gg.gens) == [2, 2]
 
 
+def test_centralizer_with_a_degree_two_factor():
+    # an n = 2 pair that is no direct sum: its centralizer is one ramified
+    # field of degree 2, so the uniformizer is not the scalar pi
+    pair, _, _ = random_pair(E1, E1, 2, seed=0)
+    cent = centralizer(pair)
+    assert [f.degree for f in cent.factors] == [2]
+    gamma = cent.factors[0].gamma
+    assert not gamma.same(Matrix.identity(F, 4).scale(F.pi()))
+    z = Matrix.zero(F, 4)
+    assert (gamma * pair.A - pair.A * gamma).same(z)
+    assert (gamma * pair.B - pair.B * gamma).same(z)
+    assert [g.shift for g in cent.gamma_group().gens] == [2]
+
+
 def test_match_alpha_roundtrip_split_target():
     for s in range(4):
         pair, inv, _ = random_pair(E1, E1, 1, seed=s)
