@@ -53,9 +53,6 @@ class QuadraticEtale:
     def from_field(self, a):
         return EtaleElement(self, a, self.field.zero)
 
-    def from_int(self, n):
-        return self.from_field(self.field.from_int(n))
-
     def from_components(self, x, y):
         """Element with component values (x, y) under z -> (r1, r2); split only."""
         r1, r2 = self.split_roots

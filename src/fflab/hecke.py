@@ -59,12 +59,6 @@ class ULaurent:
     def __add__(self, other):
         return ULaurent(self.q, self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other):
-        return ULaurent(self.q, self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return ULaurent(self.q, -self.a, -self.b)
-
     def __mul__(self, other):
         if isinstance(other, ULaurent):
             return ULaurent(self.q,
@@ -110,15 +104,6 @@ class HeckeFunction:
                     cc[k] = v
         self.c = cc
 
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HeckeFunction(self.rank, out)
-
-    def scale(self, x):
-        return HeckeFunction(self.rank, {k: v * Fraction(x) for k, v in self.c.items()})
-
     def value(self, mu):
         return self.c.get(tuple(mu), Fraction(0))
 
@@ -132,9 +117,6 @@ class HeckeFunction:
 
     def __repr__(self):
         return f"HeckeFunction({self.rank}, {dict(self.c)})"
-
-    def to_json(self):
-        return {",".join(map(str, k)): str(v) for k, v in sorted(self.c.items())}
 
 
 def unit(rank):

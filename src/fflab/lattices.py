@@ -87,9 +87,6 @@ class Lattice:
         """Dual lattice (inverse-transpose basis); exact for canonical bases."""
         return canonicalize(self.field, self.inverse().transpose())
 
-    def to_json(self):
-        return [[e.to_json() for e in row] for row in self.basis.rows]
-
 
 def _basis_key(basis):
     return tuple(tuple(e.key() for e in row) for row in basis.rows)
@@ -876,10 +873,6 @@ class GammaGroup:
             else:
                 basis = _power_times(g.matrix, g.inverse, e, basis)
         return lat if basis is lat.basis else canonicalize(self.field, basis)
-
-    def in_fundamental_box(self, lat):
-        return all(0 <= self.functional(g, lat.basis) < g.shift
-                   for g in self.gens)
 
 
 # -- a stable family modulo Gamma, as the orbital traversal walks it -------------

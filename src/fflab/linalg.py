@@ -95,9 +95,6 @@ class Matrix:
         return Matrix(self.ring, [[a - b for a, b in zip(ra, rb)]
                                   for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return Matrix(self.ring, [[-a for a in r] for r in self.rows])
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -136,9 +133,6 @@ class Matrix:
 
     def __hash__(self):
         return hash(self.rows)
-
-    def is_zero(self):
-        return all(a.is_exact_zero for r in self.rows for a in r)
 
     def same(self, other):
         """Entrywise value equality (certified digits agree)."""

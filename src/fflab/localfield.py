@@ -315,16 +315,6 @@ class FieldElement:
         know = min(a.val + b.known_to, b.val + a.known_to)
         return FieldElement(f, know, (), know)
 
-    def scale(self, c):
-        """Multiply by the residue-field constant c."""
-        if c == 0:
-            return self.field.zero
-        if not self.coeffs:
-            return self
-        mul = self.field.gf.mul_table[c]
-        return FieldElement(self.field, self.val,
-                            tuple(mul[x] for x in self.coeffs), self.known_to)
-
     def shift(self, k):
         """Multiply by pi^k."""
         if not self.coeffs:

@@ -10,8 +10,8 @@ function and bridging at most `slack` steps beyond it; the value is that
 of this single traversal.  What the traversal learns without reference to
 f (the centralizer, the stable families, neighbour gaps, reduced
 representatives, superlattice positions, transfer factors) is kept on the
-pair, one state per seed, and reused by every later integral of the same
-pair until the pair is freed.
+pair as one state and reused by every later integral of the same pair
+until the pair is freed.
 """
 
 from fractions import Fraction
@@ -37,20 +37,10 @@ class OrbitalValue:
                     cc[int(k)] = v
         self.c = cc
 
-    @staticmethod
-    def constant(x):
-        return OrbitalValue({0: x})
-
     def __add__(self, other):
         out = dict(self.c)
         for k, v in other.c.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return OrbitalValue(out)
-
-    def __sub__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Fraction(0)) - v
         return OrbitalValue(out)
 
     def __mul__(self, other):
@@ -66,9 +56,6 @@ class OrbitalValue:
     def shift(self, k):
         """Multiply by Q^k."""
         return OrbitalValue({e + k: v for e, v in self.c.items()})
-
-    def is_zero(self):
-        return not self.c
 
     def __eq__(self, other):
         if not isinstance(other, OrbitalValue):
@@ -213,8 +200,8 @@ def _stable_families(pair):
 class _PairState:
     """The part of a pair's orbital integrals that does not depend on f.
 
-    One instance per (pair, seed), stored in the pair's `_orbital` dict on
-    first use and freed with the pair.  Besides the centralizer's
+    One instance per pair, stored in the pair's `_orbital` slot on first
+    use and freed with the pair.  Besides the centralizer's
     Gamma-group, the two stable families and (on the twisted side) the
     transfer context, it holds the second family modulo Gamma and records
     what traversals have learned about the quotient, so that a later Hecke
@@ -226,8 +213,8 @@ class _PairState:
       rep per canonical key of a raw move (lattices.StackQuotient) or per
       raw pair, with each Gamma-power of a component
       (lattices.PairQuotient);
-    - start: the descent start (vertex, span gap) and whether it lies in
-      the fundamental box;
+    - start: the descent start (vertex, span gap); the vertex is a reduced
+      rep, so it lies in the fundamental box and is counted like any other;
     - moves: per expanded vertex key, one (gap, rep key) per raw move in
       the quotient's moves order, filled once by moves_of: each raw move
       is reduced first and the gap is its rep's, memoized per rep key;
@@ -248,14 +235,14 @@ class _PairState:
     """
 
     __slots__ = ("gamma", "fam_a", "fam_b", "quotient", "ctx", "start",
-                 "start_in_box", "moves", "reps", "positions")
+                 "moves", "reps", "positions")
 
-    def __init__(self, pair, seed):
-        self.gamma = centralizer(pair, seed=seed).gamma_group()
+    def __init__(self, pair):
+        self.gamma = centralizer(pair).gamma_group()
         self.fam_a, self.fam_b = _stable_families(pair)
         self.quotient = self.fam_b.quotient(self.gamma, pair.A)
         self.ctx = None
-        self.start = self.start_in_box = None
+        self.start = None
         self.moves = {}
         self.reps = {}
         self.positions = {}
@@ -295,21 +282,20 @@ class OrbitalProblem:
     frontier empties; its value is that of this one traversal, taken at
     the given slack.
 
-    What does not depend on f lives in the pair's _PairState for this
-    seed, shared by every problem on the same pair; the problem itself
-    holds only f's support data, and evaluate its own seen set, frontier,
-    budget and radius.
+    What does not depend on f lives in the pair's one _PairState, shared
+    by every problem on the same pair; the problem itself holds only f's
+    support data, and evaluate its own seen set, frontier, budget and
+    radius.
     """
 
-    def __init__(self, pair, f, twisted, seed=0):
+    def __init__(self, pair, f, twisted):
         self.pair = pair
         self.f = f
         self.twisted = twisted
-        self.seed = seed
         self.field = pair.field
-        st = pair._orbital.get(seed)
+        st = pair._orbital
         if st is None:
-            st = pair._orbital[seed] = _PairState(pair, seed)
+            st = pair._orbital = _PairState(pair)
         if twisted and st.ctx is None:
             st.ctx = TransferContext(pair, st.fam_a)
         self.state = st
@@ -395,7 +381,7 @@ class OrbitalProblem:
             # reduce to a nonnegative support through a central twist
             shift = min(x for mu in self.supp for x in mu)
             prob = OrbitalProblem(self.pair, pi_twist(self.f, -shift),
-                                  self.twisted, seed=self.seed)
+                                  self.twisted)
             return prob.evaluate(slack=slack)
         st = self.state
         q = st.quotient
@@ -404,10 +390,7 @@ class OrbitalProblem:
         total = OrbitalValue() if self.twisted else Fraction(0)
         seen = {start.key()}
         if g0 <= max_total:
-            if st.start_in_box is None:
-                st.start_in_box = self.gamma.in_fundamental_box(q.lattice(start))
-            if st.start_in_box:
-                total = total + self.contribution(q.lattice(start), g0)
+            total = total + self.contribution(q.lattice(start), g0)
         frontier = [(start, g0, 0)]
         visited = 1
         radius = 0
@@ -443,21 +426,21 @@ class OrbitalProblem:
         return total, radius
 
 
-def orbital_beta(pair, f, slack=1, seed=0):
+def orbital_beta(pair, f, slack=1):
     """Plain orbital integral: an f-weighted count of stable lattice pairs.
 
     The pair's two lattices run over the stable families of its two
     embeddings modulo the centralizer's uniformizer subgroup; the
     stabilizer volume is one for the groups constructed here.
     """
-    prob = OrbitalProblem(pair, f, twisted=False, seed=seed)
+    prob = OrbitalProblem(pair, f, twisted=False)
     val, w = prob.evaluate(slack=slack)
     return val, w
 
 
-def orbital_alpha(pair, f, slack=1, seed=0):
+def orbital_alpha(pair, f, slack=1):
     """Twisted orbital integral as an exact Laurent polynomial in Q."""
-    prob = OrbitalProblem(pair, f, twisted=True, seed=seed)
+    prob = OrbitalProblem(pair, f, twisted=True)
     val, w = prob.evaluate(slack=slack)
     return val, w
 

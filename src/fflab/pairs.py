@@ -37,9 +37,9 @@ class EmbeddingPair:
         if A.nrows % 2:
             raise ValueError("ambient rank must be even")
         self.n = A.nrows // 2
-        # seed -> the f-independent state of this pair's orbital integrals,
-        # filled by fflab.orbital on first use and freed with the pair
-        self._orbital = {}
+        # the f-independent state of this pair's orbital integrals (an
+        # orbital._PairState), built on first use and freed with the pair
+        self._orbital = None
         if check:
             self._validate()
 
@@ -61,11 +61,6 @@ class EmbeddingPair:
 
     def __repr__(self):
         return f"EmbeddingPair({self.Ea.name},{self.Eb.name}; 2n={2*self.n})"
-
-    def to_json(self):
-        return {"Ea": self.Ea.name, "Eb": self.Eb.name,
-                "A": [[e.to_json() for e in r] for r in self.A.rows],
-                "B": [[e.to_json() for e in r] for r in self.B.rows]}
 
 
 class InvariantData:
@@ -228,7 +223,7 @@ class Centralizer:
         return GammaGroup(self.field, gens)
 
 
-def centralizer(pair, seed=0):
+def centralizer(pair):
     """Centralizer of both images; raises WrongDimension unless it has rank n."""
     field = pair.field
     size = 2 * pair.n
@@ -236,13 +231,13 @@ def centralizer(pair, seed=0):
     if len(basis) != pair.n:
         raise WrongDimension(
             f"centralizer has dimension {len(basis)}, expected {pair.n}")
-    factors = decompose_commutative_algebra(field, basis, size, seed=seed)
+    factors = decompose_commutative_algebra(field, basis, size)
     return Centralizer(field, basis, factors)
 
 
-def decompose_commutative_algebra(field, basis, size, seed=0):
+def decompose_commutative_algebra(field, basis, size):
     """Idempotents and uniformizer matrices of a commutative etale matrix algebra."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     n = len(basis)
     ident = Matrix.identity(field, size)
     scaled = [_integral_scale(b) for b in basis]
@@ -334,19 +329,6 @@ def standard_embedding(alg, n):
     return Matrix.block_diag(F, [block] * n)
 
 
-def _unit_triangular_inverse(field, m):
-    """Exact inverse of a unit triangular matrix by the nilpotent series."""
-    size = m.nrows
-    ident = Matrix.identity(field, size)
-    n = m - ident
-    acc = ident
-    power = ident
-    for k in range(1, size):
-        power = power * n
-        acc = acc + power if k % 2 == 0 else acc - power
-    return acc
-
-
 # lower-upper unitriangular factor pairs in a random unimodular matrix
 _UNIMODULAR_DEPTH = 2
 # conjugation attempts before random_pair gives up
@@ -369,7 +351,7 @@ def random_unimodular(field, size, rng):
                      for j in range(size)] for i in range(size)]
             m = Matrix(field, rows)
             g = g * m
-            g_inv = _unit_triangular_inverse(field, m) * g_inv
+            g_inv = mat_inverse(m) * g_inv
     return g, g_inv
 
 

@@ -16,6 +16,9 @@
   far and one canonical form at the end; the oracle for the reps that
   lattices.StackQuotient and lattices.PairQuotient memoize, which
   GammaGroup.reduce takes on a canonical lattice;
+- in_fundamental_box: whether a lattice lies in Gamma's fundamental box,
+  every functional in [0, shift); the box that reduce_stack and
+  GammaGroup.reduce map into;
 - hom_lattice: Hom_O(m_bot, m_top) spanned by the flattened
   g_top E_ab g_bot^-1, one matrix product pair per elementary matrix E_ab;
   the oracle for reduction.hom_lattice, which spans it by the columns of
@@ -128,6 +131,12 @@ def reduce_stack(gamma, stack):
         e = -(gamma.functional(g, stack) // g.shift)
         stack = _power_times(g.matrix, g.inverse, e, stack)
     return canonicalize(gamma.field, stack)
+
+
+def in_fundamental_box(gamma, lat):
+    """Whether every Gamma-functional of lat lies in [0, shift)."""
+    return all(0 <= gamma.functional(g, lat.basis) < g.shift
+               for g in gamma.gens)
 
 
 def hom_lattice(field, m_top, m_bot):

@@ -18,7 +18,8 @@ from fflab.linalg import Matrix, mat_det, mat_inverse, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
 from fflab.pairs import direct_sum, match_alpha, random_pair, standard_embedding
-from oracles import reduce_stack, smith_form, split_neighbor_stacks
+from oracles import (in_fundamental_box, reduce_stack, smith_form,
+                     split_neighbor_stacks)
 
 F = LocalField(3)
 one, pi = F.one, F.pi()
@@ -359,7 +360,7 @@ def test_gamma_reduction():
     l2 = canonicalize(F, Matrix.diagonal(F, [pi, one]))
     r1b = reduce_stack(gg, l2.basis)
     assert r1 == r1b  # same orbit, same representative
-    assert gg.in_fundamental_box(r1)
+    assert in_fundamental_box(gg, r1)
     assert gg.reduce(l) == gg.reduce(l2) == r1
     assert gg.reduce(r1) is r1  # a lattice in the box is its own rep
 

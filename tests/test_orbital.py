@@ -170,6 +170,28 @@ def test_base_choice_independence():
     assert val == val2
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_descent_walks_down_to_a_zero_gap_start(q, seed):
+    # every pair the workbench builds has integral A and B, so the base has
+    # gap 0 and the descent never steps; conjugating by B itself (exact
+    # inverse (tr - B) / nm) moves the base to gap 1 when B's algebra is
+    # ramified, and the descent must walk to gap 0 without changing a value
+    from fflab.orbital import OrbitalProblem
+    field = LocalField(q)
+    e1, e2 = build_quadratic(UNRAMIFIED, field), build_quadratic(RAMIFIED, field)
+    pair, _, _ = random_pair(e1, e2, 1, seed)
+    B = pair.B
+    B_inv = (Matrix.identity(field, 2).scale(e2.tr) - B).scale(e2.nm.inv())
+    moved = pair.conjugate(B, B_inv)
+    prob = OrbitalProblem(moved, unit(2), False)
+    quotient = prob.state.quotient
+    assert quotient.gap(quotient.reduce(quotient.start())) == 1
+    assert prob._descend_start()[1] == 0
+    for f in (unit(2), t_m(2, 1), t_m(2, 2)):
+        assert orbital_beta(moved, f) == orbital_beta(pair, f)
+
+
 # -- per-pair state shared across Hecke functions -----------------------------------
 
 _REUSE_SEEDS = {2: 5, 3: 3, 9: 11}
@@ -232,20 +254,19 @@ def test_reuse_matches_fresh_pairs(q, twisted, monkeypatch):
             assert got[i][1] <= asked
 
 
-def test_reuse_keeps_seeds_apart():
+def test_reuse_keeps_one_state_per_pair():
+    # every integral on a pair, the negative-support one (fs[4]) included,
+    # runs on the one state the first integral built
     pair, alpha, fs = _reuse_case(3)
     for target, integral in ((pair, orbital_beta), (alpha, orbital_alpha)):
         shared = _fresh(target)
+        assert shared._orbital is None
+        states = []
         for f in fs:
-            for seed in (0, 1):
-                expect = integral(_fresh(target), f, seed=seed)
-                assert integral(shared, f, seed=seed) == expect
-        assert sorted(shared._orbital) == [0, 1]
-        assert shared._orbital[0] is not shared._orbital[1]
-        # the negative-support branch stays on the caller's seed
-        lone = _fresh(target)
-        integral(lone, fs[4], seed=1)
-        assert sorted(lone._orbital) == [1]
+            assert integral(shared, f) == integral(_fresh(target), f)
+            states.append(shared._orbital)
+        assert states[0] is not None
+        assert all(st is states[0] for st in states)
 
 
 # -- one route per lattice invariant ------------------------------------------------
@@ -291,6 +312,41 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
         assert gap == span_gap(prob.pair.A, reduce_stack(gamma, stack).basis)
         for g in gamma.gens:
             assert gamma.functional(g, stack) == gamma.functional(g, lat.basis)
+
+
+@pytest.mark.parametrize("case", [UNRAMIFIED, RAMIFIED, 2, 3, 9])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_span_gap_moves_by_at_most_the_move_index(case, twisted):
+    # for L' in L of index d, (L + A L) / (L' + A L') is a quotient of
+    # L/L' + A L / A L', of length 2d, and gap(L') = gap(L) + d - that
+    # length, so |gap(L') - gap(L)| <= d
+    if case in (UNRAMIFIED, RAMIFIED):
+        pair, fs = _thm212_sum(case, twisted)
+        cases = [(pair, fs[0])]
+    else:
+        field = LocalField(case)
+        e0 = build_quadratic(SPLIT, field)
+        e1 = build_quadratic(UNRAMIFIED, field)
+        cases = []
+        for seed in range(3):
+            pair, inv, _ = random_pair(e1, e1, 1, seed=seed)
+            if twisted:
+                pair, _ = match_alpha(inv.delta, e0, inv.target)
+            cases.append((pair, t_m(2, 2)))
+    from fflab.lattices import StackQuotient
+    from fflab.orbital import OrbitalProblem
+    for pair, f in cases:
+        prob = OrbitalProblem(pair, f, twisted)
+        prob.evaluate()
+        st = prob.state
+        # an O_E-move of a stable family has O_F-index residue_f; a
+        # component move of a split family has index one
+        index = (prob.fam_b.residue_f if isinstance(st.quotient, StackQuotient)
+                 else 1)
+        steps = [gap - st.quotient.gap(st.reps[key])
+                 for key, moves in st.moves.items() for gap, _ in moves]
+        assert steps
+        assert all(abs(step) <= index for step in steps)
 
 
 # -- split families walked as component pairs ---------------------------------------

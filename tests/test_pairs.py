@@ -180,3 +180,60 @@ def test_match_alpha_family_relation():
     ident = Matrix.identity(F, 2)
     rel = C * C - C.scale(E3.tr) + ident.scale(E3.nm)
     assert rel.same(Matrix.zero(F, 2))
+
+
+# -- precision honesty of the set-up ----------------------------------------------
+
+_KINDS = (SPLIT, UNRAMIFIED, RAMIFIED)
+
+
+def _invariant_configs():
+    """(q, e1, e2) for every configuration the invariant command accepts:
+    e2 split only when e1 is, not both ramified, and in characteristic 2
+    neither ramified nor (split, unramified)."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for e1 in _KINDS:
+            for e2 in _KINDS:
+                if ((e2 == SPLIT and e1 != SPLIT) or e1 == e2 == RAMIFIED
+                        or (q % 2 == 0 and (RAMIFIED in (e1, e2)
+                                            or (e1, e2) == (SPLIT, UNRAMIFIED)))):
+                    continue
+                yield q, e1, e2
+
+
+def test_random_unimodular_inverse_is_exact():
+    # the unitriangular factors are inverted by elimination on their exact
+    # unit pivots, so g_inv is exact and g * g_inv is exactly the identity
+    rng = random.Random(0)
+    for q in (2, 3, 9):
+        field = LocalField(q)
+        for size in (2, 4, 6):
+            g, g_inv = random_unimodular(field, size, rng)
+            prod = g * g_inv
+            assert all(x.is_exact for row in g_inv.rows for x in row)
+            assert all(x.is_exact for row in prod.rows for x in row)
+            assert prod.same(Matrix.identity(field, size))
+
+
+@pytest.mark.parametrize("q, e1, e2", list(_invariant_configs()))
+def test_invariant_claims_only_digits_a_finer_run_confirms(q, e1, e2):
+    # the same seeded pair at N = 8 and at 2N: every digit the N-run
+    # certifies in the invariant (Berkowitz, then poly_sqrt) and, on a
+    # split first algebra, in the eigenprojectors is the 2N-run's digit
+    from test_factor import _N, _agrees
+
+    def build(prec, n, seed):
+        field = LocalField(q, prec)
+        pair, inv, tries = random_pair(build_quadratic(e1, field),
+                                       build_quadratic(e2, field), n, seed)
+        digits = [x for c in inv.delta.coeffs for x in (c.a, c.b)]
+        if e1 == SPLIT:
+            digits += [x for proj in pair.Ea.eigen_projectors(pair.A)
+                       for row in proj.rows for x in row]
+        return tries, digits
+
+    for n, seeds in ((1, range(3)), (2, range(1))):
+        for seed in seeds:
+            low, high = build(_N, n, seed), build(2 * _N, n, seed)
+            assert low[0] == high[0]
+            assert all(_agrees(x, y) for x, y in zip(low[1], high[1], strict=True))
