@@ -2,10 +2,12 @@
 
 An algebra is presented by a generator z with monic minimal polynomial
 T^2 - tr*T + nm over F; the nontrivial involution sends z to tr - z.
-Elements are coordinate pairs (a, b) = a + b*z.  Split algebras also carry
-the two component maps z -> r1, r2.  The fixed algebra of two quadratic
-field extensions inside their tensor product is produced by compute_e3
-with the generator t = z1(x)z2 + z1^s(x)z2^s.
+Elements are coordinate pairs (a, b) = a + b*z, and arithmetic takes two
+elements of one algebra (from_field embeds F); poly_sqrt takes polynomials
+over an algebra.  Split algebras also carry the two component maps
+z -> r1, r2.  The fixed algebra of two quadratic field extensions inside
+their tensor product is produced by compute_e3 with the generator
+t = z1(x)z2 + z1^s(x)z2^s.
 """
 
 from .errors import BothRamified, NotASquare, UnsupportedRamified
@@ -91,42 +93,33 @@ class QuadraticEtale:
 class EtaleElement:
     """Element a + b*z of a quadratic etale algebra."""
 
-    __slots__ = ("algebra", "a", "b", "_hash")
+    __slots__ = ("algebra", "a", "b")
 
     def __init__(self, algebra, a, b):
         self.algebra = algebra
         self.a = a
         self.b = b
-        self._hash = None
 
     @property
     def is_exact_zero(self):
         return self.a.is_exact_zero and self.b.is_exact_zero
 
     def __add__(self, other):
-        other = self._coerce(other)
         return EtaleElement(self.algebra, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other):
-        other = self._coerce(other)
         return EtaleElement(self.algebra, self.a - other.a, self.b - other.b)
 
     def __neg__(self):
         return EtaleElement(self.algebra, -self.a, -self.b)
 
     def __mul__(self, other):
-        other = self._coerce(other)
         alg = self.algebra
         # (a1 + b1 z)(a2 + b2 z), z^2 = tr*z - nm
         bb = self.b * other.b
         a = self.a * other.a - bb * alg.nm
         b = self.a * other.b + self.b * other.a + bb * alg.tr
         return EtaleElement(alg, a, b)
-
-    def _coerce(self, other):
-        if isinstance(other, EtaleElement):
-            return other
-        return EtaleElement(self.algebra, other, self.algebra.field.zero)
 
     def sigma(self):
         alg = self.algebra
@@ -171,9 +164,7 @@ class EtaleElement:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.a, self.b))
-        return self._hash
+        return hash(self.key())
 
     def same(self, other):
         return self.a.same(other.a) and self.b.same(other.b)
@@ -341,17 +332,18 @@ def is_regular_semisimple(delta):
 
 
 def poly_sqrt(p):
-    """The unique monic square root of a monic even-degree polynomial.
+    """The unique monic square root of a monic even-degree polynomial over
+    a quadratic etale algebra.
 
     Top-down coefficient recursion (odd characteristic) or the Frobenius
     rule (characteristic 2); the result is verified exactly and NotASquare
     is raised on any residual.
     """
-    ring = p.ring
+    alg = p.ring
     if not p.is_monic() or p.degree % 2:
         raise NotASquare("monic even-degree polynomial required")
     n = p.degree // 2
-    F = ring.field if isinstance(ring, QuadraticEtale) else ring
+    F = alg.field
     if F.gf.p == 2:
         coeffs = []
         for i in range(n + 1):
@@ -359,15 +351,11 @@ def poly_sqrt(p):
         for i, c in enumerate(p.coeffs):
             if i % 2 and not c.is_exact_zero:
                 raise NotASquare("odd coefficient present in characteristic 2")
-        q = Poly(ring, coeffs)
+        q = Poly(alg, coeffs)
     else:
-        two_inv_f = F.from_int(2).inv()
-        if isinstance(ring, QuadraticEtale):
-            two_inv = ring.from_field(two_inv_f)
-        else:
-            two_inv = two_inv_f
-        coeffs = [ring.zero] * (n + 1)
-        coeffs[n] = ring.one
+        two_inv = alg.from_field(F.from_int(2).inv())
+        coeffs = [alg.zero] * (n + 1)
+        coeffs[n] = alg.one
         for k in range(1, n + 1):
             # coefficient of T^(2n-k) in q^2: 2*q_{n-k} + sum over known pairs
             acc = p.coeffs[2 * n - k]
@@ -376,35 +364,25 @@ def poly_sqrt(p):
                 if n - k < j <= n:
                     acc = acc - coeffs[i] * coeffs[j]
             coeffs[n - k] = acc * two_inv
-        q = Poly(ring, coeffs)
+        q = Poly(alg, coeffs)
     residual = q * q - p
-    if not all(_coeff_zero(c) for c in residual.coeffs):
+    if not all(c.a.is_zeroish and c.b.is_zeroish for c in residual.coeffs):
         raise NotASquare("polynomial is not an exact square")
     return q
 
 
 def _sqrt_coeff(c):
-    if isinstance(c, EtaleElement):
-        alg = c.algebra
-        if alg.split_roots is not None:
-            x, y = c.components()
-            sx, sy = sqrt_in_F(x), sqrt_in_F(y)
-            if sx is None or sy is None:
-                raise NotASquare("component is not a square")
-            return alg.from_components(sx, sy)
+    """Square root of an algebra element in characteristic 2, by components."""
+    alg = c.algebra
+    if alg.split_roots is None:
         # quadratic field in char 2 does not occur for the configurations
-        # supported here (ramified needs odd q); take the Frobenius route
+        # supported here (ramified needs odd q)
         raise NotASquare("square root over a char-2 field extension unsupported")
-    s = sqrt_in_F(c)
-    if s is None:
-        raise NotASquare("coefficient is not a square")
-    return s
-
-
-def _coeff_zero(c):
-    if isinstance(c, EtaleElement):
-        return c.a.is_zeroish and c.b.is_zeroish
-    return c.is_zeroish
+    x, y = c.components()
+    sx, sy = sqrt_in_F(x), sqrt_in_F(y)
+    if sx is None or sy is None:
+        raise NotASquare("component is not a square")
+    return alg.from_components(sx, sy)
 
 
 # -- the quadratic character ------------------------------------------------------

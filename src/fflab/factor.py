@@ -371,18 +371,20 @@ def hensel_factor(poly, _depth=0):
             for f, m in hensel_factor(shifted, _depth + 1):
                 out.append((f.shift_variable(-F.from_fq(root)), m))
             return out
-    # now all non-leading coefficients have positive valuation
+    # now all non-leading coefficients have positive valuation; the last
+    # Newton segment carries the roots of smallest valuation
     segs = newton_slopes(poly)
-    num, den, length = segs[0]
+    num, den, length = segs[-1]
     if len(segs) == 1 and den == length:
         return [(poly, 1)]  # single slope in lowest terms: irreducible
     if den != 1:
         if len(segs) == 1:
             raise FactorFail(
                 "mixed ramification on a single segment: unsupported degree")
-        raise FactorFail("non-integral leading slope with multiple segments: unsupported")
-    # integral (smallest) slope w: substitute T = pi^w S, which peels that
-    # segment when there are several
+        raise FactorFail("non-integral smallest root valuation with multiple "
+                         "segments: unsupported")
+    # integral smallest root valuation w: substitute T = pi^w S, which
+    # leaves a root of valuation 0 and so a residue with a nonzero root
     w = num
     n = poly.degree
     coeffs = [c.shift(-w * n + w * i) for i, c in enumerate(poly.coeffs)]

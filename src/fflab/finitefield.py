@@ -62,10 +62,8 @@ class GF:
             if ca:
                 for j, cb in enumerate(vb):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
+        # reduce modulo the irreducible, top down (nothing to do at e = 1)
         mod = _IRREDUCIBLE.get(self.q)
-        if mod is None:  # prime field
-            return (a * b) % p
-        # reduce modulo the irreducible, top down
         for k in range(2 * e - 2, e - 1, -1):
             c = prod[k]
             if c:
@@ -76,18 +74,13 @@ class GF:
 
     def _build_tables(self):
         q, p = self.q, self.p
-        if self.e == 1:
-            add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-            neg = [(-a) % p for a in range(q)]
-        else:
-            add = [
-                [self._from_vec(tuple((x + y) % p for x, y in zip(self._to_vec(a), self._to_vec(b))))
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-            neg = [self._from_vec(tuple((-x) % p for x in self._to_vec(a))) for a in range(q)]
+        add = [
+            [self._from_vec(tuple((x + y) % p for x, y in zip(self._to_vec(a), self._to_vec(b))))
+             for b in range(q)]
+            for a in range(q)
+        ]
+        mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
+        neg = [self._from_vec(tuple((-x) % p for x in self._to_vec(a))) for a in range(q)]
         self.add_table = add
         self.mul_table = mul
         self.neg_table = neg
@@ -143,7 +136,7 @@ class GF:
 
     def from_int(self, n):
         """Image of the rational integer n in F_q (through F_p)."""
-        return self._from_vec((n % self.p,) + (0,) * (self.e - 1)) if self.e > 1 else n % self.p
+        return n % self.p
 
     def log(self, a):
         """Discrete log with respect to the fixed generator; a must be nonzero."""

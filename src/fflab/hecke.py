@@ -3,9 +3,11 @@
 Hecke functions are finite rational-coefficient functions on Cartan types
 (decreasing integer vectors).  The coefficient ring of all Satake images is
 Laurent polynomials in u = q^(1/2) over the rationals, so half-integral
-modular-character exponents stay exact.  The full transform is computed in
-closed form nowhere: satake_direct really enumerates unipotent cosets and
-sums, which is what the acceptance identities are tested against.
+modular-character exponents stay exact; a SymLaurent takes its
+coefficients as given, and every builder makes them symmetric.  The full
+transform is computed in closed form nowhere: satake_direct really
+enumerates unipotent cosets and sums, which is what the acceptance
+identities are tested against.
 """
 
 import itertools
@@ -206,32 +208,23 @@ def pi_twist(f, k):
 
 
 class SymLaurent:
-    """Weyl-invariant Laurent polynomial in x_1..x_rank over Q(u), u^2 = q."""
+    """Weyl-invariant Laurent polynomial in x_1..x_rank over Q(u), u^2 = q;
+    c, exponent vectors to coefficients, is symmetric by construction."""
 
     __slots__ = ("rank", "q", "c")
 
-    def __init__(self, rank, q, c=None, check=True):
+    def __init__(self, rank, q, c):
         self.rank = rank
         self.q = q
         cc = {}
-        if c:
-            for k, v in c.items():
-                if isinstance(v, ULaurent):
-                    vv = v
-                else:
-                    vv = ULaurent.from_rational(q, v)
-                if not vv.is_zero():
-                    cc[tuple(k)] = vv
+        for k, v in c.items():
+            if isinstance(v, ULaurent):
+                vv = v
+            else:
+                vv = ULaurent.from_rational(q, v)
+            if not vv.is_zero():
+                cc[tuple(k)] = vv
         self.c = cc
-        if check and not self._weyl_invariant():
-            raise ValueError("coefficients are not symmetric under permutations")
-
-    def _weyl_invariant(self):
-        for k, v in self.c.items():
-            s = tuple(sorted(k, reverse=True))
-            if self.c.get(s) != v:
-                return False
-        return True
 
     @staticmethod
     def from_sorted(rank, q, sorted_coeffs):
@@ -240,14 +233,14 @@ class SymLaurent:
         for k, v in sorted_coeffs.items():
             for p in set(itertools.permutations(k)):
                 out[p] = v
-        return SymLaurent(rank, q, out, check=False)
+        return SymLaurent(rank, q, out)
 
     def __add__(self, other):
         out = dict(self.c)
         for k, v in other.c.items():
             s = out.get(k)
             out[k] = v if s is None else s + v
-        return SymLaurent(self.rank, self.q, out, check=False)
+        return SymLaurent(self.rank, self.q, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -255,9 +248,9 @@ class SymLaurent:
     def scale(self, x):
         if isinstance(x, ULaurent):
             return SymLaurent(self.rank, self.q,
-                              {k: v * x for k, v in self.c.items()}, check=False)
+                              {k: v * x for k, v in self.c.items()})
         return SymLaurent(self.rank, self.q,
-                          {k: v * Fraction(x) for k, v in self.c.items()}, check=False)
+                          {k: v * Fraction(x) for k, v in self.c.items()})
 
     def __mul__(self, other):
         out = {}
@@ -269,7 +262,7 @@ class SymLaurent:
                     out[k] = out[k] + p
                 else:
                     out[k] = p
-        return SymLaurent(self.rank, self.q, out, check=False)
+        return SymLaurent(self.rank, self.q, out)
 
     def is_zero(self):
         return all(v.is_zero() for v in self.c.values())
@@ -295,7 +288,7 @@ def sym_e(rank, q, k):
     for idx in itertools.combinations(range(rank), k):
         key = tuple(1 if i in idx else 0 for i in range(rank))
         out[key] = 1
-    return SymLaurent(rank, q, out, check=False)
+    return SymLaurent(rank, q, out)
 
 
 def sym_b(rank, q, m):
@@ -303,7 +296,7 @@ def sym_b(rank, q, m):
     out = {}
     for comp in _compositions(m, rank):
         out[comp] = 1
-    return SymLaurent(rank, q, out, check=False)
+    return SymLaurent(rank, q, out)
 
 
 def verify_69(rank, q, k):

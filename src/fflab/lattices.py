@@ -63,23 +63,26 @@ class Lattice:
         return Lattice(self.field, b, tuple(a + k for a in self.diag),
                        _basis_key(b))
 
+    def solve(self, rhs):
+        """The x with basis * x = rhs, by exact back substitution on the
+        canonical (upper triangular, monomial pivot) basis."""
+        rows, m = self.basis.rows, self.rank
+        x = [None] * m
+        for i in range(m - 1, -1, -1):
+            acc = rhs[i]
+            for k in range(i + 1, m):
+                acc = acc - rows[i][k] * x[k]
+            x[i] = acc.shift(-self.diag[i])
+        return x
+
     def inverse(self):
-        """Inverse of the canonical (upper triangular, monomial pivot)
-        basis by exact back substitution.  Computed once per Lattice
-        object and built in full before it is stored."""
+        """Inverse of the canonical basis, one solve per unit vector.
+        Computed once per Lattice object and built in full before it is
+        stored."""
         if self._inverse is None:
-            field, m, rows = self.field, self.rank, self.basis.rows
-            cols = []
-            for j in range(m):
-                # solve basis * x = e_j by back substitution
-                x = [field.zero] * m
-                rhs = [field.one if i == j else field.zero for i in range(m)]
-                for i in range(m - 1, -1, -1):
-                    acc = rhs[i]
-                    for k in range(i + 1, m):
-                        acc = acc - rows[i][k] * x[k]
-                    x[i] = acc.shift(-self.diag[i])
-                cols.append(x)
+            field, m = self.field, self.rank
+            cols = [self.solve([field.one if i == j else field.zero
+                                for i in range(m)]) for j in range(m)]
             self._inverse = Matrix.from_columns(field, cols)
         return self._inverse
 
@@ -232,17 +235,13 @@ def order_span(mat, lat):
 
 
 def in_lattice(lat, vector):
-    """Membership test by exact back substitution."""
-    m = lat.rank
-    x = list(vector)
-    for i in range(m - 1, -1, -1):
-        c = x[i].shift(-lat.diag[i])
+    """Membership test: the coordinates of vector in lat's basis, read
+    from the last one up, are integral."""
+    for c in reversed(lat.solve(vector)):
         if c.coeffs and c.val < 0:
             return False
         if not c.coeffs and not c.is_exact_zero and c.known_to <= 0:
             raise PrecisionExhausted("membership not certified")
-        for k in range(i):
-            x[k] = x[k] - c * lat.basis.rows[k][i]
     return True
 
 

@@ -1,10 +1,12 @@
 """Generic dense matrices and polynomials over the workbench's coefficient rings.
 
 A "ring" here is any object whose elements support +, -, * and that exposes
-``zero``/``one`` attributes (LocalField, QuadraticEtale).  Division-free
-algorithms (Berkowitz) are used wherever the ring may fail to be a field;
-Gaussian elimination with valuation pivoting is used over F itself, where
-pivots can be certified.
+``zero``/``one`` attributes (LocalField, QuadraticEtale).  Matrices and
+polynomials multiply only by their own kind (Matrix.scale takes a scalar),
+and a Poly is evaluated only at a Matrix.  Division-free algorithms
+(Berkowitz) are used wherever the ring may fail to be a field; Gaussian
+elimination with valuation pivoting is used over F itself, where pivots
+can be certified.
 
 Each call eliminates afresh; nothing is kept on a Matrix.  Right-hand
 sides ride along as augment columns that never hold a pivot, so
@@ -96,14 +98,12 @@ class Matrix:
                                   for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("dimension mismatch")
-            zero = self.ring.zero
-            cols = [_nonzero(other.column(j)) for j in range(other.ncols)]
-            return Matrix(self.ring, [[_dot(r, c, zero) for c in cols]
-                                      for r in self.rows])
-        return Matrix(self.ring, [[a * other for a in r] for r in self.rows])
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch")
+        zero = self.ring.zero
+        cols = [_nonzero(other.column(j)) for j in range(other.ncols)]
+        return Matrix(self.ring, [[_dot(r, c, zero) for c in cols]
+                                  for r in self.rows])
 
     def apply(self, vec):
         nz = _nonzero(vec)
@@ -200,15 +200,13 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            z = self.ring.zero
-            out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a.is_exact_zero:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] = out[i + j] + a * b
-            return Poly(self.ring, out)
-        return Poly(self.ring, [c * other for c in self.coeffs])
+        z = self.ring.zero
+        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a.is_exact_zero:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = out[i + j] + a * b
+        return Poly(self.ring, out)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -219,16 +217,11 @@ class Poly:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a ring element or a Matrix."""
-        if isinstance(x, Matrix):
-            acc = Matrix.zero(x.ring, x.nrows, x.ncols)
-            ident = Matrix.identity(x.ring, x.nrows)
-            for c in reversed(self.coeffs):
-                acc = acc * x + ident.scale(c)
-            return acc
-        acc = self.ring.zero
+        """Evaluate at the square Matrix x by Horner."""
+        acc = Matrix.zero(x.ring, x.nrows, x.ncols)
+        ident = Matrix.identity(x.ring, x.nrows)
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = acc * x + ident.scale(c)
         return acc
 
     def compose(self, other):

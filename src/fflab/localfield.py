@@ -6,7 +6,8 @@ coefficient vector for the unit part, and an absolute precision bound
 carry known_to = +infinity; an "inexact zero" O(pi^K) has an empty
 coefficient vector and known_to = K.  Arithmetic never silently increases
 the claimed precision, and predicates that would need undetermined digits
-raise PrecisionExhausted instead of guessing.
+raise PrecisionExhausted instead of guessing.  A quotient is a product
+with ``inv()``; there is no division operator.
 
 A product of two series of more than one digit each is one integer
 product (Kronecker substitution): both digit vectors are packed into
@@ -185,7 +186,7 @@ class FieldElement:
     O(pi^known_to) and val == known_to (exact zero when known_to is inf).
     """
 
-    __slots__ = ("field", "val", "coeffs", "known_to", "_hash")
+    __slots__ = ("field", "val", "coeffs", "known_to")
 
     def __init__(self, field, val, coeffs, known_to):
         coeffs = tuple(coeffs)
@@ -206,7 +207,6 @@ class FieldElement:
         self.val = val
         self.coeffs = coeffs
         self.known_to = known_to
-        self._hash = None
 
     # -- predicates ---------------------------------------------------------
 
@@ -297,7 +297,6 @@ class FieldElement:
                 out.val = a.val + b.val
                 out.coeffs = (f.gf.mul_table[x[0]][y[0]],)
                 out.known_to = INF
-                out._hash = None
                 return out
             know = min(a.val + b.known_to, b.val + a.known_to)
             va = a.val + b.val
@@ -354,9 +353,6 @@ class FieldElement:
             out[k] = row0[neg[s]]
         return FieldElement(f, -v, out, rel - v)
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     # -- precision management -------------------------------------------------
 
     def reduce_mod(self, k):
@@ -406,9 +402,7 @@ class FieldElement:
         return self.key() == other.key() and self.field.q == other.field.q
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
+        return hash(self.key())
 
     # -- output ----------------------------------------------------------------
 

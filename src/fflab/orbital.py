@@ -264,7 +264,10 @@ class _PairState:
 
 # most vertices one traversal may visit before it raises WindowOverflow
 _VISIT_BUDGET = 200000
-# how far beyond the Hecke reach a bridging vertex's span gap may lie
+# how far beyond the Hecke reach a bridging vertex's span gap may lie.  A
+# move changes the span gap by at most its index, which is at most 2 (the
+# gap lemma), so at slack 1, where only the start may be expanded off the
+# support, this bound prunes only the children of an off-support start
 _BRIDGE_GAP = 2
 # most steps of the greedy descent to the traversal's start
 _DESCENT_STEPS = 24
@@ -367,7 +370,9 @@ class OrbitalProblem:
 
         Support vertices (span gap within the Hecke reach) are expanded;
         vertices just outside bridge for at most `slack` steps while their
-        gap stays within _BRIDGE_GAP of the reach.  Off-support neighbors
+        gap stays within _BRIDGE_GAP of the reach; at slack 1 that bound
+        can reject only children of an off-support start, since a
+        support vertex's children lie within it.  Off-support neighbors
         are rejected by the quotient's invariant gap test: every raw move
         is reduced first, and the gap is taken once per rep key as one
         Smith sweep of a square matrix (L^-1 A L on the rep's canonical

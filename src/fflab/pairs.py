@@ -324,9 +324,7 @@ def _factor_uniformizer(field, x, ej, mj, ident):
 
 def standard_embedding(alg, n):
     """Block companion embedding of the algebra into M_2n(F)."""
-    F = alg.field
-    block = Matrix(F, [[F.zero, -alg.nm], [F.one, alg.tr]])
-    return Matrix.block_diag(F, [block] * n)
+    return Matrix.block_diag(alg.field, [_companion(alg.gen_minpoly())] * n)
 
 
 # lower-upper unitriangular factor pairs in a random unimodular matrix

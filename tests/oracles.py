@@ -16,6 +16,12 @@
   far and one canonical form at the end; the oracle for the reps that
   lattices.StackQuotient and lattices.PairQuotient memoize, which
   GammaGroup.reduce takes on a canonical lattice;
+- in_lattice: membership by the column sweep, which clears each
+  coordinate, from the last one up, out of the vector before reading the
+  next; the oracle for lattices.in_lattice, which reads the coordinates
+  off one Lattice.solve;
+- triangular_inverse: the inverse of a canonical basis, column j by back
+  substitution against e_j; the oracle for Lattice.inverse;
 - in_fundamental_box: whether a lattice lies in Gamma's fundamental box,
   every functional in [0, shift); the box that reduce_stack and
   GammaGroup.reduce map into;
@@ -131,6 +137,36 @@ def reduce_stack(gamma, stack):
         e = -(gamma.functional(g, stack) // g.shift)
         stack = _power_times(g.matrix, g.inverse, e, stack)
     return canonicalize(gamma.field, stack)
+
+
+def in_lattice(lat, vector):
+    """Whether vector lies in lat, by the column sweep."""
+    x = list(vector)
+    for i in range(lat.rank - 1, -1, -1):
+        c = x[i].shift(-lat.diag[i])
+        if c.coeffs and c.val < 0:
+            return False
+        if not c.coeffs and not c.is_exact_zero and c.known_to <= 0:
+            raise PrecisionExhausted("membership not certified")
+        for k in range(i):
+            x[k] = x[k] - c * lat.basis.rows[k][i]
+    return True
+
+
+def triangular_inverse(lat):
+    """Inverse of lat's canonical basis: column j solves basis * x = e_j."""
+    field, m, rows = lat.field, lat.rank, lat.basis.rows
+    cols = []
+    for j in range(m):
+        x = [field.zero] * m
+        rhs = [field.one if i == j else field.zero for i in range(m)]
+        for i in range(m - 1, -1, -1):
+            acc = rhs[i]
+            for k in range(i + 1, m):
+                acc = acc - rows[i][k] * x[k]
+            x[i] = acc.shift(-lat.diag[i])
+        cols.append(x)
+    return Matrix.from_columns(field, cols)
 
 
 def in_fundamental_box(gamma, lat):

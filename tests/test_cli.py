@@ -3,6 +3,8 @@ import json
 import pytest
 
 from fflab.cli import main
+from fflab.hecke import f_of_m, satake_direct
+from fflab.localfield import LocalField
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -46,6 +48,15 @@ def test_satake_run(tmp_path):
     assert rec["ok"]
 
 
+def test_satake_run_of_a_convolution(tmp_path):
+    out = tmp_path / "s.jsonl"
+    rc = main(["satake", "--n", "2", "--hecke", "f(1,1)", "--out", str(out)])
+    assert rc == 0
+    rec = json.loads(out.read_text().splitlines()[0])
+    F = LocalField(3)
+    assert rec["image"] == satake_direct(f_of_m(2, (1, 1), F), (1, 1), F).to_json()
+
+
 def test_verify_small_suite(tmp_path):
     out = tmp_path / "v.jsonl"
     rc = main(["verify", "--suite", "sym-identities", "--out", str(out)])
@@ -70,6 +81,10 @@ def test_unknown_suite(tmp_path):
     {"hecke": 5},
     {"e1": "unramified", "e2": "split"},
     {"e1": "ramified", "e2": "split"},
+    {"precision": 0},
+    {"e1": "quaternion"},
+    {"suite": 3},
+    [{"q": 3}],
 ])
 def test_bad_config_values_exit_2(tmp_path, data):
     cfg = tmp_path / "cfg.json"
@@ -116,6 +131,7 @@ def test_orbital_n2_pair_with_a_degree_two_centralizer(tmp_path, seed, alpha):
     ("satake", "S_"),
     ("satake", "S_3"),
     ("satake", "pi^x*unit"),
+    ("satake", "bogus"),
     ("orbital", "f(1,b)"),
     ("orbital", "T_1.5"),
 ])

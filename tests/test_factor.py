@@ -52,6 +52,35 @@ def test_degrees_sum():
     assert _remultiplies(fs, p)
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_integral_substitution_peels_the_smallest_root_valuation(q):
+    # (T^2 - pi^3)(T - pi): root valuations 3/2 and 1; T = pi S peels the 1
+    Fq = LocalField(q)
+    p = Poly(Fq, [-Fq.pi(3), Fq.zero, Fq.one]) * Poly(Fq, [-Fq.pi(), Fq.one])
+    fs = hensel_factor(p)
+    assert sorted(f.degree for f, _ in fs) == [1, 2]
+    assert fs[0][0] * fs[1][0] == p
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_non_integral_smallest_root_valuation_is_unsupported(q):
+    # (T - pi^3)(T^2 - pi): the smallest root valuation is 1/2
+    Fq = LocalField(q)
+    p = Poly(Fq, [-Fq.pi(3), Fq.one]) * Poly(Fq, [-Fq.pi(), Fq.zero, Fq.one])
+    with pytest.raises(FactorFail, match="unsupported"):
+        hensel_factor(p)
+
+
+def test_non_integral_polynomial_is_rescaled_and_substituted_back():
+    # T^2 - pi^-2 becomes T^2 - 1 under T -> pi^-1 T
+    p = Poly(F, [-F.pi(-2), F.zero, one])
+    fs = hensel_factor(p)
+    assert sorted(f.coeffs[0].key() for f, _ in fs) == \
+        sorted([F.pi(-1).key(), (-F.pi(-1)).key()])
+    assert all(f.degree == 1 and f.is_monic() and m == 1 for f, m in fs)
+    assert fs[0][0] * fs[1][0] == p
+
+
 def test_char2_artin_schreier():
     F2 = LocalField(2)
     o = F2.one

@@ -73,6 +73,14 @@ def test_satake_rank1_identity():
     assert img.c == {(3,): ULaurent.from_rational(3, f.c[(3,)])}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_satake_of_negative_t_m_negates_exponents(n):
+    # T_-m is T_m composed with g -> g^-1, which inverts every x_i
+    neg = satake_direct(t_m(n, -1), (1,) * n, F)
+    pos = satake_direct(t_m(n, 1), (1,) * n, F)
+    assert neg.c == {tuple(-x for x in k): v for k, v in pos.c.items()}
+
+
 def test_satake_homomorphism():
     gens = [s_k(2, k) for k in range(3)] + [t_m(2, 1), t_m(2, 2)]
     for a in gens:

@@ -18,8 +18,9 @@ from fflab.linalg import Matrix, mat_det, mat_inverse, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
 from fflab.pairs import direct_sum, match_alpha, random_pair, standard_embedding
+import oracles
 from oracles import (in_fundamental_box, reduce_stack, smith_form,
-                     split_neighbor_stacks)
+                     split_neighbor_stacks, triangular_inverse)
 
 F = LocalField(3)
 one, pi = F.one, F.pi()
@@ -403,6 +404,41 @@ def _laurent_matrix(field, rng, m):
     return Matrix(field, [[field.zero if rng.random() < 0.25
                            else field.random_element(rng, -3, 2)
                            for _ in range(m)] for _ in range(m)])
+
+
+def _membership(test, lat, vector):
+    try:
+        return test(lat, vector)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_in_lattice_and_inverse_match_the_triangular_oracles(q):
+    # lattice vectors, vectors off the lattice by a pi^-1 coordinate, and
+    # both blurred by O(pi^k) entries
+    field = LocalField(q)
+    rng = random.Random(q)
+    seen = set()
+    for trial in range(80):
+        m = 1 + trial % 4
+        try:
+            lat = canonicalize(field, _laurent_matrix(field, rng, m))
+        except (SingularBasis, PrecisionExhausted):
+            continue
+        assert [[x.key() for x in r] for r in lat.inverse().rows] == \
+            [[x.key() for x in r] for r in triangular_inverse(lat).rows]
+        for _ in range(6):
+            coords = [field.random_element(rng, -1 if rng.random() < 0.3 else 0, 2)
+                      for _ in range(m)]
+            v = lat.basis.apply(coords)
+            if rng.random() < 0.5:
+                v = [x + field.o_term(rng.randint(-2, 4)) if rng.random() < 0.5 else x
+                     for x in v]
+            got = _membership(in_lattice, lat, v)
+            assert got == _membership(oracles.in_lattice, lat, v)
+            seen.add(got)
+    assert seen == {True, False, PrecisionExhausted}
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -6,11 +6,12 @@ from fflab.errors import NotFound, WrongDimension
 from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          compute_e3, is_regular_semisimple, resultant,
                          symmetry_check)
-from fflab.linalg import Matrix, kernel_basis, sylvester_map
+from fflab.linalg import Matrix, Poly, kernel_basis, mat_det, sylvester_map
 from fflab.localfield import LocalField
-from fflab.pairs import (EmbeddingPair, _commutant_basis, centralizer, direct_sum,
-                         invariant, match_alpha, random_pair, random_unimodular,
-                         standard_embedding, w_element)
+from fflab.pairs import (EmbeddingPair, _commutant_basis, _factor_uniformizer,
+                         centralizer, direct_sum, invariant, match_alpha,
+                         random_pair, random_unimodular, standard_embedding,
+                         w_element)
 from oracles import commutator_rows
 
 F = LocalField(3)
@@ -143,6 +144,18 @@ def test_centralizer_with_a_degree_two_factor():
     assert (gamma * pair.A - pair.A * gamma).same(z)
     assert (gamma * pair.B - pair.B * gamma).same(z)
     assert [g.shift for g in cent.gamma_group().gens] == [2]
+
+
+def test_factor_uniformizer_combines_valuations_by_bezout():
+    # x^2 = pi^3 on the whole space: x has det valuation 3, pi has 2, and
+    # x pi^-1 is a uniformizer of F[x] = F(pi^(3/2))
+    x = Matrix(F, [[F.zero, F.pi(3)], [F.one, F.zero]])
+    ident = Matrix.identity(F, 2)
+    mj = Poly(F, [-F.pi(3), F.zero, F.one])
+    gamma = _factor_uniformizer(F, x, ident, mj, ident)
+    assert (gamma * x - x * gamma).same(Matrix.zero(F, 2))
+    assert mat_det(gamma).valuation() == 1
+    assert gamma == Matrix(F, [[F.zero, F.pi(2)], [F.pi(-1), F.zero]])
 
 
 def test_match_alpha_roundtrip_split_target():
