@@ -5,9 +5,11 @@ Hecke functions are finite rational-coefficient functions on Cartan types
 Laurent polynomials in u = q^(1/2) over the rationals, so half-integral
 modular-character exponents stay exact; a SymLaurent takes its
 coefficients as given, and every builder makes them symmetric.  The full
-transform is computed in closed form nowhere: satake_direct really
-enumerates unipotent cosets and sums, which is what the acceptance
-identities are tested against.
+transform is computed in closed form nowhere: satake_direct sums f over
+the unipotent cosets, which is what the acceptance identities are tested
+against.  It takes one coset per orbit of two subgroups of GL(O) that keep
+the Smith exponents, last-block row translations and torus scalings, with
+the orbit's size as its weight, so the sum stays exact.
 """
 
 import itertools
@@ -341,7 +343,12 @@ def _type_candidates(f, levi):
 
 
 def satake_direct(f, levi, field, as_tensor=False):
-    """Partial Satake transform by brute-force unipotent summation.
+    """Partial Satake transform by unipotent summation.
+
+    The coefficient of each block type mu is the sum of f over the
+    block-unipotent cosets n N(O) against diag(pi^mu), times the modular
+    character: one Smith form per orbit representative, weighted by the
+    orbit's size (see _unipotent_orbits), and no closed form.
 
     levi is a tuple of block sizes summing to the rank.  For the full torus
     (all blocks of size one) the result is a SymLaurent; otherwise, and
@@ -379,9 +386,33 @@ def satake_direct(f, levi, field, as_tensor=False):
 
 def _unipotent_sum(f, mu, levi, offsets, v_min, field):
     """Sum of f over block-unipotent cosets against diag(pi^mu)."""
-    rank = f.rank
+    return sum(weight * f.value(smith_exponents(mat))
+               for weight, mat in _unipotent_orbits(mu, levi, offsets, v_min, field))
+
+
+def _unipotent_orbits(mu, levi, offsets, v_min, field):
+    """(orbit size, representative diag(pi^mu) n) over the block-unipotent
+    cosets n N(O) whose entries lie in the windows pi^-w O / O, one per
+    orbit of two subgroups of GL(O) acting by left multiplication or
+    conjugation, so every coset of an orbit has the representative's Smith
+    exponents.  The orbit sizes add up to q^(sum of the widths).
+
+    Translations: when column j lies in the last block, row j of n is e_j,
+    and the row operation x_ij(c), c in O, moves u_ij by c pi^(mu_j - mu_i);
+    so only u_ij mod pi^-d O counts, d = min(w, max(0, mu_i - mu_j)), and
+    each class holds q^d cosets.  Torus scalings: conjugation by diag(t),
+    t in (F_q^x)^rank, scales u_ij by t_i / t_j.  Reading the entries in
+    order with a union-find over the indices, a nonzero entry that joins
+    two classes can be scaled to leading digit one, and exactly one element
+    of each orbit has that digit one at every join; the orbit has
+    (q - 1)^joins elements.
+    """
+    rank = len(mu)
+    q = field.q
+    last = offsets[-1]
     positions = []
-    widths = []
+    reps = []
+    translated = 1
     for bi, b in enumerate(levi):
         for bj in range(bi + 1, len(levi)):
             for i in range(offsets[bi], offsets[bi] + b):
@@ -390,22 +421,37 @@ def _unipotent_sum(f, mu, levi, offsets, v_min, field):
                     if w > UNIPOTENT_WINDOW_CAP:
                         raise WindowOverflow(
                             f"unipotent window {w} exceeds the cap")
+                    d = min(w, max(0, mu[i] - mu[j])) if j >= last else 0
                     positions.append((i, j))
-                    widths.append(w)
-    total = Fraction(0)
-    # representatives of pi^-w O / O
-    reps = [residues(field, -w, w) for w in widths]
+                    # representatives of pi^-w O / pi^-d O
+                    reps.append(residues(field, -w, w - d))
+                    translated *= q ** d
+    diag = [field.pi(x) if x else field.one for x in mu]
     for combo in itertools.product(*reps):
-        rows = [[field.zero] * rank for _ in range(rank)]
-        for i in range(rank):
-            rows[i][i] = field.pi(mu[i]) if mu[i] else field.one
+        parent = list(range(rank))
+        joins = 0
         for (i, j), val in zip(positions, combo):
             if val.coeffs:
-                rows[i][j] = val.shift(mu[i])
-        mat = Matrix(field, rows)
-        pos = smith_exponents(mat)
-        total += f.value(pos)
-    return total
+                ri, rj = _root(parent, i), _root(parent, j)
+                if ri != rj:
+                    if val.coeffs[0] != 1:
+                        break
+                    parent[ri] = rj
+                    joins += 1
+        else:
+            rows = [[field.zero] * rank for _ in range(rank)]
+            for i in range(rank):
+                rows[i][i] = diag[i]
+            for (i, j), val in zip(positions, combo):
+                if val.coeffs:
+                    rows[i][j] = val.shift(mu[i])
+            yield translated * (q - 1) ** joins, Matrix(field, rows)
+
+
+def _root(parent, i):
+    while parent[i] != i:
+        i = parent[i]
+    return i
 
 
 def partial_satake_closed(field, k_twist, m, split):

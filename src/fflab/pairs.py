@@ -302,6 +302,9 @@ def _factor_uniformizer(field, x, ej, mj, ident):
         if v is not None and v > 0 and (best is None or v > best[0]):
             best = (v, shifted)
     if best is None:
+        # no residue shift of the integral x has positive determinant
+        # valuation on the factor, so x has no residue in F_q: a factor of
+        # degree <= 2 then has residue degree 2, and pi is its uniformizer
         return pi_cand
     v_xi, xi = best
     g = gcd(v_xi, v_pi)
@@ -422,10 +425,8 @@ def match_alpha(delta, E0, E3):
             if not x.b.is_zeroish:
                 raise NotFound("descent of the target polynomial to F failed")
             coeffs_f.append(x.a)
-        chi = Poly(F, coeffs_f)
-        if not chi.is_monic():
-            lead = chi.coeffs[-1]
-            chi = Poly(F, [cc * lead.inv() for cc in chi.coeffs])
+        # an exactly monic chi keeps every key: x * one is x
+        chi = Poly(F, coeffs_f).force_monic()
         Z = _companion(chi)
         tau = E3.tr  # tr_0 * tr_3 with tr_0 = 1
         dsq = (d * d).a  # d^2 lies in F

@@ -42,13 +42,19 @@
   lattices.SplitStableFamily.superlattice_positions;
 - eigenpart_span, eigenpart_transfer_factor: the transfer factor from the indices of
   l3 in the canonical O_E3-spans of the two eigenparts of l0; the oracle
-  for the determinant formula of orbital.TransferContext.omega.
+  for the determinant formula of orbital.TransferContext.omega;
+- unipotent_sum: f summed over every block-unipotent coset in the windows
+  pi^-w O / O against diag(pi^mu), one Smith form each; the oracle for
+  hecke._unipotent_sum, which sums one coset per orbit with its weight.
 """
+
+import itertools
+from fractions import Fraction
 
 from fflab.errors import NoSolution, NotStable, PrecisionExhausted
 from fflab.lattices import (_is_stable, _pivot, _power_times, canonicalize,
                             from_generators, index, relative_position,
-                            superlattices_of_index)
+                            residues, smith_exponents, superlattices_of_index)
 from fflab.linalg import Matrix, row_echelon
 from fflab.localfield import INF
 from fflab.orbital import OrbitalValue
@@ -267,3 +273,28 @@ def eigenpart_transfer_factor(pair, l0, l3):
         raise NotStable("first lattice is not stable under the idempotents")
     a, b = (index(l3, eigenpart_span(pair.B, l0, proj)) for proj in projs)
     return OrbitalValue({b - a: -1 if a % 2 else 1})
+
+
+def unipotent_sum(f, mu, levi, offsets, v_min, field):
+    """Sum of f over block-unipotent cosets against diag(pi^mu), every
+    entry u_ij of the unipotent running over pi^-w O / O."""
+    rank = f.rank
+    positions = []
+    widths = []
+    for bi, b in enumerate(levi):
+        for bj in range(bi + 1, len(levi)):
+            for i in range(offsets[bi], offsets[bi] + b):
+                for j in range(offsets[bj], offsets[bj] + levi[bj]):
+                    positions.append((i, j))
+                    widths.append(max(0, mu[i] - v_min))
+    total = Fraction(0)
+    reps = [residues(field, -w, w) for w in widths]
+    for combo in itertools.product(*reps):
+        rows = [[field.zero] * rank for _ in range(rank)]
+        for i in range(rank):
+            rows[i][i] = field.pi(mu[i]) if mu[i] else field.one
+        for (i, j), val in zip(positions, combo):
+            if val.coeffs:
+                rows[i][j] = val.shift(mu[i])
+        total += f.value(smith_exponents(Matrix(field, rows)))
+    return total

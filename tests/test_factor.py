@@ -2,8 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fflab.errors import FactorFail, NotASquare, PrecisionExhausted
-from fflab.factor import (hensel_factor, hensel_split, newton_slopes, poly_gcd,
-                          poly_residue, sqrt_in_F)
+from fflab.factor import (_artin_schreier_root, hensel_factor, hensel_split,
+                          newton_slopes, poly_gcd, poly_residue, sqrt_in_F)
 from fflab.linalg import Poly
 from fflab.localfield import LocalField
 
@@ -249,6 +249,26 @@ def test_artin_schreier_roots_claim_only_certified_digits():
     low, high = roots(40), roots(80)
     assert all(not r.is_exact for r in low)
     assert all(_agrees(x, y) for x, y in zip(low, high))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_artin_schreier_residue_digit_is_solved_iff_its_trace_vanishes(q):
+    # S^2 + S + a with a = c0 + pi + (q - 1) pi^2: s0^2 + s0 = c0 has a root
+    # in F_q exactly when the absolute trace of c0 is 0
+    def root(prec, c0):
+        field = LocalField(q, prec)
+        a = field.element(0, (c0, 1, q - 1))
+        return a, _artin_schreier_root(field, a)
+    g = LocalField(q).gf
+    for c0 in range(1, q):
+        a, low = root(_N, c0)
+        if g.trace_to_prime(c0):
+            assert low is None
+            continue
+        s0 = low.coeff(0)
+        assert g.add(g.mul(s0, s0), s0) == c0
+        assert (low * low + low + a).is_zeroish
+        assert _agrees(low, root(2 * _N, c0)[1])
 
 
 @settings(max_examples=150, deadline=None)

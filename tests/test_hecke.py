@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from fflab.hecke import (ULaurent, convolve, dimension_census, f_of_m,
+from fflab import hecke
+from fflab.hecke import (HeckeFunction, ULaurent, _type_candidates,
+                         _unipotent_orbits, convolve, dimension_census, f_of_m,
                          partial_satake_closed, pi_power, pi_twist, s_k,
                          satake_direct, sym_b, sym_e, t_m, unit, verify_69)
-from fflab.lattices import count_chains, lattices_at_position, standard_lattice
+from fflab.lattices import (_compositions, count_chains, lattices_at_position,
+                            standard_lattice)
 from fflab.localfield import LocalField
+from oracles import unipotent_sum
 
 F = LocalField(3)
 
@@ -95,6 +99,49 @@ def test_satake_weyl_invariance_and_grading():
     for key in img.c:
         assert sum(key) == 2
         assert img.c[tuple(sorted(key, reverse=True))] == img.c[key]
+
+
+def _levis(rank):
+    return [c for k in range(1, rank + 1) for c in _compositions(rank, k)
+            if all(c)]
+
+
+_ORBIT_CASES = ([(q, levi) for q in (2, 3, 4, 5, 9)
+                 for rank in (2, 3) for levi in _levis(rank)]
+                + [(q, levi) for q in (2, 3)
+                   for levi in ((2, 2), (1, 1, 2), (1, 3))])
+
+
+def _small_support(rank, q):
+    # a distinct coefficient per type, so a coset counted under the wrong
+    # type shows; at q <= 3 one more type widens the windows: one below zero
+    # widens every window by one up to rank 3, and (2, 0, 0, 0) the first
+    # row's at rank 4
+    keys = [(0,) * rank, (1,) + (0,) * (rank - 1), (1, 1) + (0,) * (rank - 2)]
+    if q <= 3:
+        keys.append((0,) * (rank - 1) + (-1,) if rank <= 3
+                    else (2,) + (0,) * (rank - 1))
+    return HeckeFunction(rank, {k: 2 * i + 1 for i, k in enumerate(keys)})
+
+
+@pytest.mark.parametrize("q,levi", _ORBIT_CASES,
+                         ids=[f"q{q}-{levi}" for q, levi in _ORBIT_CASES])
+def test_orbit_sums_match_the_exhaustive_loop(q, levi, monkeypatch):
+    field = LocalField(q)
+    f = _small_support(sum(levi), q)
+    v_min = min(x for key in f.c for x in key)
+    offsets = [sum(levi[:b]) for b in range(len(levi))]
+    for combo in _type_candidates(f, levi):
+        mu = tuple(x for block in combo for x in block)
+        # one window pi^-w O / O per entry above the block diagonal
+        widths = sum(max(0, mu[i] - v_min) * (sum(levi) - offsets[b] - nb)
+                     for b, nb in enumerate(levi)
+                     for i in range(offsets[b], offsets[b] + nb))
+        weights = [w for w, _ in _unipotent_orbits(mu, levi, offsets, v_min, field)]
+        assert sum(weights) == q ** widths
+    got = satake_direct(f, levi, field, as_tensor=True)
+    monkeypatch.setattr(hecke, "_unipotent_sum", unipotent_sum)
+    assert got == satake_direct(f, levi, field, as_tensor=True)
 
 
 def test_partial_satake_against_closed():

@@ -8,10 +8,10 @@ from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          symmetry_check)
 from fflab.linalg import Matrix, Poly, kernel_basis, mat_det, sylvester_map
 from fflab.localfield import LocalField
-from fflab.pairs import (EmbeddingPair, _commutant_basis, _factor_uniformizer,
-                         centralizer, direct_sum, invariant, match_alpha,
-                         random_pair, random_unimodular, standard_embedding,
-                         w_element)
+from fflab.pairs import (EmbeddingPair, _commutant_basis, _companion,
+                         _factor_uniformizer, centralizer, direct_sum,
+                         invariant, match_alpha, random_pair,
+                         random_unimodular, standard_embedding, w_element)
 from oracles import commutator_rows
 
 F = LocalField(3)
@@ -156,6 +156,21 @@ def test_factor_uniformizer_combines_valuations_by_bezout():
     assert (gamma * x - x * gamma).same(Matrix.zero(F, 2))
     assert mat_det(gamma).valuation() == 1
     assert gamma == Matrix(F, [[F.zero, F.pi(2)], [F.pi(-1), F.zero]])
+
+
+def test_factor_uniformizer_falls_back_to_pi_on_an_unramified_factor():
+    # T^2 + T + 2 is irreducible over F_3, so x - a is a unit for every
+    # residue a: no shift has positive determinant valuation, and the
+    # factor's uniformizer is pi
+    mj = Poly(F, [F.from_int(2), F.one, F.one])
+    x = _companion(mj)
+    ident = Matrix.identity(F, 2)
+    for a in range(F.q):
+        assert mat_det(x - ident.scale(F.from_fq(a))).valuation() == 0
+    gamma = _factor_uniformizer(F, x, ident, mj, ident)
+    assert gamma == ident.scale(F.pi())
+    assert (gamma * x - x * gamma).same(Matrix.zero(F, 2))
+    assert mat_det(gamma).valuation() == 2
 
 
 def test_match_alpha_roundtrip_split_target():
