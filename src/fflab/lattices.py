@@ -14,9 +14,13 @@ they run at a certified working precision below it (entries truncated a
 few digits above their least valuation) and escalate on
 PrecisionExhausted, so each returns what the untruncated entries give or
 raises.  All four certify each pivot against the undetermined entries it
-could hide behind.  No lattice kernel runs at full N: _stable_subspaces
-reads the residue subspaces off a Hermite form, and lattices cut out of a
-subspace are duals taken by canonicalize (see reduction.lattice_in_subspace).
+could hide behind.  canonicalize skips the ladder on a basis that is
+already triangular with exact pi^a pivots, such as a product of two
+canonical bases: the final reduction alone gives its form.  No lattice
+kernel runs at full N: _stable_subspaces reads the residue subspaces off a
+Hermite form, a stable family builds each move from its residue span with
+no elimination, and lattices cut out of a subspace are duals taken by
+canonicalize (see reduction.lattice_in_subspace).
 """
 
 import itertools
@@ -155,15 +159,27 @@ def canonicalize(field, basis):
     """Unique Hermite representative of the lattice spanned by the columns.
 
     Accepts an m x s generating matrix with s >= m; raises SingularBasis
-    when the columns do not span a full-rank lattice.  Runs on the
-    working-precision ladder; raises PrecisionExhausted when even the
+    when the columns do not span a full-rank lattice.  A square basis with
+    exact zeros below the diagonal and an exact pi^a (digit 1) at each
+    diagonal entry is already in echelon form with normalized pivots, so
+    it takes only the final reduction (_triangular_hermite), which is what
+    the ladder's top rung would give; any other basis runs _hermite on the
+    working-precision ladder.  Raises PrecisionExhausted when even the
     untruncated entries do not certify the form.
     """
+    m, rows = basis.nrows, basis.rows
+    if basis.ncols == m and all(
+            rows[i][i].coeffs == (1,) and rows[i][i].known_to == INF
+            and all(x.is_exact_zero for x in rows[i][:i]) for i in range(m)):
+        return _triangular_hermite(field, basis.columns())
     cols = [basis.column(j) for j in range(basis.ncols)]
-    return _on_ladder(lambda c: _hermite(field, basis.nrows, c), field, cols)
+    return _on_ladder(lambda c: _hermite(field, m, c), field, cols)
 
 
 def _hermite(field, m, cols):
+    """The Lattice of the columns cols of an m-row basis: valuation-pivoted
+    column elimination to triangular form with exact pi^a pivots, then
+    _triangular_hermite's reduction."""
     # Its own loop rather than row_echelon or _smith: row_echelon's
     # row operations over F and _smith's row-and-column operations keep the
     # rank and the elementary divisors but not the lattice, which only
@@ -202,20 +218,27 @@ def _hermite(field, m, cols):
         newcol.append(field.pi(a) if a else field.one)
         newcol.extend([zero] * (m - i - 1))
         placed[i] = newcol
-    diag = tuple(placed[i][i].val for i in range(m))
-    # reduce entries above each pivot modulo the row pivot; high_part and
-    # reduce_mod raise unless the entry is certified modulo pi^(a_i)
+    return _triangular_hermite(field, placed)
+
+
+def _triangular_hermite(field, cols):
+    """The Lattice of an upper triangular basis, given as columns, whose
+    pivot (i, i) is an exact pi^(a_i): each entry above a pivot reduced
+    modulo its row's pivot; high_part and reduce_mod raise unless the
+    entry is certified modulo pi^(a_i)."""
+    m = len(cols)
+    diag = tuple(cols[i][i].val for i in range(m))
     for j in range(m):
-        col = placed[j]
+        col = cols[j]
         for i in range(j - 1, -1, -1):
             ai = diag[i]
             high = col[i].high_part(ai)
             if not high.is_exact_zero:
                 f = high.shift(-ai)
-                col = [x - f * y for x, y in zip(col, placed[i])]
+                col = [x - f * y for x, y in zip(col, cols[i])]
             col[i] = col[i].reduce_mod(ai)
-        placed[j] = col
-    rows = [[placed[j][i] for j in range(m)] for i in range(m)]
+        cols[j] = col
+    rows = [[cols[j][i] for j in range(m)] for i in range(m)]
     b = Matrix(field, rows)
     return Lattice(field, b, diag, _basis_key(b))
 
@@ -448,8 +471,12 @@ class StableFamily:
     The family provides stability tests, neighbor moves in the module
     "building" (index-one O_E-sub- and superlattices), and radius-limited
     enumeration around a stable base lattice.  neighbor_stacks is the one
-    move generator: ball and stable_superlattices canonicalize its stacks,
-    and the orbital traversal Gamma-reduces them (StackQuotient).
+    move generator: ball and stable_superlattices canonicalize its
+    matrices, and the orbital traversal Gamma-reduces them (StackQuotient).
+    A move is built with no elimination: each lattice M between pi lat
+    and lat is lat Y, Y the Hermite basis read off M's residue span in
+    lat / pi lat (_residue_basis), so every move matrix is upper
+    triangular with a monomial diagonal and canonicalize only reduces it.
     """
 
     def __init__(self, field, J, algebra, base):
@@ -470,36 +497,51 @@ class StableFamily:
             self.pi_e_mat = J  # the generator is a uniformizer
             self._pi_e_hermite = None
             self.residue_f = 1
-        self._inv_pi_e = mat_inverse(self.pi_e_mat)
         # F_q-dimension of lat / pi_E lat (independent of the lattice)
         self.pi_e_index = mat_det(self.pi_e_mat).valuation()
 
     def is_stable(self, lat):
         return _is_stable(self.J, lat)
 
-    def _residue_stacks(self, lat, dims):
-        """Raw generator stacks of the stable lattices M with
-        pi_E*lat <= M <= lat, one list per F_q-dimension (of M's residue
-        image) in dims.  H is the Hermite form of lat^-1 pi_E lat: lat*H
-        generates pi_E*lat, and _stable_subspaces reads the residue
-        subspaces off H.  An unramified family's H is the constant pi I;
-        a ramified pi_E is J itself, so H is the Hermite form of the
-        lat^-1 J lat that _stable_subspaces also reads."""
-        field, L = self.field, lat.basis
-        j_in_lat = lat.inverse() * (self.J * L)
+    def _residue_spans(self, lat, dims):
+        """(spans, j_in_lat): per F_q-dimension d in dims, one list of
+        integral vectors per stable M with pi_E lat <= M <= lat and
+        dim M / pi_E lat = d, whose residues span M / pi lat in lat's
+        coordinates; and j_in_lat = lat^-1 J lat.  H is the Hermite form of
+        lat^-1 pi_E lat, so lat H generates pi_E lat; its columns of pivot
+        pi are pi e_j, so the vectors are H's unit-pivot columns and the
+        lifts _stable_subspaces reads off H.  An unramified family's H is
+        the constant pi I; a ramified pi_E is J itself, so H is the Hermite
+        form of j_in_lat."""
+        field = self.field
+        j_in_lat = lat.inverse() * (self.J * lat.basis)
         H = self._pi_e_hermite or canonicalize(field, j_in_lat)
-        scaled = (L * H.basis).columns()
-        return [[Matrix.from_columns(field, scaled + [L.apply(v) for v in sub_basis])
-                 for sub_basis in subs]
-                for subs in _stable_subspaces(field, H, j_in_lat, dims)]
+        units = [col for j, col in enumerate(H.basis.columns()) if not H.diag[j]]
+        spans = [[units + lifts for lifts in subs]
+                 for subs in _stable_subspaces(field, H, j_in_lat, dims)]
+        return spans, j_in_lat
+
+    def _up_stacks(self, lat, lines, j_in_lat):
+        """Generator matrices of the up-moves pi_E^-1 M, M = lat Y over the
+        residue spans lines.  pi_E^-1 M is pi^-1 lat Y when pi_E = pi.  A
+        ramified J has J^2 = pi u, u a unit of O_E, and M is O_E-stable, so
+        J^-1 M = pi^-1 J M; and pi lat <= J M <= lat, so J M = lat Z, where
+        Z's residue span is the image of M's under lat^-1 J lat."""
+        if self._pi_e_hermite is None:
+            lines = [[j_in_lat.apply(v) for v in span] for span in lines]
+        return [(lat.basis * _residue_basis(self.field, lat.rank, span)).map(
+                    lambda e: e.shift(-1)) for span in lines]
 
     def neighbor_stacks(self, lat):
-        """Raw generator matrices of all index-one moves: the stable
-        sublattices (residue hyperplane preimages), then the stable
-        superlattices (pi_E^-1 times the residue line preimages)."""
-        down, lines = self._residue_stacks(
+        """Generator matrices of all index-one moves, each square and upper
+        triangular with a monomial diagonal: the stable sublattices lat Y
+        (residue hyperplane preimages), then the stable superlattices
+        pi_E^-1 times the residue line preimages (_up_stacks)."""
+        (down, lines), j_in_lat = self._residue_spans(
             lat, (self.pi_e_index - self.residue_f, self.residue_f))
-        return down + [self._inv_pi_e * s for s in lines]
+        return ([lat.basis * _residue_basis(self.field, lat.rank, span)
+                 for span in down]
+                + self._up_stacks(lat, lines, j_in_lat))
 
     def ball(self, radius):
         """All stable lattices within `radius` neighbor moves of the base,
@@ -528,9 +570,44 @@ class StableFamily:
 
         def up(l):
             # the superlattice half of neighbor_stacks
-            (lines,) = self._residue_stacks(l, (self.residue_f,))
-            return (canonicalize(self.field, self._inv_pi_e * s) for s in lines)
+            (lines,), j_in_lat = self._residue_spans(l, (self.residue_f,))
+            return (canonicalize(self.field, s)
+                    for s in self._up_stacks(l, lines, j_in_lat))
         return _layers(lat, up, moves)[moves]
+
+
+def _residue_basis(field, m, span):
+    """Hermite basis Y of {x in O^m : x mod pi in the span of the residues
+    of span's integral vectors}.
+
+    Echelonizes the residues from the bottom: each basis vector has its last
+    nonzero entry, its pivot p, equal to 1 and is zero at the other
+    pivots.  Column p of Y is that vector and every other column j is
+    pi e_j, so Y is upper triangular with diagonal entries 1 and pi, and
+    each entry above a pivot is already reduced modulo it.
+    """
+    g = field.gf
+    echelon = {}
+    for v in span:
+        v = [x.coeff(0) for x in v]
+        for p, b in echelon.items():
+            if v[p]:
+                c = v[p]
+                v = [g.sub(x, g.mul(c, y)) for x, y in zip(v, b)]
+        p = max((i for i, x in enumerate(v) if x), default=None)
+        if p is None:
+            continue
+        s = g.inv(v[p])
+        v = [g.mul(s, x) for x in v]
+        for k, b in echelon.items():
+            if b[p]:
+                c = b[p]
+                echelon[k] = [g.sub(x, g.mul(c, y)) for x, y in zip(b, v)]
+        echelon[p] = v
+    pi, zero = field.pi(), field.zero
+    cols = [[field.from_fq(x) for x in echelon[j]] if j in echelon
+            else [pi if i == j else zero for i in range(m)] for j in range(m)]
+    return Matrix.from_columns(field, cols)
 
 
 def _layers(center, moves, radius):
@@ -766,15 +843,18 @@ class SplitStableFamily:
 
         la = W D O^m for W = [W+ | W-] and D = diag(sp, sm), so
         (W D)^-1 lb = D^-1 W^-1 lb, whose row blocks are sp^-1 X+ and
-        sm^-1 X- for (X+, X-) = coordinates(lb.basis), taken once here; its
-        elementary divisors are those of la^-1 lb, since two bases of la
-        differ by a unimodular matrix.
+        sm^-1 X- for (X+, X-) = coordinates(lb.basis), taken once here, and
+        sp^-1 X+ once per plus component; its elementary divisors are those
+        of la^-1 lb, since two bases of la differ by a unimodular matrix.
         """
         xp, xm = self.coordinates(lb.basis)
-        out = []
+        plus, out = {}, []
         for pair in self.stable_superlattices(lat, extra_index):
             sp, sm = pair
-            rows = (sp.inverse() * xp).rows + (sm.inverse() * xm).rows
+            top = plus.get(sp.key())
+            if top is None:
+                top = plus[sp.key()] = (sp.inverse() * xp).rows
+            rows = top + (sm.inverse() * xm).rows
             out.append((smith_exponents(Matrix(self.field, rows)), pair))
         return out
 

@@ -280,12 +280,9 @@ def decompose_commutative_algebra(field, basis, size):
 
 
 def _det_val_on_factor(mat, ej, ident):
-    """Valuation of det of (mat on im ej) + (identity elsewhere)."""
-    full = mat * ej + (ident - ej)
-    d = mat_det(full)
-    if not d.coeffs:
-        return None
-    return d.valuation()
+    """Valuation of det of (mat on im ej) + (identity elsewhere); raises
+    PrecisionExhausted when no digit of the determinant is certified."""
+    return mat_det(mat * ej + (ident - ej)).valuation()
 
 
 def _factor_uniformizer(field, x, ej, mj, ident):
@@ -299,7 +296,7 @@ def _factor_uniformizer(field, x, ej, mj, ident):
     for a in range(field.q):
         shifted = x - ident.scale(field.from_fq(a))
         v = _det_val_on_factor(shifted, ej, ident)
-        if v is not None and v > 0 and (best is None or v > best[0]):
+        if v > 0 and (best is None or v > best[0]):
             best = (v, shifted)
     if best is None:
         # no residue shift of the integral x has positive determinant

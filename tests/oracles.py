@@ -11,6 +11,11 @@
   stacks, plus moves first, then minus moves, the order of
   lattices.PairQuotient.moves; the move generator of the stack-route
   oracle for split families;
+- residue_neighbor_stacks: a field family's index-one moves as raw
+  generator stacks [lat H | lat lifts], H the Hermite form of
+  lat^-1 pi_E lat, with the up-moves multiplied by pi_E^-1; the oracle for
+  lattices.StableFamily.neighbor_stacks, which builds each move as lat Y
+  from its residue span with no elimination;
 - reduce_stack: the canonical box representative of the lattice a raw
   generator stack spans, with every functional read off the stack moved so
   far and one canonical form at the end; the oracle for the reps that
@@ -52,10 +57,11 @@ import itertools
 from fractions import Fraction
 
 from fflab.errors import NoSolution, NotStable, PrecisionExhausted
-from fflab.lattices import (_is_stable, _pivot, _power_times, canonicalize,
-                            from_generators, index, relative_position,
-                            residues, smith_exponents, superlattices_of_index)
-from fflab.linalg import Matrix, row_echelon
+from fflab.lattices import (_is_stable, _pivot, _power_times, _stable_subspaces,
+                            canonicalize, from_generators, index,
+                            relative_position, residues, smith_exponents,
+                            superlattices_of_index)
+from fflab.linalg import Matrix, mat_inverse, row_echelon
 from fflab.localfield import INF
 from fflab.orbital import OrbitalValue
 
@@ -135,6 +141,26 @@ def split_neighbor_stacks(fam, lat):
     lp, lm = fam.split(lat)
     return ([fam._stack(sp, lm) for sp in fam._moves(lp)]
             + [fam._stack(lp, sm) for sm in fam._moves(lm)])
+
+
+def residue_neighbor_stacks(fam, lat):
+    """Raw generator stacks of a StableFamily's index-one moves, in
+    neighbor_stacks order: [lat H | lat lifts] per stable sublattice M
+    with pi_E lat <= M <= lat of index residue_f, then pi_E^-1 times that
+    stack per M of index residue_f over pi_E lat.  H is canonicalize of
+    lat^-1 pi_E lat, the lifts are those lattices._stable_subspaces reads
+    off H, and each stack is non-square, so canonicalize eliminates it on
+    the ladder."""
+    field, L = fam.field, lat.basis
+    H = canonicalize(field, lat.inverse() * (fam.pi_e_mat * L))
+    scaled = (L * H.basis).columns()
+    down, lines = ([Matrix.from_columns(field, scaled + [L.apply(v) for v in lifts])
+                    for lifts in subs]
+                   for subs in _stable_subspaces(
+                       field, H, lat.inverse() * (fam.J * L),
+                       (fam.pi_e_index - fam.residue_f, fam.residue_f)))
+    inv_pi_e = mat_inverse(fam.pi_e_mat)
+    return down + [inv_pi_e * s for s in lines]
 
 
 def reduce_stack(gamma, stack):

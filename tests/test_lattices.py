@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -317,6 +318,67 @@ def test_unramified_pi_e_hermite_form_is_a_constant(q, n, radius):
     for L in ball:
         H = canonicalize(Fq, L.inverse() * (fam.pi_e_mat * L.basis))
         assert H.key() == fam._pi_e_hermite.key()
+
+
+# the field families of the residue-move test: unramified at every q and
+# ramified at odd q, ranks 2 and 4
+_FIELD_FAMILIES = [(q, kind, n) for q in (2, 3, 4, 5, 7, 8, 9)
+                   for kind in (UNRAMIFIED, RAMIFIED) if kind == UNRAMIFIED or q % 2
+                   for n in (1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field_ball(q, kind, n):
+    """A field family on the standard lattice and its ball: radius 2, or
+    radius 1 for the rank-4 unramified families at q >= 4, whose radius-2
+    balls hold 853 to about 20,000 lattices."""
+    Fq = LocalField(q)
+    E = build_quadratic(kind, Fq)
+    fam = stable_family(Fq, standard_embedding(E, n), E, standard_lattice(Fq, 2 * n))
+    return fam, fam.ball(1 if n == 2 and kind == UNRAMIFIED and q >= 4 else 2)
+
+
+def _oracle_superlattices(fam, lat, extra_index):
+    """stable_superlattices by breadth-first search over the up-moves of
+    the elimination route, the moves that lower the determinant valuation."""
+    moves, rest = divmod(extra_index, fam.residue_f)
+    if rest:
+        return []
+    layer, seen = [lat], {lat.key()}
+    for _ in range(moves):
+        new = []
+        for l in layer:
+            for s in oracles.residue_neighbor_stacks(fam, l):
+                M = canonicalize(fam.field, s)
+                if index(l, M) < 0 and M.key() not in seen:
+                    seen.add(M.key())
+                    new.append(M)
+        layer = new
+    return layer
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_FIELD_FAMILIES), st.integers(min_value=0, max_value=2 ** 32))
+def test_residue_moves_match_the_elimination_route(family, pick):
+    # on a lattice of the family's ball, the moves built as lat Y from
+    # their residue spans are those of the elimination route, in order, and
+    # each is square and upper triangular with an exact monomial diagonal,
+    # so canonicalize takes the final reduction alone
+    fam, ball = _field_ball(*family)
+    L = ball[pick % len(ball)]
+    stacks = fam.neighbor_stacks(L)
+    for s in stacks:
+        rows = s.rows
+        assert s.nrows == s.ncols == L.rank
+        assert all(rows[i][i].coeffs == (1,) and rows[i][i].is_exact
+                   and all(x.is_exact_zero for x in rows[i][:i])
+                   for i in range(L.rank))
+    assert ([canonicalize(fam.field, s).key() for s in stacks]
+            == [canonicalize(fam.field, s).key()
+                for s in oracles.residue_neighbor_stacks(fam, L)])
+    for k in (1, 2):
+        assert ([M.key() for M in fam.stable_superlattices(L, k)]
+                == [M.key() for M in _oracle_superlattices(fam, L, k)])
 
 
 @pytest.mark.parametrize("rows, pivots", [([[1, 0], [0, "pi2"]], (0, 2)),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fflab.errors import NotFound, WrongDimension
+from fflab.errors import NotFound, PrecisionExhausted, WrongDimension
 from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          compute_e3, is_regular_semisimple, resultant,
                          symmetry_check)
@@ -171,6 +171,18 @@ def test_factor_uniformizer_falls_back_to_pi_on_an_unramified_factor():
     assert gamma == ident.scale(F.pi())
     assert (gamma * x - x * gamma).same(Matrix.zero(F, 2))
     assert mat_det(gamma).valuation() == 2
+
+
+def test_factor_uniformizer_raises_on_an_undetermined_determinant():
+    # x^2 = pi^3 with the corner known only modulo pi^3: det(x) = -O(pi^3)
+    # has no certified digit, so the residue shift a = 0 cannot be ranked,
+    # and the search raises instead of passing it over and falling back to
+    # pi, which is not a uniformizer of F(pi^(3/2))
+    x = Matrix(F, [[F.zero, F.o_term(3)], [F.one, F.zero]])
+    ident = Matrix.identity(F, 2)
+    mj = Poly(F, [-F.pi(3), F.zero, F.one])
+    with pytest.raises(PrecisionExhausted):
+        _factor_uniformizer(F, x, ident, mj, ident)
 
 
 def test_match_alpha_roundtrip_split_target():

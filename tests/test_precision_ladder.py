@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fflab.errors import PrecisionExhausted, SingularBasis
-from fflab.lattices import (_FIRST_RUNG, _hermite, _smith, canonicalize,
-                            smith_exponents, smith_exponents_rectangular)
+from fflab.lattices import (_FIRST_RUNG, _hermite, _on_ladder, _smith,
+                            canonicalize, smith_exponents,
+                            smith_exponents_rectangular)
 from fflab.linalg import Matrix, mat_det, mat_inverse
 from fflab.localfield import INF, LocalField
 from oracles import smith_form
@@ -124,6 +125,71 @@ def test_ladder_equals_untruncated_on_idempotent_products(q, seed, rank):
     assert got == _untruncated_smith(proj, rank)
     if not isinstance(got, type):
         assert len(got) == rank
+
+
+def _triangular(field, rng, rank, inexact):
+    """An exact upper triangular basis with diagonal pi^a, -2 <= a <= 3,
+    and Laurent polynomials of valuation >= -3 above it; with inexact, one
+    entry above the diagonal is known only modulo a random power of pi
+    (an O(pi^k) when that power is at most its valuation)."""
+    rows = [[field.zero] * rank for _ in range(rank)]
+    for i in range(rank):
+        rows[i][i] = field.pi(rng.randint(-2, 3))
+        for j in range(i + 1, rank):
+            if rng.random() < 0.8:
+                rows[i][j] = field.random_element(rng, -3, 3, terms=rng.randint(1, 5))
+    if inexact and rank > 1:
+        j = rng.randrange(1, rank)
+        x = field.random_element(rng, -3, 3, terms=5)
+        rows[rng.randrange(j)][j] = x.truncate(rng.randint(-3, 6))
+    return Matrix(field, rows)
+
+
+def _ladder_hermite(field, mat):
+    cols = [list(mat.column(j)) for j in range(mat.ncols)]
+    return _outcome(_on_ladder, lambda c: _hermite(field, mat.nrows, c), field, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(QS, SEEDS, st.integers(min_value=1, max_value=5), st.booleans())
+def test_triangular_bases_skip_the_ladder(q, seed, rank, inexact):
+    # canonicalize takes the final reduction alone on an upper triangular
+    # basis with an exact monomial diagonal; the ladder's elimination gives
+    # the same lattice, or both raise
+    field = LocalField(q)
+    basis = _triangular(field, random.Random(seed), rank, inexact)
+    assert (_key(_outcome(canonicalize, field, basis))
+            == _key(_ladder_hermite(field, basis)))
+
+
+@pytest.mark.parametrize("entry, certified", [
+    (lambda F: F.one + F.o_term(3), True), (lambda F: F.o_term(1), False),
+    (lambda F: F.pi(-1) + F.o_term(1), False)])
+def test_triangular_basis_with_an_inexact_entry(entry, certified):
+    # the entry above the pivot pi^2 must be known modulo pi^2
+    F = LocalField(3)
+    basis = Matrix(F, [[F.pi(2), entry(F)], [F.zero, F.one]])
+    got = _outcome(canonicalize, F, basis)
+    assert _key(got) == _key(_ladder_hermite(F, basis))
+    assert (got is PrecisionExhausted) is not certified
+    if certified:
+        assert got.basis.rows[0][1] == F.one
+
+
+@pytest.mark.parametrize("rows", [
+    lambda F: [[F.pi(2).truncate(5), F.one], [F.zero, F.one]],
+    lambda F: [[F.from_int(2) * F.pi(2), F.one],
+               [F.zero, F.one]],
+    lambda F: [[F.pi(), F.one], [F.o_term(5), F.one]],
+    lambda F: [[F.pi(), F.one, F.zero], [F.zero, F.one, F.one]]])
+def test_near_triangular_bases_take_the_ladder(rows):
+    # an inexact or non-monic diagonal entry, an undetermined entry below
+    # the diagonal or a non-square basis: the elimination still runs
+    F = LocalField(3)
+    basis = Matrix(F, rows(F))
+    got = canonicalize(F, basis)
+    assert got.key() == _key(_ladder_hermite(F, basis))
+    assert all(x.is_exact for row in got.basis.rows for x in row)
 
 
 def _square(field, seed, series):
