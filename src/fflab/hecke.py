@@ -141,15 +141,10 @@ def s_k(rank, k):
 
 def t_m(rank, m):
     """Sum of all integral types of determinant valuation m (coefficient one)."""
-    if m == 0:
-        return unit(rank)
-    if m > 0:
-        keys = [tuple(sorted(c, reverse=True))
-                for c in _compositions(m, rank)]
-        return HeckeFunction(rank, {k: 1 for k in set(keys)})
-    keys = [tuple(sorted((-x for x in c), reverse=True))
-            for c in _compositions(-m, rank)]
-    return HeckeFunction(rank, {k: 1 for k in set(keys)})
+    s = -1 if m < 0 else 1
+    keys = {tuple(sorted((s * x for x in c), reverse=True))
+            for c in _compositions(abs(m), rank)}
+    return HeckeFunction(rank, dict.fromkeys(keys, 1))
 
 
 def pi_power(rank, k):
@@ -325,21 +320,14 @@ def dimension_census(rank, k):
 
 
 def _type_candidates(f, levi):
-    """Per-block decreasing type tuples compatible with the support of f."""
-    if not f.c:
-        return []
+    """Per-block decreasing type tuples compatible with the (nonempty)
+    support of f."""
     entries = [x for key in f.c for x in key]
     lo, hi = min(entries), max(entries)
     totals = {sum(key) for key in f.c}
-    blocks = []
-    for nb in levi:
-        blocks.append([t for t in itertools.product(range(hi, lo - 1, -1), repeat=nb)
-                       if list(t) == sorted(t, reverse=True)])
-    out = []
-    for combo in itertools.product(*blocks):
-        if sum(sum(b) for b in combo) in totals:
-            out.append(combo)
-    return out
+    blocks = [list(_decreasing_vectors(nb, lo, hi)) for nb in levi]
+    return [combo for combo in itertools.product(*blocks)
+            if sum(map(sum, combo)) in totals]
 
 
 def satake_direct(f, levi, field, as_tensor=False):

@@ -697,27 +697,26 @@ def _subspaces_of_dim(g, t, dim):
 
 
 def _fq_subspace_stable(g, A, W):
-    """Whether the row space of W is stable under the residue matrix A."""
-    if not W:
-        return True
+    """Whether the row space of W is stable under the residue matrix A.
+
+    W is a reduced row-echelon basis, as _subspaces_of_dim yields: each
+    row's first nonzero entry, its pivot, is 1 and every other row is zero
+    in the pivot's column.  So an image lies in the row space exactly when
+    subtracting its entry at each pivot times that pivot's row leaves zero.
+    """
     t = len(A)
-    rows = [list(w) for w in W]
-    # echelonize rows (they are already reduced by construction)
-    def reduce_vec(v):
-        v = list(v)
-        for r in rows:
-            p = next((i for i, x in enumerate(r) if x), None)
-            if p is not None and v[p]:
-                f = g.mul(v[p], g.inv(r[p]))
-                v = [g.sub(a, g.mul(f, b)) for a, b in zip(v, r)]
-        return v
+    pivots = [next(i for i, x in enumerate(w) if x) for w in W]
     for w in W:
         img = [0] * t
         for j, wj in enumerate(w):
             if wj:
                 for i in range(t):
                     img[i] = g.add(img[i], g.mul(A[i][j], wj))
-        if any(reduce_vec(img)):
+        for p, r in zip(pivots, W):
+            c = img[p]
+            if c:
+                img = [g.sub(a, g.mul(c, b)) for a, b in zip(img, r)]
+        if any(img):
             return False
     return True
 
@@ -843,18 +842,15 @@ class SplitStableFamily:
 
         la = W D O^m for W = [W+ | W-] and D = diag(sp, sm), so
         (W D)^-1 lb = D^-1 W^-1 lb, whose row blocks are sp^-1 X+ and
-        sm^-1 X- for (X+, X-) = coordinates(lb.basis), taken once here, and
-        sp^-1 X+ once per plus component; its elementary divisors are those
-        of la^-1 lb, since two bases of la differ by a unimodular matrix.
+        sm^-1 X- for (X+, X-) = coordinates(lb.basis), taken once here; its
+        elementary divisors are those of la^-1 lb, since two bases of la
+        differ by a unimodular matrix.
         """
         xp, xm = self.coordinates(lb.basis)
-        plus, out = {}, []
+        out = []
         for pair in self.stable_superlattices(lat, extra_index):
             sp, sm = pair
-            top = plus.get(sp.key())
-            if top is None:
-                top = plus[sp.key()] = (sp.inverse() * xp).rows
-            rows = top + (sm.inverse() * xm).rows
+            rows = (sp.inverse() * xp).rows + (sm.inverse() * xm).rows
             out.append((smith_exponents(Matrix(self.field, rows)), pair))
         return out
 

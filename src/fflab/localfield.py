@@ -316,10 +316,9 @@ class FieldElement:
 
     def shift(self, k):
         """Multiply by pi^k."""
-        if not self.coeffs:
-            kt = self.known_to if self.known_to == INF else self.known_to + k
-            return FieldElement(self.field, kt, (), kt)
         kt = self.known_to if self.known_to == INF else self.known_to + k
+        if not self.coeffs:
+            return FieldElement(self.field, kt, (), kt)
         return FieldElement(self.field, self.val + k, self.coeffs, kt)
 
     def inv(self):

@@ -438,16 +438,12 @@ def orbital_beta(pair, f, slack=1):
     embeddings modulo the centralizer's uniformizer subgroup; the
     stabilizer volume is one for the groups constructed here.
     """
-    prob = OrbitalProblem(pair, f, twisted=False)
-    val, w = prob.evaluate(slack=slack)
-    return val, w
+    return OrbitalProblem(pair, f, twisted=False).evaluate(slack=slack)
 
 
 def orbital_alpha(pair, f, slack=1):
     """Twisted orbital integral as an exact Laurent polynomial in Q."""
-    prob = OrbitalProblem(pair, f, twisted=True)
-    val, w = prob.evaluate(slack=slack)
-    return val, w
+    return OrbitalProblem(pair, f, twisted=True).evaluate(slack=slack)
 
 
 def order_estimate(pair):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,51 @@ def test_generators():
     assert sorted(t_m(2, 2).c) == [(1, 1), (2, 0)]
     assert pi_power(2, 3).c == {(3, 3): Fraction(1)}
     assert s_k(2, -1).c == {(0, -1): Fraction(1)}
+
+
+def _two_branch_t_m(rank, m):
+    # t_m with mirrored branches for positive and negative m
+    if m == 0:
+        return unit(rank)
+    if m > 0:
+        keys = {tuple(sorted(c, reverse=True)) for c in _compositions(m, rank)}
+    else:
+        keys = {tuple(sorted((-x for x in c), reverse=True))
+                for c in _compositions(-m, rank)}
+    return HeckeFunction(rank, {k: 1 for k in keys})
+
+
+def test_signed_t_m_matches_the_two_branches():
+    for rank in (1, 2, 3):
+        for m in range(-3, 4):
+            assert t_m(rank, m) == _two_branch_t_m(rank, m)
+
+
+def _product_and_filter_candidates(f, levi):
+    # every tuple of support entries per block, kept when decreasing, then
+    # the block combinations whose total is a support total
+    entries = [x for key in f.c for x in key]
+    lo, hi = min(entries), max(entries)
+    totals = {sum(key) for key in f.c}
+    blocks = [[t for t in itertools.product(range(hi, lo - 1, -1), repeat=nb)
+               if list(t) == sorted(t, reverse=True)] for nb in levi]
+    return {combo for combo in itertools.product(*blocks)
+            if sum(sum(b) for b in combo) in totals}
+
+
+@pytest.mark.parametrize("levi", [(3,), (1, 2), (1, 1, 1), (2, 2)])
+def test_type_candidates_match_product_and_filter(levi):
+    # seeded supports, each with a negative entry
+    rank = sum(levi)
+    rng = random.Random(len(levi) * 10 + rank)
+    for _ in range(8):
+        keys = {(0,) * (rank - 1) + (-1,)}
+        keys |= {tuple(sorted((rng.randrange(-2, 3) for _ in range(rank)),
+                              reverse=True)) for _ in range(rng.randrange(3))}
+        f = HeckeFunction(rank, dict.fromkeys(keys, 1))
+        got = _type_candidates(f, levi)
+        assert len(set(got)) == len(got)
+        assert set(got) == _product_and_filter_candidates(f, levi)
 
 
 def test_convolution_unit_and_count():

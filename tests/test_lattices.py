@@ -394,6 +394,37 @@ def test_non_elementary_quotient_is_unstable(rows, pivots):
         lattices._stable_subspaces(F, canonicalize(F, Cmat), Matrix.identity(F, 2), (1,))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fq_subspace_stability_matches_brute_force(q):
+    # on every subspace _subspaces_of_dim yields, W is stable under A exactly
+    # when each A w is among the q^dim F_q-combinations of W's rows; half the
+    # matrices are diagonal, so both answers occur, and q = 4 has a residue
+    # field that is not prime
+    g = LocalField(q).gf
+    rng = random.Random(q)
+
+    def combine(coeffs, vecs, t):
+        out = [0] * t
+        for c, v in zip(coeffs, vecs):
+            out = [g.add(a, g.mul(c, b)) for a, b in zip(out, v)]
+        return out
+
+    seen = set()
+    for t in (1, 2, 3):
+        for trial in range(6):
+            A = [[rng.randrange(q) if trial % 2 or i == j else 0 for j in range(t)]
+                 for i in range(t)]
+            columns = list(zip(*A))
+            for dim in range(t + 1):
+                for W in lattices._subspaces_of_dim(g, t, dim):
+                    span = {tuple(combine(c, W, t))
+                            for c in itertools.product(range(q), repeat=dim)}
+                    want = all(tuple(combine(w, columns, t)) in span for w in W)
+                    assert lattices._fq_subspace_stable(g, A, W) == want
+                    seen.add(want)
+    assert seen == {True, False}
+
+
 def test_unstable_base_rejected():
     E = build_quadratic(RAMIFIED, F)
     J = Matrix(F, [[F.zero, -E.nm], [one, E.tr]])
