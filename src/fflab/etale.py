@@ -179,7 +179,7 @@ class EtaleElement:
 # -- builders -------------------------------------------------------------------
 
 
-def build_quadratic(kind, field, name=""):
+def build_quadratic(kind, field):
     """Canonical quadratic etale algebra of the requested kind.
 
     split: z = (1, 0), minpoly T^2 - T;
@@ -189,18 +189,18 @@ def build_quadratic(kind, field, name=""):
     """
     F = field
     if kind == SPLIT:
-        return QuadraticEtale(F, SPLIT, F.one, F.zero, name or "F x F")
+        return QuadraticEtale(F, SPLIT, F.one, F.zero, "F x F")
     if kind == UNRAMIFIED:
         g = F.gf
         if g.p != 2:
             c = F.from_fq(g.nonsquare())
-            return QuadraticEtale(F, UNRAMIFIED, F.zero, -c, name or "unramified")
+            return QuadraticEtale(F, UNRAMIFIED, F.zero, -c, "unramified")
         c = next(x for x in range(1, g.q) if g.trace_to_prime(x) == 1)
-        return QuadraticEtale(F, UNRAMIFIED, F.one, -F.from_fq(c), name or "unramified")
+        return QuadraticEtale(F, UNRAMIFIED, F.one, -F.from_fq(c), "unramified")
     if kind == RAMIFIED:
         if F.gf.p == 2:
             raise UnsupportedRamified("ramified quadratic model requires odd q")
-        return QuadraticEtale(F, RAMIFIED, F.zero, -F.pi(), name or "ramified")
+        return QuadraticEtale(F, RAMIFIED, F.zero, -F.pi(), "ramified")
     raise ValueError(f"unknown kind {kind!r}")
 
 

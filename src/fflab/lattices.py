@@ -17,10 +17,10 @@ raises.  All four certify each pivot against the undetermined entries it
 could hide behind.  canonicalize skips the ladder on a basis that is
 already triangular with exact pi^a pivots, such as a product of two
 canonical bases: the final reduction alone gives its form.  No lattice
-kernel runs at full N: _stable_subspaces reads the residue subspaces off a
-Hermite form, a stable family builds each move from its residue span with
-no elimination, and lattices cut out of a subspace are duals taken by
-canonicalize (see reduction.lattice_in_subspace).
+kernel runs at full N: a stable family reads its residue spans over F_q off
+the residue matrix of lat^-1 J lat and builds each move from its residue
+span with no elimination, and lattices cut out of a subspace are duals
+taken by canonicalize (see reduction.lattice_in_subspace).
 """
 
 import itertools
@@ -473,10 +473,12 @@ class StableFamily:
     enumeration around a stable base lattice.  neighbor_stacks is the one
     move generator: ball and stable_superlattices canonicalize its
     matrices, and the orbital traversal Gamma-reduces them (StackQuotient).
-    A move is built with no elimination: each lattice M between pi lat
-    and lat is lat Y, Y the Hermite basis read off M's residue span in
+    A move needs only jbar, the residue matrix of lat^-1 J lat over F_q,
+    and is built with no elimination: each lattice M between pi lat and
+    lat is lat Y, Y the Hermite basis read off M's residue span in
     lat / pi lat (_residue_basis), so every move matrix is upper
     triangular with a monomial diagonal and canonicalize only reduces it.
+    residue_f is E's residue degree: 2 unramified, 1 ramified.
     """
 
     def __init__(self, field, J, algebra, base):
@@ -488,14 +490,9 @@ class StableFamily:
             raise UnstableBase("base lattice is not stable under the action")
         if algebra.kind == "unramified":
             self.pi_e_mat = Matrix.identity(field, self.rank).scale(field.pi())
-            # lat^-1 pi lat = pi I for every lat, and pi I is its own
-            # Hermite form
-            self._pi_e_hermite = Lattice(field, self.pi_e_mat, (1,) * self.rank,
-                                         _basis_key(self.pi_e_mat))
             self.residue_f = 2
         else:
             self.pi_e_mat = J  # the generator is a uniformizer
-            self._pi_e_hermite = None
             self.residue_f = 1
         # F_q-dimension of lat / pi_E lat (independent of the lattice)
         self.pi_e_index = mat_det(self.pi_e_mat).valuation()
@@ -504,31 +501,45 @@ class StableFamily:
         return _is_stable(self.J, lat)
 
     def _residue_spans(self, lat, dims):
-        """(spans, j_in_lat): per F_q-dimension d in dims, one list of
-        integral vectors per stable M with pi_E lat <= M <= lat and
-        dim M / pi_E lat = d, whose residues span M / pi lat in lat's
-        coordinates; and j_in_lat = lat^-1 J lat.  H is the Hermite form of
-        lat^-1 pi_E lat, so lat H generates pi_E lat; its columns of pivot
-        pi are pi e_j, so the vectors are H's unit-pivot columns and the
-        lifts _stable_subspaces reads off H.  An unramified family's H is
-        the constant pi I; a ramified pi_E is J itself, so H is the Hermite
-        form of j_in_lat."""
-        field = self.field
-        j_in_lat = lat.inverse() * (self.J * lat.basis)
-        H = self._pi_e_hermite or canonicalize(field, j_in_lat)
-        units = [col for j, col in enumerate(H.basis.columns()) if not H.diag[j]]
-        spans = [[units + lifts for lifts in subs]
-                 for subs in _stable_subspaces(field, H, j_in_lat, dims)]
-        return spans, j_in_lat
+        """(spans, jbar): per F_q-dimension d in dims, one list of F_q
+        vectors per stable M with pi_E lat <= M <= lat and
+        dim M / pi_E lat = d, spanning M / pi lat in lat's coordinates;
+        and jbar, the residue matrix of lat^-1 J lat.
 
-    def _up_stacks(self, lat, lines, j_in_lat):
+        Unramified, pi_E = pi and the spans are the jbar-stable subspaces
+        of F_q^m.  Ramified, pi_E = J with J^2 = pi u, u a unit of O_E, so
+        every M between J lat and lat is J-stable: J M <= J lat <= M.  Its
+        span is W's bottom-up echelon basis, W = jbar F_q^m the residues
+        of J lat, plus the unit-vector lift of a subspace of the
+        coordinates that are not W's pivots.  lat / J lat, of length
+        pi_e_index, is elementary exactly when dim W = m - pi_e_index;
+        UnstableBase otherwise."""
+        g, m = self.field.gf, lat.rank
+        j_in_lat = lat.inverse() * (self.J * lat.basis)
+        jbar = [[x.coeff(0) for x in row] for row in j_in_lat.rows]
+        if self.residue_f == 2:
+            return [[W for W in _subspaces_of_dim(g, m, d)
+                     if _fq_subspace_stable(g, jbar, W)] for d in dims], jbar
+        image = _fq_echelon(g, zip(*jbar))
+        if len(image) != m - self.pi_e_index:
+            raise UnstableBase("quotient by pi_E is not elementary")
+        # the coordinates that are not W's pivots, each with its place in w
+        free = {i: k for k, i in enumerate(i for i in range(m) if i not in image)}
+
+        def lift(w):
+            return [w[free[i]] if i in free else 0 for i in range(m)]
+        return [[list(image.values()) + [lift(w) for w in W]
+                 for W in _subspaces_of_dim(g, len(free), d)] for d in dims], jbar
+
+    def _up_stacks(self, lat, lines, jbar):
         """Generator matrices of the up-moves pi_E^-1 M, M = lat Y over the
         residue spans lines.  pi_E^-1 M is pi^-1 lat Y when pi_E = pi.  A
         ramified J has J^2 = pi u, u a unit of O_E, and M is O_E-stable, so
         J^-1 M = pi^-1 J M; and pi lat <= J M <= lat, so J M = lat Z, where
-        Z's residue span is the image of M's under lat^-1 J lat."""
-        if self._pi_e_hermite is None:
-            lines = [[j_in_lat.apply(v) for v in span] for span in lines]
+        Z's residue span is the image of M's under jbar."""
+        if self.residue_f == 1:
+            lines = [[_fq_apply(self.field.gf, jbar, v) for v in span]
+                     for span in lines]
         return [(lat.basis * _residue_basis(self.field, lat.rank, span)).map(
                     lambda e: e.shift(-1)) for span in lines]
 
@@ -537,11 +548,11 @@ class StableFamily:
         triangular with a monomial diagonal: the stable sublattices lat Y
         (residue hyperplane preimages), then the stable superlattices
         pi_E^-1 times the residue line preimages (_up_stacks)."""
-        (down, lines), j_in_lat = self._residue_spans(
+        (down, lines), jbar = self._residue_spans(
             lat, (self.pi_e_index - self.residue_f, self.residue_f))
         return ([lat.basis * _residue_basis(self.field, lat.rank, span)
                  for span in down]
-                + self._up_stacks(lat, lines, j_in_lat))
+                + self._up_stacks(lat, lines, jbar))
 
     def ball(self, radius):
         """All stable lattices within `radius` neighbor moves of the base,
@@ -570,26 +581,34 @@ class StableFamily:
 
         def up(l):
             # the superlattice half of neighbor_stacks
-            (lines,), j_in_lat = self._residue_spans(l, (self.residue_f,))
+            (lines,), jbar = self._residue_spans(l, (self.residue_f,))
             return (canonicalize(self.field, s)
-                    for s in self._up_stacks(l, lines, j_in_lat))
+                    for s in self._up_stacks(l, lines, jbar))
         return _layers(lat, up, moves)[moves]
 
 
 def _residue_basis(field, m, span):
-    """Hermite basis Y of {x in O^m : x mod pi in the span of the residues
-    of span's integral vectors}.
+    """Hermite basis Y of {x in O^m : x mod pi in the span of the F_q
+    vectors span}.
 
-    Echelonizes the residues from the bottom: each basis vector has its last
-    nonzero entry, its pivot p, equal to 1 and is zero at the other
-    pivots.  Column p of Y is that vector and every other column j is
-    pi e_j, so Y is upper triangular with diagonal entries 1 and pi, and
-    each entry above a pivot is already reduced modulo it.
+    Column p of Y is the bottom-up echelon vector of pivot p (_fq_echelon)
+    and every other column j is pi e_j, so Y is upper triangular with
+    diagonal entries 1 and pi, and each entry above a pivot is already
+    reduced modulo it.
     """
-    g = field.gf
+    echelon = _fq_echelon(field.gf, span)
+    pi, zero = field.pi(), field.zero
+    cols = [[field.from_fq(x) for x in echelon[j]] if j in echelon
+            else [pi if i == j else zero for i in range(m)] for j in range(m)]
+    return Matrix.from_columns(field, cols)
+
+
+def _fq_echelon(g, vectors):
+    """The span of the F_q vectors, echelonized from the bottom, as
+    {pivot: vector}: each vector's last nonzero entry, its pivot p, is 1
+    and every vector is zero at the other pivots."""
     echelon = {}
-    for v in span:
-        v = [x.coeff(0) for x in v]
+    for v in vectors:
         for p, b in echelon.items():
             if v[p]:
                 c = v[p]
@@ -604,10 +623,17 @@ def _residue_basis(field, m, span):
                 c = b[p]
                 echelon[k] = [g.sub(x, g.mul(c, y)) for x, y in zip(b, v)]
         echelon[p] = v
-    pi, zero = field.pi(), field.zero
-    cols = [[field.from_fq(x) for x in echelon[j]] if j in echelon
-            else [pi if i == j else zero for i in range(m)] for j in range(m)]
-    return Matrix.from_columns(field, cols)
+    return echelon
+
+
+def _fq_apply(g, A, v):
+    """A v over F_q, A a list of rows."""
+    out = [0] * len(A)
+    for j, vj in enumerate(v):
+        if vj:
+            for i, row in enumerate(A):
+                out[i] = g.add(out[i], g.mul(row[j], vj))
+    return out
 
 
 def _layers(center, moves, radius):
@@ -625,51 +651,6 @@ def _layers(center, moves, radius):
                     new.append(nb)
         layers.append(new)
     return layers
-
-
-def _stable_subspaces(field, H, Jmat, dims):
-    """Per F_q-dimension in dims, the residue subspaces of that dimension in
-    O^m / H O^m stable under Jmat, each as a basis (a list of O^m
-    coordinate vectors) of lifts; H is a canonical Lattice.
-
-    The quotient is elementary (pi O^m <= H O^m), so H has pivots 1 and pi,
-    and a column j of pivot pi is pi e_j.  The rows of pivot pi are the
-    torsion coordinates and the lifts combine their unit vectors; a column
-    j of pivot 1 gives e_j = -sum_i h_ij e_i modulo H O^m, which folds row j
-    of Jmat's residues into the torsion rows.
-    """
-    g = field.gf
-    m = H.rank
-    h = H.basis.rows
-    torsion = [i for i in range(m) if H.diag[i] == 1]
-    if (any(d not in (0, 1) for d in H.diag)
-            or any(not h[i][j].is_exact_zero for j in torsion for i in torsion if i < j)):
-        raise UnstableBase("quotient by pi_E is not elementary")
-    res = [[Jmat.rows[i][j].coeff(0) for j in torsion] for i in range(m)]
-    for j in range(m):
-        if H.diag[j] == 0:
-            for i in torsion:
-                c = h[i][j].coeff(0)
-                if c:
-                    res[i] = [g.sub(a, g.mul(c, b)) for a, b in zip(res[i], res[j])]
-    # residue action on the torsion coordinates
-    A = [res[i] for i in torsion]
-    out = []
-    for dim in dims:
-        subs = []
-        for W in _subspaces_of_dim(g, len(torsion), dim):
-            if not _fq_subspace_stable(g, A, W):
-                continue
-            cols = []
-            for w in W:
-                vec = [field.zero] * m
-                for pos, i in enumerate(torsion):
-                    if w[pos]:
-                        vec[i] = field.from_fq(w[pos])
-                cols.append(vec)
-            subs.append(cols)
-        out.append(subs)
-    return out
 
 
 def _subspaces_of_dim(g, t, dim):
@@ -704,14 +685,9 @@ def _fq_subspace_stable(g, A, W):
     in the pivot's column.  So an image lies in the row space exactly when
     subtracting its entry at each pivot times that pivot's row leaves zero.
     """
-    t = len(A)
     pivots = [next(i for i, x in enumerate(w) if x) for w in W]
     for w in W:
-        img = [0] * t
-        for j, wj in enumerate(w):
-            if wj:
-                for i in range(t):
-                    img[i] = g.add(img[i], g.mul(A[i][j], wj))
+        img = _fq_apply(g, A, w)
         for p, r in zip(pivots, W):
             c = img[p]
             if c:

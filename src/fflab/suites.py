@@ -13,7 +13,7 @@ from .etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3
 from .hecke import (ULaurent, convolve, dimension_census, f_of_m,
                     partial_satake_closed, pi_twist, s_k, satake_direct, sym_b,
                     sym_e, t_m, unit, verify_69)
-from .lattices import canonicalize, standard_lattice
+from .lattices import canonicalize, order_span, standard_lattice
 from .linalg import Matrix, Poly, mat_det
 from .localfield import LocalField
 from .orbital import (TransferContext, functional_equation_probe,
@@ -125,9 +125,7 @@ def suite_transfer_law(precision=40):
         ctx = TransferContext(alpha)
         size = 2 * alpha.n
         l0 = standard_lattice(field, size)
-        l3 = canonicalize(field, l0.basis.hstack(
-            Matrix(field, [alpha.B.apply(l0.basis.column(j))
-                           for j in range(size)]).transpose()))
+        l3 = order_span(alpha.B, l0)
         # h0: block scalars through the idempotent decomposition
         a_exp, b_exp = rng.randrange(-2, 3), rng.randrange(-2, 3)
         h0 = ctx.p_plus.scale(field.pi(a_exp)) + ctx.p_minus.scale(field.pi(b_exp))

@@ -5,17 +5,19 @@
   eigenspace coordinates that lattices.SplitStableFamily reads off one
   inverse W^-1;
 - smith_form: the Smith form with its unimodular transforms, at full
-  precision; the oracle for the residue subspaces that
-  lattices._stable_subspaces reads off a Hermite form;
+  precision; the oracle for the residue subspaces that _stable_subspaces
+  below reads off a Hermite form;
 - split_neighbor_stacks: a split family's index-one moves as raw generator
   stacks, plus moves first, then minus moves, the order of
   lattices.PairQuotient.moves; the move generator of the stack-route
   oracle for split families;
 - residue_neighbor_stacks: a field family's index-one moves as raw
   generator stacks [lat H | lat lifts], H the Hermite form of
-  lat^-1 pi_E lat, with the up-moves multiplied by pi_E^-1; the oracle for
-  lattices.StableFamily.neighbor_stacks, which builds each move as lat Y
-  from its residue span with no elimination;
+  lat^-1 pi_E lat and the lifts those _stable_subspaces reads off H, with
+  the up-moves multiplied by pi_E^-1; the oracle for
+  lattices.StableFamily.neighbor_stacks, which reads its residue spans off
+  the residue matrix of lat^-1 J lat and builds each move as lat Y with no
+  elimination;
 - reduce_stack: the canonical box representative of the lattice a raw
   generator stack spans, with every functional read off the stack moved so
   far and one canonical form at the end; the oracle for the reps that
@@ -56,11 +58,11 @@
 import itertools
 from fractions import Fraction
 
-from fflab.errors import NoSolution, NotStable, PrecisionExhausted
-from fflab.lattices import (_is_stable, _pivot, _power_times, _stable_subspaces,
-                            canonicalize, from_generators, index,
-                            relative_position, residues, smith_exponents,
-                            superlattices_of_index)
+from fflab.errors import NoSolution, NotStable, PrecisionExhausted, UnstableBase
+from fflab.lattices import (_fq_subspace_stable, _is_stable, _pivot, _power_times,
+                            _subspaces_of_dim, canonicalize, from_generators,
+                            index, relative_position, residues,
+                            smith_exponents, superlattices_of_index)
 from fflab.linalg import Matrix, mat_inverse, row_echelon
 from fflab.localfield import INF
 from fflab.orbital import OrbitalValue
@@ -148,9 +150,9 @@ def residue_neighbor_stacks(fam, lat):
     neighbor_stacks order: [lat H | lat lifts] per stable sublattice M
     with pi_E lat <= M <= lat of index residue_f, then pi_E^-1 times that
     stack per M of index residue_f over pi_E lat.  H is canonicalize of
-    lat^-1 pi_E lat, the lifts are those lattices._stable_subspaces reads
-    off H, and each stack is non-square, so canonicalize eliminates it on
-    the ladder."""
+    lat^-1 pi_E lat, the lifts are those _stable_subspaces reads off H, and
+    each stack is non-square, so canonicalize eliminates it on the
+    ladder."""
     field, L = fam.field, lat.basis
     H = canonicalize(field, lat.inverse() * (fam.pi_e_mat * L))
     scaled = (L * H.basis).columns()
@@ -161,6 +163,51 @@ def residue_neighbor_stacks(fam, lat):
                        (fam.pi_e_index - fam.residue_f, fam.residue_f)))
     inv_pi_e = mat_inverse(fam.pi_e_mat)
     return down + [inv_pi_e * s for s in lines]
+
+
+def _stable_subspaces(field, H, Jmat, dims):
+    """Per F_q-dimension in dims, the residue subspaces of that dimension in
+    O^m / H O^m stable under Jmat, each as a basis (a list of O^m
+    coordinate vectors) of lifts; H is a canonical Lattice.
+
+    The quotient is elementary (pi O^m <= H O^m), so H has pivots 1 and pi,
+    and a column j of pivot pi is pi e_j.  The rows of pivot pi are the
+    torsion coordinates and the lifts combine their unit vectors; a column
+    j of pivot 1 gives e_j = -sum_i h_ij e_i modulo H O^m, which folds row j
+    of Jmat's residues into the torsion rows.
+    """
+    g = field.gf
+    m = H.rank
+    h = H.basis.rows
+    torsion = [i for i in range(m) if H.diag[i] == 1]
+    if (any(d not in (0, 1) for d in H.diag)
+            or any(not h[i][j].is_exact_zero for j in torsion for i in torsion if i < j)):
+        raise UnstableBase("quotient by pi_E is not elementary")
+    res = [[Jmat.rows[i][j].coeff(0) for j in torsion] for i in range(m)]
+    for j in range(m):
+        if H.diag[j] == 0:
+            for i in torsion:
+                c = h[i][j].coeff(0)
+                if c:
+                    res[i] = [g.sub(a, g.mul(c, b)) for a, b in zip(res[i], res[j])]
+    # residue action on the torsion coordinates
+    A = [res[i] for i in torsion]
+    out = []
+    for dim in dims:
+        subs = []
+        for W in _subspaces_of_dim(g, len(torsion), dim):
+            if not _fq_subspace_stable(g, A, W):
+                continue
+            cols = []
+            for w in W:
+                vec = [field.zero] * m
+                for pos, i in enumerate(torsion):
+                    if w[pos]:
+                        vec[i] = field.from_fq(w[pos])
+                cols.append(vec)
+            subs.append(cols)
+        out.append(subs)
+    return out
 
 
 def reduce_stack(gamma, stack):

@@ -9,7 +9,7 @@ from fflab import lattices
 from fflab.errors import PrecisionExhausted, SingularBasis, UnstableBase
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
 from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
-                            canonicalize, chains, column_space_basis,
+                            StableFamily, canonicalize, chains, column_space_basis,
                             count_chains, from_generators, in_lattice, index,
                             lattice_leq, lattices_at_position,
                             relative_position, smith_exponents, span_index,
@@ -254,7 +254,7 @@ def test_stable_superlattices_match_brute_force(q, kind, n, top):
 
 
 def _smith_stable_subspaces(field, H, Jmat, dims):
-    """lattices._stable_subspaces through the Smith form R H C of the
+    """oracles._stable_subspaces through the Smith form R H C of the
     quotient: its torsion coordinates are the exponent-1 rows of R, the
     residue action is that of R Jmat R^-1 there, and a subspace lifts
     through R^-1."""
@@ -283,9 +283,10 @@ def _smith_stable_subspaces(field, H, Jmat, dims):
     (2, UNRAMIFIED, 1), (3, UNRAMIFIED, 1), (3, RAMIFIED, 2), (5, RAMIFIED, 2),
     (9, RAMIFIED, 1)])
 def test_stable_moves_match_the_smith_route(q, kind, radius, monkeypatch):
-    # the residue subspaces read off the Hermite form give, on every lattice
-    # of a rank-2 ball and a rank-4 ball of the given radius, the moves of
-    # the Smith-form route; the order differs where the two routes take
+    # the moves read off the residue matrix of L^-1 J L are, on every
+    # lattice of a rank-2 ball and a rank-4 ball of the given radius, those
+    # of the elimination route with its residue subspaces taken through
+    # the Smith form; the order differs where the two routes take
     # different residue coordinates (most lattices of a rank-4 ramified
     # family)
     Fq = LocalField(q)
@@ -293,13 +294,13 @@ def test_stable_moves_match_the_smith_route(q, kind, radius, monkeypatch):
     fams = [stable_family(Fq, standard_embedding(E, n), E, standard_lattice(Fq, 2 * n))
             for n in (1, 2)]
     balls = [fams[0].ball(2), fams[1].ball(radius)]
-    hermite = [[[canonicalize(Fq, s) for s in fam.neighbor_stacks(L)] for L in ball]
-               for fam, ball in zip(fams, balls)]
-    monkeypatch.setattr(lattices, "_stable_subspaces", _smith_stable_subspaces)
-    for fam, ball, moves in zip(fams, balls, hermite):
+    monkeypatch.setattr(oracles, "_stable_subspaces", _smith_stable_subspaces)
+    for fam, ball in zip(fams, balls):
         assert len(ball) > 1
-        for L, got in zip(ball, moves):
-            want = [canonicalize(Fq, s) for s in fam.neighbor_stacks(L)]
+        for L in ball:
+            got = [canonicalize(Fq, s) for s in fam.neighbor_stacks(L)]
+            want = [canonicalize(Fq, s)
+                    for s in oracles.residue_neighbor_stacks(fam, L)]
             assert len(got) == len(want) == len(set(got))
             assert set(got) == set(want)
 
@@ -307,9 +308,10 @@ def test_stable_moves_match_the_smith_route(q, kind, radius, monkeypatch):
 @pytest.mark.parametrize("q, n, radius", [
     (2, 1, 2), (3, 1, 2), (9, 1, 2), (2, 2, 2), (3, 2, 2), (9, 2, 1)])
 def test_unramified_pi_e_hermite_form_is_a_constant(q, n, radius):
-    # L^-1 pi_E L = pi I on every lattice of an unramified family, so the
-    # family keeps its Hermite form once instead of canonicalizing it per
-    # lattice (the rank-4 ball at q = 9 has 20,093 lattices at radius 2)
+    # L^-1 pi_E L = pi I on every lattice of an unramified family, so its
+    # residue spans are the stable subspaces of all of F_q^m and it takes
+    # no Hermite form per lattice (the rank-4 ball at q = 9 has 20,093
+    # lattices at radius 2)
     Fq = LocalField(q)
     E = build_quadratic(UNRAMIFIED, Fq)
     fam = stable_family(Fq, standard_embedding(E, n), E, standard_lattice(Fq, 2 * n))
@@ -317,7 +319,7 @@ def test_unramified_pi_e_hermite_form_is_a_constant(q, n, radius):
     assert len(ball) > 1
     for L in ball:
         H = canonicalize(Fq, L.inverse() * (fam.pi_e_mat * L.basis))
-        assert H.key() == fam._pi_e_hermite.key()
+        assert H.key() == canonicalize(Fq, fam.pi_e_mat).key()
 
 
 # the field families of the residue-move test: unramified at every q and
@@ -385,13 +387,30 @@ def test_residue_moves_match_the_elimination_route(family, pick):
                                           ([["pi", 1], [0, "pi"]], (1, 1))])
 def test_non_elementary_quotient_is_unstable(rows, pivots):
     # Smith exponents (0, 2); in the second case the Hermite pivots are
-    # (1, 1), with a unit above the second pivot
+    # (1, 1), with a unit above the second pivot.  As a ramified pi_E, the
+    # quotient O^2 / Cmat O^2 has length 2 but a residue image of rank 1
     entry = {0: F.zero, 1: one, "pi": pi, "pi2": F.pi(2)}
     Cmat = Matrix(F, [[entry[x] for x in row] for row in rows])
     assert smith_exponents(Cmat) == (2, 0)
     assert canonicalize(F, Cmat).diag == pivots
+    fam = StableFamily(F, Cmat, build_quadratic(RAMIFIED, F), std2)
     with pytest.raises(UnstableBase):
-        lattices._stable_subspaces(F, canonicalize(F, Cmat), Matrix.identity(F, 2), (1,))
+        fam.neighbor_stacks(std2)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_ramified_residue_matrix_squares_to_zero(q):
+    # J^2 = pi u, so the residue matrix of L^-1 J L squares to zero, and
+    # L / J L is elementary of length m / 2, so its rank is m / 2 (the
+    # number of Smith exponents 0): every lattice of the ramified rank-2
+    # and rank-4 balls satisfies what _residue_spans raises on otherwise
+    for n in (1, 2):
+        fam, ball = _field_ball(q, RAMIFIED, n)
+        assert len(ball) > 1
+        for L in ball:
+            j = L.inverse() * (fam.J * L.basis)
+            assert all(x.coeff(0) == 0 for row in (j * j).rows for x in row)
+            assert smith_exponents(j).count(0) == n
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
