@@ -42,7 +42,7 @@ class NotASquare(FFLabError):
 
 
 class NormalizationFail(FFLabError):
-    """No legal affine normalization of the invariant restores its symmetry."""
+    """The invariant of a pair fails the reflection symmetry that c and d impose."""
 
 
 class FactorFail(FFLabError):

@@ -243,17 +243,17 @@ def pair_target_algebra(ea, eb):
     return compute_e3(ea, eb)
 
 
-def cd_constants(ea, eb, target=None):
+def cd_constants(ea, eb, target):
     """The two structure constants of the affine eigenvalue relation.
 
     c = t - tr_a*tr_b and d = 2t - tr_a*tr_b in the target algebra, where t
-    is the target generator; d has sigma(d) = -d and d^2 = Disc_a * Disc_b.
+    is the target generator of pair_target_algebra(ea, eb); d has
+    sigma(d) = -d and d^2 = Disc_a * Disc_b.
     """
-    alg = target or pair_target_algebra(ea, eb)
     F = ea.field
     tau = ea.tr * eb.tr
-    c = EtaleElement(alg, -tau, F.one)
-    d = EtaleElement(alg, -tau, F.from_int(2))
+    c = EtaleElement(target, -tau, F.one)
+    d = EtaleElement(target, -tau, F.from_int(2))
     return c, d
 
 
@@ -337,7 +337,7 @@ def poly_sqrt(p):
 
     Top-down coefficient recursion (odd characteristic) or the Frobenius
     rule (characteristic 2); the result is verified exactly and NotASquare
-    is raised on any residual.
+    is raised on any certified nonzero digit of the residual.
     """
     alg = p.ring
     if not p.is_monic() or p.degree % 2:
@@ -349,7 +349,8 @@ def poly_sqrt(p):
         for i in range(n + 1):
             coeffs.append(_sqrt_coeff(p.coeffs[2 * i]))
         for i, c in enumerate(p.coeffs):
-            if i % 2 and not c.is_exact_zero:
+            # an undetermined zero O(pi^k) is no evidence against a square
+            if i % 2 and not (c.a.is_zeroish and c.b.is_zeroish):
                 raise NotASquare("odd coefficient present in characteristic 2")
         q = Poly(alg, coeffs)
     else:

@@ -246,13 +246,6 @@ class Poly:
         t = Poly(self.ring, [a, self.ring.one])
         return self.compose(t)
 
-    def reverse_variable(self):
-        """self(-T)."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            out.append(-c if i % 2 else c)
-        return Poly(self.ring, out)
-
     def force_monic(self):
         """Scale to monic; the scaled lead must be one to its precision."""
         lead = self.coeffs[-1]

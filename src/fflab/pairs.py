@@ -4,9 +4,10 @@ The invariant of a pair is the monic square root of the characteristic
 polynomial of the normalized element s = d^-1 (c - w), taken over the
 fixed coefficient algebra of the pair; w is the cross product of the two
 generator images, and c, d are the structure constants of the affine
-eigenvalue relation.  The normalization is calibrated once per algebra
-configuration so that the reflection symmetry of invariants holds, and is
-asserted on every computation thereafter.
+eigenvalue relation.  That choice of c and d makes the invariant
+reflection-symmetric, (-1)^n delta(1 - T) = sigma(delta)(T); `invariant`
+checks this on every call and raises NormalizationFail otherwise.  It
+applies no transform and keeps no state.
 """
 
 import random
@@ -16,7 +17,7 @@ from .errors import (FactorFail, NormalizationFail, NotFound, SearchTimeout,
                      WrongDimension)
 from .etale import (cd_constants, is_regular_semisimple,
                     pair_target_algebra, poly_components, poly_sqrt,
-                    sigma_poly, symmetry_check)
+                    symmetry_check)
 from .factor import hensel_factor, poly_bezout
 from .linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis, mat_det,
                      mat_inverse, mat_rank, sylvester_map)
@@ -85,22 +86,8 @@ def w_element(pair):
     return B * A + As * Bs
 
 
-_NORMALIZATIONS = {}  # (q, kind_a, kind_b) -> transform id
-
-
-def _apply_normalization(delta, which):
-    n = delta.degree
-    if which == "identity":
-        return delta
-    if which == "sigma":
-        return sigma_poly(delta)
-    if which == "negate":
-        out = delta.reverse_variable()
-        return out if n % 2 == 0 else -out
-    if which == "sigma-negate":
-        out = sigma_poly(delta).reverse_variable()
-        return out if n % 2 == 0 else -out
-    raise NormalizationFail(f"unknown normalization {which}")
+# empty and never written: perfbench/rep.py still checks that it is
+_NORMALIZATIONS = {}
 
 
 def invariant(pair):
@@ -121,19 +108,9 @@ def invariant(pair):
         rows.append(row)
     s = Matrix(target, rows)
     chi = berkowitz_charpoly(s)
-    delta0 = poly_sqrt(chi)
-    key = (pair.field.q, pair.Ea.kind, pair.Eb.kind)
-    which = _NORMALIZATIONS.get(key)
-    if which is None:
-        for cand in ("identity", "sigma", "negate", "sigma-negate"):
-            if symmetry_check(_apply_normalization(delta0, cand)):
-                _NORMALIZATIONS[key] = which = cand
-                break
-        if which is None:
-            raise NormalizationFail("no affine normalization restores the symmetry")
-    delta = _apply_normalization(delta0, which)
+    delta = poly_sqrt(chi)
     if not symmetry_check(delta):
-        raise NormalizationFail("calibrated normalization failed the symmetry check")
+        raise NormalizationFail("the invariant fails the reflection symmetry")
     return InvariantData(delta, is_regular_semisimple(delta), target)
 
 
@@ -200,13 +177,12 @@ def _minimal_polynomial(field, mat):
 
 
 class CentralizerFactor:
-    __slots__ = ("idempotent", "gamma", "degree", "minpoly")
+    __slots__ = ("idempotent", "gamma", "degree")
 
-    def __init__(self, idempotent, gamma, degree, minpoly):
+    def __init__(self, idempotent, gamma, degree):
         self.idempotent = idempotent
         self.gamma = gamma
         self.degree = degree
-        self.minpoly = minpoly
 
 
 class Centralizer:
@@ -270,7 +246,7 @@ def decompose_commutative_algebra(field, basis, size):
         if not (ej * ej).same(ej):
             raise FactorFail("idempotent reconstruction lost precision")
         gamma = _factor_uniformizer(field, x, ej, mj, ident)
-        factors.append(CentralizerFactor(ej, gamma, mj.degree, mj))
+        factors.append(CentralizerFactor(ej, gamma, mj.degree))
     total = Matrix.zero(field, size)
     for f in factors:
         total = total + f.idempotent
@@ -398,7 +374,7 @@ def match_alpha(delta, E0, E3):
         raise NotFound("target invariant violates the reflection symmetry")
     F = E0.field
     n = delta.degree
-    c, d = cd_constants(E0, E3)
+    c, d = cd_constants(E0, E3, E3)
     if E3.split_roots is not None:
         d1, d2 = poly_components(Poly(E3, [d]))
         c1, c2 = poly_components(Poly(E3, [c]))

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fflab.errors import NotFound, PrecisionExhausted, WrongDimension
+from fflab.errors import (NormalizationFail, NotFound, PrecisionExhausted,
+                          WrongDimension)
 from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          compute_e3, is_regular_semisimple, resultant,
                          symmetry_check)
@@ -40,6 +41,29 @@ def test_symmetry_always_holds():
         for s in seeds:
             pair, inv, _ = random_pair(E1, eb, 1, seed=s)
             assert symmetry_check(inv.delta)
+
+
+def test_invariant_raises_on_an_asymmetric_square_root(monkeypatch):
+    # (-1)^n delta(-T) is symmetric only when delta(T - 1) = delta(T + 1),
+    # never in odd characteristic; invariant does not transform it back
+    from fflab import pairs
+
+    def negated(delta):
+        n = delta.degree
+        return Poly(delta.ring, [-c if (n - i) % 2 else c
+                                 for i, c in enumerate(delta.coeffs)])
+
+    images = []
+    sqrt = pairs.poly_sqrt
+
+    def negated_sqrt(chi):
+        images.append(negated(sqrt(chi)))
+        return images[-1]
+
+    monkeypatch.setattr(pairs, "poly_sqrt", negated_sqrt)
+    with pytest.raises(NormalizationFail):
+        random_pair(E1, E1, 1, seed=0)
+    assert len(images) == 1 and not symmetry_check(images[0])
 
 
 def test_w_element_centralizes():
@@ -259,21 +283,40 @@ def test_random_unimodular_inverse_is_exact():
 def test_invariant_claims_only_digits_a_finer_run_confirms(q, e1, e2):
     # the same seeded pair at N = 8 and at 2N: every digit the N-run
     # certifies in the invariant (Berkowitz, then poly_sqrt) and, on a
-    # split first algebra, in the eigenprojectors is the 2N-run's digit
+    # split first algebra, in the eigenprojectors is the 2N-run's digit.
+    # With each entry of the N-run's pair known to only k digits above its
+    # valuation, the invariant certifies only 2N-run digits or raises
+    # PrecisionExhausted.
     from test_factor import _N, _agrees
+
+    def digits(delta):
+        return [x for c in delta.coeffs for x in (c.a, c.b)]
 
     def build(prec, n, seed):
         field = LocalField(q, prec)
         pair, inv, tries = random_pair(build_quadratic(e1, field),
                                        build_quadratic(e2, field), n, seed)
-        digits = [x for c in inv.delta.coeffs for x in (c.a, c.b)]
+        claims = digits(inv.delta)
         if e1 == SPLIT:
-            digits += [x for proj in pair.Ea.eigen_projectors(pair.A)
+            claims += [x for proj in pair.Ea.eigen_projectors(pair.A)
                        for row in proj.rows for x in row]
-        return tries, digits
+        return pair, tries, claims
+
+    def blurred(pair, k):
+        def blur(x):
+            return x if x.is_exact_zero else x.truncate(x.valuation() + k)
+        return EmbeddingPair(pair.Ea, pair.Eb, pair.A.map(blur),
+                             pair.B.map(blur), check=False)
 
     for n, seeds in ((1, range(3)), (2, range(1))):
         for seed in seeds:
             low, high = build(_N, n, seed), build(2 * _N, n, seed)
-            assert low[0] == high[0]
-            assert all(_agrees(x, y) for x, y in zip(low[1], high[1], strict=True))
+            assert low[1] == high[1]
+            assert all(_agrees(x, y) for x, y in zip(low[2], high[2], strict=True))
+            for k in (2, 3, 5, 7):
+                try:
+                    blur = digits(invariant(blurred(low[0], k)).delta)
+                except PrecisionExhausted:
+                    continue
+                # the invariant's digits lead the 2N-run's claims
+                assert all(_agrees(x, y) for x, y in zip(blur, high[2]))
