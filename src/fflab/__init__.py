@@ -9,8 +9,8 @@ from .localfield import DEFAULT_PRECISION, LocalField
 from .etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic, compute_e3,
                     eta, is_regular_semisimple, poly_sqrt, resultant,
                     symmetry_check)
-from .lattices import (canonicalize, count_chains, index, relative_position,
-                       stable_lattices, standard_lattice, sublattices_of_index)
+from .lattices import canonicalize, index, relative_position, standard_lattice
+from .families import count_chains, stable_lattices, sublattices_of_index
 from .pairs import (EmbeddingPair, centralizer, direct_sum, invariant,
                     match_alpha, random_pair, w_element)
 from .hecke import (HeckeFunction, SymLaurent, ULaurent, convolve, f_of_m,

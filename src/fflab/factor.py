@@ -212,12 +212,17 @@ def sqrt_in_F(x):
 
     Exact inputs give exact outputs when the root terminates within the
     working window; otherwise the root is certified to the available
-    relative precision.
+    relative precision.  At even q an inexact x known modulo pi^k has a
+    root known modulo pi^ceil(k/2), an undetermined zero O(pi^k) included;
+    at odd q such a zero raises PrecisionExhausted.
     """
     F = x.field
     g = F.gf
     if x.is_exact_zero:
         return F.zero
+    if g.p == 2 and not x.coeffs:
+        k = (x.known_to + 1) // 2
+        return F.element(k, (), k)
     v = x.valuation()
     if v % 2:
         return None

@@ -16,8 +16,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import WindowOverflow
-from .lattices import (_compositions, canonicalize, lattices_at_position,
-                       relative_position, residues, smith_exponents,
+from .families import _compositions, lattices_at_position, residues
+from .lattices import (canonicalize, relative_position, smith_exponents,
                        standard_lattice)
 from .linalg import Matrix
 

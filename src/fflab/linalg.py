@@ -484,6 +484,11 @@ def kernel_basis(mat, zeroish_ok=False):
     return basis
 
 
+def column_space_basis(mat):
+    """An F-basis of the column span of mat: its row echelon pivot columns."""
+    return [mat.column(c) for _, c in row_echelon(mat, zeroish_ok=True).pivots]
+
+
 def mat_inverse(mat):
     """Inverse over F (raises SingularBasis when singular)."""
     ring = mat.ring

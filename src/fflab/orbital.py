@@ -17,10 +17,11 @@ until the pair is freed.
 from fractions import Fraction
 
 from .errors import NotStable, WindowOverflow
+from .families import stable_family
 from .hecke import pi_twist, unit
-from .lattices import (_is_stable, from_generators, order_span, stable_family,
-                       standard_lattice)
+from .lattices import _is_stable, from_generators, order_span, standard_lattice
 from .pairs import centralizer, direct_sum
+from .quotients import family_quotient
 
 
 class OrbitalValue:
@@ -210,9 +211,9 @@ class _PairState:
     - quotient: fam_b modulo Gamma, built with the pair's A for the span
       gap, whose vertices are reduced Lattices, or reduced ComponentPairs
       (L+, L-) when fam_b is split; the quotient keeps its own memos: the
-      rep per canonical key of a raw move (lattices.StackQuotient) or per
+      rep per canonical key of a raw move (quotients.StackQuotient) or per
       raw pair, with each Gamma-power of a component
-      (lattices.PairQuotient);
+      (quotients.PairQuotient);
     - start: the descent start (vertex, span gap); the vertex is a reduced
       rep, so it lies in the fundamental box and is counted like any other;
     - moves: per expanded vertex key, one (gap, rep key) per raw move in
@@ -240,7 +241,7 @@ class _PairState:
     def __init__(self, pair):
         self.gamma = centralizer(pair).gamma_group()
         self.fam_a, self.fam_b = _stable_families(pair)
-        self.quotient = self.fam_b.quotient(self.gamma, pair.A)
+        self.quotient = family_quotient(self.fam_b, self.gamma, pair.A)
         self.ctx = None
         self.start = None
         self.moves = {}

@@ -21,7 +21,7 @@ from .etale import (cd_constants, is_regular_semisimple,
 from .factor import hensel_factor, poly_bezout
 from .linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis, mat_det,
                      mat_inverse, mat_rank, sylvester_map)
-from .lattices import GammaGenerator, GammaGroup
+from .quotients import GammaGenerator, GammaGroup
 
 
 class EmbeddingPair:
@@ -267,24 +267,28 @@ def _factor_uniformizer(field, x, ej, mj, ident):
     if mj.degree == 1:
         return pi_cand
     v_pi = _det_val_on_factor(ident.scale(field.pi()), ej, ident)
-    # best residue shift of the primitive element
-    best = None
-    for a in range(field.q):
-        shifted = x - ident.scale(field.from_fq(a))
-        v = _det_val_on_factor(shifted, ej, ident)
-        if v > 0 and (best is None or v > best[0]):
-            best = (v, shifted)
-    if best is None:
-        # no residue shift of the integral x has positive determinant
-        # valuation on the factor, so x has no residue in F_q: a factor of
-        # degree <= 2 then has residue degree 2, and pi is its uniformizer
-        return pi_cand
-    v_xi, xi = best
+    while True:
+        # best residue shift of the primitive element
+        best = None
+        for a in range(field.q):
+            shifted = x - ident.scale(field.from_fq(a))
+            v = _det_val_on_factor(shifted, ej, ident)
+            if v > 0 and (best is None or v > best[0]):
+                best = (v, shifted)
+        if best is None:
+            # no residue shift of the integral x has positive determinant
+            # valuation on the factor, so x has no residue in F_q: a factor
+            # of degree <= 2 then has residue degree 2, and pi is its
+            # uniformizer
+            return pi_cand
+        v_xi, xi = best
+        if v_xi % v_pi:
+            break
+        # xi is pi^j times a unit, perhaps a residue plus a uniformizer:
+        # search its shifts, to PrecisionExhausted once its digits run out
+        j = v_xi // v_pi
+        x = xi.map(lambda e: e.shift(-j))
     g = gcd(v_xi, v_pi)
-    if g == v_pi:
-        return pi_cand
-    if g == v_xi:
-        return xi * ej + (ident - ej)
     # Bezout: i*v_xi + k*v_pi = g with small i >= 0
     i = next(i for i in range(1, v_pi + 1) if (g - i * v_xi) % v_pi == 0)
     k = (g - i * v_xi) // v_pi

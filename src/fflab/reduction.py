@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from .errors import NoSolution, SingularBasis, SingularMap
 from .etale import resultant
+from .families import chains
 from .hecke import f_of_m
-from .lattices import (_is_stable, canonicalize, chains, from_generators, index,
+from .lattices import (_is_stable, canonicalize, from_generators, index,
                        lattice_leq, smith_exponents)
 from .linalg import Matrix, kernel_basis, mat_det, sylvester_map
 from .orbital import OrbitalValue, _stable_families, orbital_alpha, orbital_beta

@@ -2,26 +2,26 @@
 
 - linear_solve: one solution of mat * x = rhs, read off the augment
   column that row_echelon sweeps along with mat; the oracle for the
-  eigenspace coordinates that lattices.SplitStableFamily reads off one
+  eigenspace coordinates that families.SplitStableFamily reads off one
   inverse W^-1;
 - smith_form: the Smith form with its unimodular transforms, at full
   precision; the oracle for the residue subspaces that _stable_subspaces
   below reads off a Hermite form;
 - split_neighbor_stacks: a split family's index-one moves as raw generator
   stacks, plus moves first, then minus moves, the order of
-  lattices.PairQuotient.moves; the move generator of the stack-route
+  quotients.PairQuotient.moves; the move generator of the stack-route
   oracle for split families;
 - residue_neighbor_stacks: a field family's index-one moves as raw
   generator stacks [lat H | lat lifts], H the Hermite form of
   lat^-1 pi_E lat and the lifts those _stable_subspaces reads off H, with
   the up-moves multiplied by pi_E^-1; the oracle for
-  lattices.StableFamily.neighbor_stacks, which reads its residue spans off
+  families.StableFamily.neighbor_stacks, which reads its residue spans off
   the residue matrix of lat^-1 J lat and builds each move as lat Y with no
   elimination;
 - reduce_stack: the canonical box representative of the lattice a raw
   generator stack spans, with every functional read off the stack moved so
   far and one canonical form at the end; the oracle for the reps that
-  lattices.StackQuotient and lattices.PairQuotient memoize, which
+  quotients.StackQuotient and quotients.PairQuotient memoize, which
   GammaGroup.reduce takes on a canonical lattice;
 - in_lattice: membership by the column sweep, which clears each
   coordinate, from the last one up, out of the vector before reading the
@@ -46,7 +46,7 @@
   of W_plus sp | W_minus sm per component pair, and their relative
   positions over lb from the full-rank lattices; the oracle for the
   ComponentPairs and component-coordinate positions of
-  lattices.SplitStableFamily.superlattice_positions;
+  families.SplitStableFamily.superlattice_positions;
 - eigenpart_span, eigenpart_transfer_factor: the transfer factor from the indices of
   l3 in the canonical O_E3-spans of the two eigenparts of l0; the oracle
   for the determinant formula of orbital.TransferContext.omega;
@@ -59,13 +59,14 @@ import itertools
 from fractions import Fraction
 
 from fflab.errors import NoSolution, NotStable, PrecisionExhausted, UnstableBase
-from fflab.lattices import (_fq_subspace_stable, _is_stable, _pivot, _power_times,
-                            _subspaces_of_dim, canonicalize, from_generators,
-                            index, relative_position, residues,
-                            smith_exponents, superlattices_of_index)
+from fflab.families import (_fq_subspace_stable, _subspaces_of_dim, residues,
+                            superlattices_of_index)
+from fflab.lattices import (_is_stable, _pivot, canonicalize, from_generators,
+                            index, relative_position, smith_exponents)
 from fflab.linalg import Matrix, mat_inverse, row_echelon
 from fflab.localfield import INF
 from fflab.orbital import OrbitalValue
+from fflab.quotients import _power_times
 
 
 def linear_solve(mat, rhs, zeroish_ok=False):

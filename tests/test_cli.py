@@ -125,6 +125,21 @@ def test_orbital_n2_pair_with_a_degree_two_centralizer(tmp_path, seed, alpha):
                    "windows": [2, 5]}
 
 
+def test_orbital_n2_pair_with_a_ramified_centralizer_and_nonzero_beta(tmp_path):
+    # the ramified-by-unramified n = 2 pair of seed 0 at q = 3: its
+    # centralizer is a ramified field whose primitive element is pi times a
+    # unit, and only Gamma generated by that field's uniformizer, not by
+    # pi, gives alpha(0) = beta
+    out = tmp_path / "o.jsonl"
+    rc = main(["orbital", "--n", "2", "--q", "3", "--seed", "0", "--e1", "ramified",
+               "--hecke", "T_1", "--out", str(out)])
+    assert rc == 0
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec == {"alpha": {"-2": "7", "0": "-7", "2": "7"}, "alpha_at_zero": "7",
+                   "beta": "7", "id": "orbital/seed0/T_1", "ok": True, "precision": 40,
+                   "windows": [3, 5]}
+
+
 @pytest.mark.parametrize("command,spec", [
     ("satake", "f(a)"),
     ("satake", "T_x"),

@@ -108,6 +108,24 @@ def test_sqrt_char2():
     assert sqrt_in_F(F2.pi(1)) is None
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+def test_sqrt_of_an_undetermined_zero(q):
+    # at even q, O(pi^k) has the root O(pi^ceil(k/2)), the contract of an
+    # inexact nonzero input such as pi^4 + O(pi^7), whose root is
+    # pi^2 + O(pi^4); at odd q it raises
+    Fq = LocalField(q)
+    for k in range(1, 7):
+        if q % 2:
+            with pytest.raises(PrecisionExhausted):
+                sqrt_in_F(Fq.o_term(k))
+        else:
+            r = sqrt_in_F(Fq.o_term(k))
+            assert not r.coeffs and r.known_to == (k + 1) // 2
+    if q % 2 == 0:
+        r = sqrt_in_F(Fq.element(4, [1], 7))
+        assert r.coeffs == (1,) and r.val == 2 and r.known_to == 4
+
+
 def test_poly_gcd():
     a = Poly(F, [-one, one])
     p = a * Poly(F, [one, one])

@@ -9,8 +9,8 @@ from fflab.hecke import (HeckeFunction, ULaurent, _type_candidates,
                          _unipotent_orbits, convolve, dimension_census, f_of_m,
                          partial_satake_closed, pi_power, pi_twist, s_k,
                          satake_direct, sym_b, sym_e, t_m, unit, verify_69)
-from fflab.lattices import (_compositions, count_chains, lattices_at_position,
-                            standard_lattice)
+from fflab.families import _compositions, count_chains, lattices_at_position
+from fflab.lattices import standard_lattice
 from fflab.localfield import LocalField
 from oracles import unipotent_sum
 

@@ -5,20 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fflab import lattices
+from fflab import families, quotients
 from fflab.errors import PrecisionExhausted, SingularBasis, UnstableBase
 from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
-from fflab.lattices import (GammaGenerator, GammaGroup, SplitStableFamily,
-                            StableFamily, canonicalize, chains, column_space_basis,
-                            count_chains, from_generators, in_lattice, index,
-                            lattice_leq, lattices_at_position,
-                            relative_position, smith_exponents, span_index,
-                            stable_family, stable_lattices, standard_lattice,
+from fflab.families import (SplitStableFamily, StableFamily, chains, count_chains,
+                            lattices_at_position, stable_family, stable_lattices,
                             sublattices_of_index, superlattices_of_index)
-from fflab.linalg import Matrix, mat_det, mat_inverse, row_echelon
+from fflab.lattices import (canonicalize, from_generators, in_lattice, index,
+                            lattice_leq, relative_position, smith_exponents,
+                            span_index, standard_lattice)
+from fflab.linalg import Matrix, column_space_basis, mat_det, mat_inverse, row_echelon
 from fflab.localfield import LocalField
 from fflab.orbital import _stable_families
 from fflab.pairs import direct_sum, match_alpha, random_pair, standard_embedding
+from fflab.quotients import GammaGenerator, GammaGroup
 import oracles
 from oracles import (in_fundamental_box, reduce_stack, smith_form,
                      split_neighbor_stacks, triangular_inverse)
@@ -270,8 +270,8 @@ def _smith_stable_subspaces(field, H, Jmat, dims):
     out = []
     for dim in dims:
         subs = []
-        for W in lattices._subspaces_of_dim(g, len(torsion), dim):
-            if lattices._fq_subspace_stable(g, A, W):
+        for W in families._subspaces_of_dim(g, len(torsion), dim):
+            if families._fq_subspace_stable(g, A, W):
                 subs.append([Rinv.apply([field.from_fq(w[torsion.index(i)])
                                          if i in torsion else field.zero
                                          for i in range(m)]) for w in W])
@@ -435,11 +435,11 @@ def test_fq_subspace_stability_matches_brute_force(q):
                  for i in range(t)]
             columns = list(zip(*A))
             for dim in range(t + 1):
-                for W in lattices._subspaces_of_dim(g, t, dim):
+                for W in families._subspaces_of_dim(g, t, dim):
                     span = {tuple(combine(c, W, t))
                             for c in itertools.product(range(q), repeat=dim)}
                     want = all(tuple(combine(w, columns, t)) in span for w in W)
-                    assert lattices._fq_subspace_stable(g, A, W) == want
+                    assert families._fq_subspace_stable(g, A, W) == want
                     seen.add(want)
     assert seen == {True, False}
 
@@ -489,7 +489,7 @@ def test_scalar_generators_reduce_without_a_canonical_form(monkeypatch):
              (GammaGenerator(Matrix.diagonal(F, [pi, F.pi(2)]), ident), None),
              (GammaGenerator(Matrix(F, [[pi, pi], [F.zero, pi]]), ident), None)]
     lats = [L.scale(s) for L in sublattices_of_index(std2, 2) for s in (-3, 0, 4)]
-    real, calls = lattices.canonicalize, []
+    real, calls = quotients.canonicalize, []
 
     def counting(field, basis):
         calls.append(basis)
@@ -499,9 +499,9 @@ def test_scalar_generators_reduce_without_a_canonical_form(monkeypatch):
         assert gen.scalar == k
         gg = GammaGroup(F, [gen])
         want = [reduce_stack(gg, L.basis) for L in lats]
-        monkeypatch.setattr(lattices, "canonicalize", counting)
+        monkeypatch.setattr(quotients, "canonicalize", counting)
         got = [gg.reduce(L) for L in lats]
-        monkeypatch.setattr(lattices, "canonicalize", real)
+        monkeypatch.setattr(quotients, "canonicalize", real)
         assert [r.key() for r in got] == [r.key() for r in want]
         assert bool(calls) == (k is None)
         calls.clear()

@@ -14,6 +14,7 @@ from fflab.orbital import (OrbitalValue, TransferContext, derivative_at_zero,
                            functional_equation_probe, orbital_alpha, orbital_beta,
                            transfer_factor, value_at_zero, vanishing_order_at_one)
 from fflab.pairs import invariant, match_alpha, random_pair
+from fflab.quotients import family_quotient
 from oracles import (eigenpart_span, eigenpart_transfer_factor, linear_solve,
                      reduce_stack, split_neighbor_stacks, superlattice_positions)
 
@@ -289,7 +290,8 @@ def test_invariants_agree_on_expanded_stacks(q, twisted, monkeypatch):
     # rep, which contribution gets as the rep's gap: that is sound because
     # the gap and the factor functionals of a raw move are its rep's; a
     # split family's moves are component pairs, checked here on their stacks
-    from fflab.lattices import ComponentPair, index, order_span
+    from fflab.families import ComponentPair
+    from fflab.lattices import index, order_span
     from fflab.orbital import OrbitalProblem
     pair, alpha, _ = _reuse_case(q)
     prob = OrbitalProblem(_fresh(alpha if twisted else pair), t_m(2, 2), twisted)
@@ -333,7 +335,7 @@ def test_span_gap_moves_by_at_most_the_move_index(case, twisted):
             if twisted:
                 pair, _ = match_alpha(inv.delta, e0, inv.target)
             cases.append((pair, t_m(2, 2)))
-    from fflab.lattices import StackQuotient
+    from fflab.quotients import StackQuotient
     from fflab.orbital import OrbitalProblem
     for pair, f in cases:
         prob = OrbitalProblem(pair, f, twisted)
@@ -369,7 +371,8 @@ def _congruent_eigenspaces():
     """A split family whose eigenspaces (1, 0) and (1, pi) meet modulo pi,
     with Gamma generated by pi: c_g = 1 there, where the traversal cases
     all have c_g = 0."""
-    from fflab.lattices import GammaGenerator, GammaGroup, SplitStableFamily
+    from fflab.families import SplitStableFamily
+    from fflab.quotients import GammaGenerator, GammaGroup
     J = Matrix(F, [[F.one, -F.pi(-1)], [F.zero, F.zero]])
     base = canonicalize(F, Matrix.diagonal(F, [F.one, F.pi()]))
     fam = SplitStableFamily(F, J, E0, base)
@@ -383,7 +386,7 @@ def test_split_traversal_matches_the_stack_route(case):
     # the same moves) is the oracle: same value and radius per f, and per
     # move of every expanded vertex the same rep lattice as reduce_stack and
     # the same gap as the raw stack's
-    from fflab.lattices import PairQuotient, StackQuotient
+    from fflab.quotients import PairQuotient, StackQuotient
     from fflab.orbital import OrbitalProblem
 
     class SplitStackQuotient(StackQuotient):
@@ -427,7 +430,7 @@ def test_stack_traversal_moves_match_the_raw_stack(case):
     # stored gap is the raw stack's and the rep is reduce_stack's; the
     # start's moves are checked first, before a wrong gap can widen the
     # traversal
-    from fflab.lattices import StackQuotient
+    from fflab.quotients import StackQuotient
     from fflab.orbital import OrbitalProblem
     if case in (2, 3, 9):
         target, _, fs = _reuse_case(case)
@@ -464,7 +467,8 @@ def test_memoized_reps_match_the_raw_stack_oracle(cell, twisted):
     # start) is the oracle's on the move's raw stack, every memo entry is
     # one of them, and another raw stack of a lattice already reduced gets
     # the memoized object back
-    from fflab.lattices import ComponentPair, PairQuotient
+    from fflab.families import ComponentPair
+    from fflab.quotients import PairQuotient
     from fflab.orbital import OrbitalProblem
     if cell in (2, 3, 9):
         pair, alpha, fs = _reuse_case(cell)
@@ -500,7 +504,8 @@ def _one_sided_generator():
     """A split family on F^2 (J = diag(1, 0)) with Gamma generated by
     diag(pi, 1): g+ = pi and g- = 1 differ, and the components are rank-one
     lattices, so a plus and a minus component often share a key."""
-    from fflab.lattices import GammaGenerator, GammaGroup, SplitStableFamily
+    from fflab.families import SplitStableFamily
+    from fflab.quotients import GammaGenerator, GammaGroup
     fam = SplitStableFamily(F, Matrix.diagonal(F, [F.one, F.zero]), E0,
                             standard_lattice(F, 2))
     gen = GammaGenerator(Matrix.diagonal(F, [F.pi(), F.one]),
@@ -522,7 +527,7 @@ def test_split_functional_is_additive(case):
         _, alpha, _ = _reuse_case(case)
         prob = OrbitalProblem(_fresh(alpha), unit(2), twisted=True)
         fam, gamma, A = prob.fam_b, prob.gamma, prob.pair.A
-    q = fam.quotient(gamma, A)
+    q = family_quotient(fam, gamma, A)
     if case == "congruent":
         assert q.consts == [1]
     ball = fam.ball(2)
@@ -549,7 +554,7 @@ def test_split_gap_on_congruent_eigenspaces(rows):
     A = Matrix(F, [[F.pi() if x == "pi" else F.from_int(x) for x in row]
                    for row in rows])
     assert not (A * fam.J).same(fam.J * A)
-    q = fam.quotient(gamma, A)
+    q = family_quotient(fam, gamma, A)
     gaps = set()
     for lat in fam.ball(2):
         pair = fam.split(lat)
@@ -593,7 +598,7 @@ def test_split_coordinates_match_the_linear_solve_route(case):
     assert len(ball) > 20
     for lat in ball:
         assert fam.split(lat).key() == tuple(c.key() for c in _solved_split(fam, algebra, lat))
-    q = fam.quotient(gamma, A)
+    q = family_quotient(fam, gamma, A)
     projs = algebra.eigen_projectors(fam.J)
     for g, parts in zip(gamma.gens, q.parts):
         for W, proj, ((gc, _), _, _) in zip((fam.W_plus, fam.W_minus), projs, parts):
@@ -605,14 +610,15 @@ def test_split_coordinates_match_the_linear_solve_route(case):
 def test_generator_off_the_eigenspaces_is_refused():
     # g does not commute with J, so W^-1 g W is not block-diagonal
     from fflab.errors import PrecisionExhausted
-    from fflab.lattices import GammaGenerator, GammaGroup, SplitStableFamily
+    from fflab.families import SplitStableFamily
+    from fflab.quotients import GammaGenerator, GammaGroup
     J = Matrix.diagonal(F, [F.one, F.zero])
     fam = SplitStableFamily(F, J, E0, standard_lattice(F, 2))
     g = Matrix(F, [[F.pi(), F.one], [F.zero, F.pi()]])
     assert not (g * J).same(J * g)
     gamma = GammaGroup(F, [GammaGenerator(g, Matrix.identity(F, 2))])
     with pytest.raises(PrecisionExhausted, match="generator not certified block-diagonal"):
-        fam.quotient(gamma, Matrix.identity(F, 2))
+        family_quotient(fam, gamma, Matrix.identity(F, 2))
 
 
 @pytest.mark.parametrize("case", [2, 3, 9, UNRAMIFIED, RAMIFIED])

@@ -197,6 +197,38 @@ def test_factor_uniformizer_falls_back_to_pi_on_an_unramified_factor():
     assert mat_det(gamma).valuation() == 2
 
 
+def test_factor_uniformizer_peels_a_power_of_pi():
+    # x = pi (1 + y) with y^2 = pi: x has det valuation 2, as pi does, but
+    # F[x] = F(pi^(1/2)) is ramified; x pi^-1 - 1 = y is its uniformizer
+    y = Matrix(F, [[F.zero, F.pi()], [F.one, F.zero]])
+    ident = Matrix.identity(F, 2)
+    x = (ident + y).scale(F.pi())
+    mj = Poly(F, [F.pi(2) - F.pi(3), -(F.from_int(2) * F.pi()), F.one])
+    assert mj(x).same(Matrix.zero(F, 2))
+    gamma = _factor_uniformizer(F, x, ident, mj, ident)
+    assert gamma == y
+    assert mat_det(gamma).valuation() == 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_matched_centralizers_have_uniformizers_of_equal_valuation(q):
+    # a rank-4 pair and its match_alpha partner have isomorphic
+    # centralizers, so their Gamma generators have the same determinant
+    # valuation factor by factor; a ramified factor whose primitive
+    # element is pi times a unit once got pi, of twice the valuation
+    field = LocalField(q)
+    e0 = build_quadratic(SPLIT, field)
+    for e1, e2 in ((RAMIFIED, UNRAMIFIED), (UNRAMIFIED, RAMIFIED),
+                   (UNRAMIFIED, UNRAMIFIED)):
+        for seed in range(4):
+            pair, inv, _ = random_pair(build_quadratic(e1, field),
+                                       build_quadratic(e2, field), 2, seed)
+            alpha, _ = match_alpha(inv.delta, e0, inv.target)
+            vals = [sorted((f.degree, mat_det(f.gamma).valuation())
+                           for f in centralizer(p).factors) for p in (pair, alpha)]
+            assert vals[0] == vals[1], (e1, e2, seed)
+
+
 def test_factor_uniformizer_raises_on_an_undetermined_determinant():
     # x^2 = pi^3 with the corner known only modulo pi^3: det(x) = -O(pi^3)
     # has no certified digit, so the residue shift a = 0 cannot be ranked,

@@ -341,7 +341,7 @@ def _split_alpha_values(q, n, fs):
     pair of seed 5 at q = 2 or 9; at q = 3 those of seeds 1 and 3 and their
     rank-4 direct sum (thm212's unramified configuration)."""
     from fflab.etale import SPLIT, UNRAMIFIED, build_quadratic
-    from fflab.lattices import PairQuotient
+    from fflab.quotients import PairQuotient
     from fflab.orbital import OrbitalProblem
     from fflab.pairs import direct_sum, match_alpha, random_pair
     field = LocalField(q, n)
@@ -382,7 +382,7 @@ def _stack_values(q, n, fs):
     (seeds 0 and 1), beta side and alpha side; at q = 2 or 9 the pair of
     seed 5 on (E1, E1), beta side."""
     from fflab.etale import RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic
-    from fflab.lattices import StackQuotient
+    from fflab.quotients import StackQuotient
     from fflab.orbital import OrbitalProblem
     from fflab.pairs import direct_sum, match_alpha, random_pair
     field = LocalField(q, n)
