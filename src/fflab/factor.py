@@ -5,7 +5,9 @@ Residue factorization over F_q is by trial division against the (small)
 list of monic irreducibles; factors with coprime residues are separated by
 linear Hensel lifting (hensel_split), which corrects only the digits where
 the product is off and stops as soon as it is exact.  A pure-power residue
-is resolved by root shifting plus Newton-polygon segmentation; quadratics
+is resolved by root shifting plus Newton-polygon segmentation, peeling
+the smallest root valuation, or the largest through the reciprocal
+polynomial when only that one is integral; quadratics
 are decided by a discriminant square test.  Degrees beyond what desk-scale
 invariants produce raise FactorFail rather than guessing.
 
@@ -16,6 +18,7 @@ otherwise its coefficients carry the precision they were lifted to.
 from functools import lru_cache
 
 from .errors import FactorFail
+from .finitefield import gf
 from .linalg import Poly
 
 # -- polynomials over F_q (dense int tuples, low first) ------------------------
@@ -69,7 +72,7 @@ def _fq_divmod(g, a, b):
 @lru_cache(maxsize=None)
 def _monic_irreducibles(q, max_deg):
     """All monic irreducibles over F_q of degree <= max_deg, by brute search."""
-    g = __import__("fflab.finitefield", fromlist=["gf"]).gf(q)
+    g = gf(q)
     irr = {1: [(c, 1) for c in range(q)]}
     for d in range(2, max_deg + 1):
         found = []
@@ -386,8 +389,13 @@ def hensel_factor(poly, _depth=0):
         if len(segs) == 1:
             raise FactorFail(
                 "mixed ramification on a single segment: unsupported degree")
-        raise FactorFail("non-integral smallest root valuation with multiple "
-                         "segments: unsupported")
+        if segs[0][1] != 1:
+            raise FactorFail("non-integral smallest and largest root valuations "
+                             "with multiple segments: unsupported")
+        # the largest root valuation is integral, and it is the negated
+        # smallest root valuation of the reciprocal polynomial
+        return [(_reciprocal(f), m)
+                for f, m in hensel_factor(_reciprocal(poly), _depth + 1)]
     # integral smallest root valuation w: substitute T = pi^w S, which
     # leaves a root of valuation 0 and so a residue with a nonzero root
     w = num
@@ -400,6 +408,11 @@ def hensel_factor(poly, _depth=0):
         back = Poly(F, [c.shift(w * (d - i)) for i, c in enumerate(f.coeffs)])
         out.append((back, m))
     return out
+
+
+def _reciprocal(poly):
+    """The monic polynomial whose roots are the inverses of poly's."""
+    return Poly(poly.ring, reversed(poly.coeffs)).force_monic()
 
 
 def _factor_quadratic(poly):

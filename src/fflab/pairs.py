@@ -20,7 +20,7 @@ from .etale import (cd_constants, is_regular_semisimple,
                     symmetry_check)
 from .factor import hensel_factor, poly_bezout
 from .linalg import (Matrix, Poly, berkowitz_charpoly, kernel_basis, mat_det,
-                     mat_inverse, mat_rank, sylvester_map)
+                     mat_inverse, mat_rank)
 from .quotients import GammaGenerator, GammaGroup
 
 
@@ -77,7 +77,7 @@ class InvariantData:
 
 
 def w_element(pair):
-    """w = B A + A^sigma B^sigma; centralizes both images on rs pairs."""
+    """w = B A + A^sigma B^sigma, which commutes with both images."""
     A, B = pair.A, pair.B
     tr_a, tr_b = pair.Ea.tr, pair.Eb.tr
     ident = Matrix.identity(pair.field, 2 * pair.n)
@@ -124,26 +124,6 @@ def direct_sum(p0, p1):
 
 
 # -- centralizers -------------------------------------------------------------------
-
-
-def _commutant_basis(field, mats, size):
-    """Basis of {X : XM = MX for all M}, as matrices.
-
-    Row-major, vec(A X B) = (A kron B^T) vec(X), so vec(XM - MX) is
-    (I kron M^T - M kron I) vec(X): the commutant is the kernel of those
-    blocks stacked, one per M.
-    """
-    rows = [r for M in mats for r in sylvester_map(M, M).rows]
-    ker = kernel_basis(Matrix(field, rows), zeroish_ok=True)
-    out = []
-    zero = Matrix.zero(field, size)
-    for v in ker:
-        m = Matrix(field, [v[k:k + size] for k in range(0, len(v), size)])
-        for M in mats:
-            if not (m * M - M * m).same(zero):
-                raise WrongDimension("commutant candidate fails to commute")
-        out.append(m)
-    return out
 
 
 def _integral_scale(mat):
@@ -200,36 +180,41 @@ class Centralizer:
 
 
 def centralizer(pair):
-    """Centralizer of both images; raises WrongDimension unless it has rank n."""
+    """Centralizer of both images: the algebra F[x], x the integral
+    rescaling of w.  Raises WrongDimension unless AB - BA is invertible
+    and the minimal polynomial of x has degree n, and PrecisionExhausted
+    when det(AB - BA) is undetermined.
+
+    Why F[w] is then the whole commutant: over a splitting field, A =
+    diag(a1 I, a2 I) with a1 != a2, and B = [[P, Q], [R, S]].  Then AB - BA
+    = (a1 - a2) [[0, Q], [-R, 0]], invertible iff Q and R are.  The
+    relation B^2 = tr B - nm puts QR = tr P - nm - P^2 and QSQ^-1 = tr - P
+    in F[P].  What commutes with A is block-diagonal, and diag(X, Y)
+    commutes with B iff XP = PX and Y = Q^-1 X Q, so the commutant of the
+    pair is isomorphic to the commutant of P, of dimension >= n.  The top
+    block of w is (a1 - a2) P + a2 tr_B, so F[w] is isomorphic to F[P], of
+    dimension deg minpoly(w) <= n: it is the whole commutant exactly when
+    deg minpoly(w) = n.  Dimensions do not change under field extension,
+    so the same holds over F.
+    """
     field = pair.field
-    size = 2 * pair.n
-    basis = _commutant_basis(field, [pair.A, pair.B], size)
-    if len(basis) != pair.n:
-        raise WrongDimension(
-            f"centralizer has dimension {len(basis)}, expected {pair.n}")
-    factors = decompose_commutative_algebra(field, basis, size)
-    return Centralizer(field, basis, factors)
+    if mat_det(pair.A * pair.B - pair.B * pair.A).is_exact_zero:
+        raise WrongDimension("AB - BA is singular")
+    x = _integral_scale(w_element(pair))
+    mp = _minimal_polynomial(field, x)
+    if mp.degree != pair.n:
+        raise WrongDimension(f"w generates an algebra of dimension {mp.degree}, "
+                             f"expected {pair.n}")
+    basis = [Matrix.identity(field, 2 * pair.n)]
+    for _ in range(pair.n - 1):
+        basis.append(basis[-1] * x)
+    return Centralizer(field, basis, decompose_commutative_algebra(field, x, mp))
 
 
-def decompose_commutative_algebra(field, basis, size):
-    """Idempotents and uniformizer matrices of a commutative etale matrix algebra."""
-    rng = random.Random(0)
-    n = len(basis)
-    ident = Matrix.identity(field, size)
-    scaled = [_integral_scale(b) for b in basis]
-    for attempt in range(32):
-        x = Matrix.zero(field, size)
-        for b in scaled:
-            x = x + b.scale(field.from_int(rng.randrange(1, field.q * 3)))
-        x = _integral_scale(x)
-        try:
-            mp = _minimal_polynomial(field, x)
-        except WrongDimension:
-            continue
-        if mp.degree == n:
-            break
-    else:
-        raise WrongDimension("no primitive element found for the centralizer")
+def decompose_commutative_algebra(field, x, mp):
+    """Idempotents and uniformizer matrices of the etale algebra F[x],
+    for an integral matrix x with minimal polynomial mp."""
+    ident = Matrix.identity(field, x.nrows)
     fac = hensel_factor(mp)
     if any(m != 1 for _, m in fac):
         raise WrongDimension("centralizer algebra is not etale (repeated factor)")
@@ -247,7 +232,7 @@ def decompose_commutative_algebra(field, basis, size):
             raise FactorFail("idempotent reconstruction lost precision")
         gamma = _factor_uniformizer(field, x, ej, mj, ident)
         factors.append(CentralizerFactor(ej, gamma, mj.degree))
-    total = Matrix.zero(field, size)
+    total = Matrix.zero(field, x.nrows)
     for f in factors:
         total = total + f.idempotent
     if not total.same(ident):

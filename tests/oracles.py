@@ -40,7 +40,8 @@
   placed entry by entry; the oracle for the Kronecker-product operators
   q_i^- and q_i^+ of reduction.HomSystem;
 - commutator_rows: the linear forms (XM - MX)_ij in vec(X), placed entry
-  by entry; the oracle for the rows pairs._commutant_basis stacks;
+  by entry; their kernel is the commutant that pairs.centralizer reads
+  off w as the span of 1, w, ..., w^(n-1);
 - stable_superlattices, superlattice_positions: a split family's stable
   superlattices as canonical lattices of the full rank, one canonical form
   of W_plus sp | W_minus sm per component pair, and their relative

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from fflab.errors import PrecisionExhausted
 from fflab.suites import SUITES, run_suite
 
 
@@ -129,3 +130,16 @@ def test_suite_records_are_pinned():
     got = {name: hashlib.sha256(_strip(run_suite(name, precision=40)).encode()).hexdigest()
            for name in SUITES}
     assert got == _SUITE_DIGESTS
+
+
+@pytest.mark.parametrize("precision", [3, 4, 5])
+def test_suites_at_small_precision_give_their_pins_or_raise(precision):
+    # a precision too small for a suite's digits must raise, never give a
+    # record that differs from the pinned N = 40 one
+    for name in SUITES:
+        try:
+            records = run_suite(name, precision=precision)
+        except PrecisionExhausted:
+            continue
+        digest = hashlib.sha256(_strip(records).encode()).hexdigest()
+        assert digest == _SUITE_DIGESTS[name], name

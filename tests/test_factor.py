@@ -62,11 +62,23 @@ def test_integral_substitution_peels_the_smallest_root_valuation(q):
     assert fs[0][0] * fs[1][0] == p
 
 
-@pytest.mark.parametrize("q", [3, 5])
-def test_non_integral_smallest_root_valuation_is_unsupported(q):
-    # (T - pi^3)(T^2 - pi): the smallest root valuation is 1/2
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_non_integral_smallest_root_valuation_factors_by_the_reciprocal(q):
+    # (T - pi^3)(T^2 - pi): the smallest root valuation is 1/2, the largest
+    # 3, so the reciprocal polynomial's smallest, -3, is integral
     Fq = LocalField(q)
     p = Poly(Fq, [-Fq.pi(3), Fq.one]) * Poly(Fq, [-Fq.pi(), Fq.zero, Fq.one])
+    fs = hensel_factor(p)
+    assert sorted(f.degree for f, _ in fs) == [1, 2]
+    assert all(f.is_monic() and m == 1 for f, m in fs)
+    assert fs[0][0] * fs[1][0] == p
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_non_integral_extreme_root_valuations_are_unsupported(q):
+    # (T^2 - pi^3)(T^2 - pi): root valuations 3/2 and 1/2, neither integral
+    Fq = LocalField(q)
+    p = Poly(Fq, [-Fq.pi(3), Fq.zero, Fq.one]) * Poly(Fq, [-Fq.pi(), Fq.zero, Fq.one])
     with pytest.raises(FactorFail, match="unsupported"):
         hensel_factor(p)
 
@@ -240,6 +252,9 @@ def _assert_factors_honest(q, roots, terms):
 # T (T + 1)^2 + pi^8 T^2 at q = 2, N = 8: the factor lifting (T + 1)^2 has
 # an inexact-zero T coefficient, which is no evidence of a square
 @example(case=(2, [0, 1, 1], [(8, 2, 1)]))
+# (T - pi^3)(T^2 - pi) + pi^6 at q = 3: root valuations 1/2 and 3, so the
+# factors come from the reciprocal polynomial and are mapped back
+@example(case=(3, [0, 0, 0], [(3, 2, 2), (1, 1, 2), (4, 0, 1), (6, 0, 1)]))
 def test_hensel_factor_claims_only_digits_a_finer_run_confirms(case):
     _assert_factors_honest(*case)
 

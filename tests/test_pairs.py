@@ -7,9 +7,9 @@ from fflab.errors import (NormalizationFail, NotFound, PrecisionExhausted,
 from fflab.etale import (RAMIFIED, SPLIT, UNRAMIFIED, build_quadratic,
                          compute_e3, is_regular_semisimple, resultant,
                          symmetry_check)
-from fflab.linalg import Matrix, Poly, kernel_basis, mat_det, sylvester_map
+from fflab.linalg import Matrix, Poly, kernel_basis, mat_det, mat_rank
 from fflab.localfield import LocalField
-from fflab.pairs import (EmbeddingPair, _commutant_basis, _companion,
+from fflab.pairs import (EmbeddingPair, _companion,
                          _factor_uniformizer, centralizer, direct_sum,
                          invariant, match_alpha, random_pair,
                          random_unimodular, standard_embedding, w_element)
@@ -128,23 +128,39 @@ def _commutant_pair(q, kind_b):
 @pytest.mark.parametrize("q, kind_b", [(2, UNRAMIFIED), (3, UNRAMIFIED), (3, RAMIFIED),
                                        (9, UNRAMIFIED), (9, RAMIFIED), (3, None)])
 def test_commutant_matches_the_index_oracle(q, kind_b):
+    # the joint kernel of the commutator forms, placed entry by entry, has
+    # dimension n and is spanned by 1, w, ..., w^(n-1), and by the basis
+    # that centralizer reads off w
     pair = _commutant_pair(q, kind_b)
-    field, size = pair.field, 2 * pair.n
-    mats = [pair.A, pair.B]
-    rows = commutator_rows(field, mats, size)
-    stacked = [r for M in mats for r in sylvester_map(M, M).rows]
-    assert [[x.key() for x in r] for r in stacked] == \
-        [[x.key() for x in r] for r in rows.rows]
-    basis = _commutant_basis(field, mats, size)
-    assert len(basis) == pair.n
-    assert [[x.key() for r in m.rows for x in r] for m in basis] == \
-        [[x.key() for x in v] for v in kernel_basis(rows, zeroish_ok=True)]
+    field, size, n = pair.field, 2 * pair.n, pair.n
+    ker = kernel_basis(commutator_rows(field, [pair.A, pair.B], size), zeroish_ok=True)
+    assert len(ker) == n
+    w = w_element(pair)
+    powers = [Matrix.identity(field, size)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * w)
+    for mats in (powers, centralizer(pair).basis):
+        vecs = [[x for r in m.rows for x in r] for m in mats]
+        assert mat_rank(Matrix(field, vecs), zeroish_ok=True) == n
+        assert mat_rank(Matrix(field, [list(v) for v in ker] + vecs),
+                        zeroish_ok=True) == n
 
 
 def test_centralizer_wrong_dimension_on_degenerate():
     std = standard_embedding(E1, 1)
     with pytest.raises(WrongDimension):
         centralizer(EmbeddingPair(E1, E1, std, std))
+
+
+def test_centralizer_of_a_doubled_pair_has_the_wrong_dimension():
+    # direct_sum(p, p) has an invertible AB - BA, but w = diag(w0, w0) has
+    # a minimal polynomial of degree 1 < 2: the commutant is M_2(F), of
+    # dimension 4, and F[w] is F
+    p, _, _ = random_pair(E1, E1, 1, seed=1)
+    pp = direct_sum(p, p)
+    assert not mat_det(pp.A * pp.B - pp.B * pp.A).is_exact_zero
+    with pytest.raises(WrongDimension):
+        centralizer(pp)
 
 
 def test_centralizer_n2():
@@ -168,6 +184,18 @@ def test_centralizer_with_a_degree_two_factor():
     assert (gamma * pair.A - pair.A * gamma).same(z)
     assert (gamma * pair.B - pair.B * gamma).same(z)
     assert [g.shift for g in cent.gamma_group().gens] == [2]
+
+
+def test_centralizer_factored_through_the_reciprocal_polynomial():
+    # the n = 3 pair at q = 3, seed 4, and its matched partner: the minimal
+    # polynomial of w's rescaling has a non-integral smallest root
+    # valuation and an integral largest one, so hensel_factor factors the
+    # reciprocal polynomial
+    pair, inv, _ = random_pair(E1, E1, 3, seed=4)
+    alpha, _ = match_alpha(inv.delta, E0, inv.target)
+    for p in (pair, alpha):
+        assert sorted((f.degree, mat_det(f.gamma).valuation())
+                      for f in centralizer(p).factors) == [(1, 2), (2, 2)]
 
 
 def test_factor_uniformizer_combines_valuations_by_bezout():
